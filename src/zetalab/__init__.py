@@ -46,15 +46,7 @@ from .laplace import (
     laplace_pair,
     laplace_quadrature,
 )
-from .sieve import (
-    PrimePower,
-    SieveSegment,
-    integer_kth_root,
-    mobius,
-    prime_powers_up_to,
-    sieve_segment,
-    von_mangoldt,
-)
+from .sieve import SieveSegment, integer_kth_root, mobius, von_mangoldt
 from .verify import (
     Claim,
     ClaimResult,
@@ -78,7 +70,6 @@ __all__ = [
     "EULER_GAMMA",
     "JValue",
     "ModelPair",
-    "PrimePower",
     "R_of_s",
     "ScanReport",
     "SieveSegment",
@@ -104,7 +95,6 @@ __all__ = [
     "mobius",
     "pi_count",
     "pi_from_j",
-    "prime_powers_up_to",
     "psi_mean_original",
     "psi_value",
     "r_integral",
@@ -114,7 +104,6 @@ __all__ = [
     "run_all",
     "run_claim",
     "scan_bound",
-    "sieve_segment",
     "stirling_model",
     "von_mangoldt",
     "zeta1_count",

@@ -1,9 +1,10 @@
 """Exact arithmetic counting functions on the ordinary abscissa.
 
-pi_count and psi_value stream over sieve segments, so memory stays bounded.
-The weighted prime-power count j_value is assembled from per-exponent prime
-counts at exact integer k-th roots; float powers are never used to decide
-whether a lattice point is a perfect power.
+pi and psi are step functions summed segment by segment over one sieve
+sweep (``step_segments``), so memory stays bounded; ``step_at`` reads pi, psi
+or J off that sweep at given integer abscissae.  The weighted prime-power
+count J is pi plus the k >= 2 jumps at exact integer k-th roots; float powers
+are never used to decide whether a lattice point is a perfect power.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from .compensated import KahanSum
 from .sieve import (
-    SIEVE_CEILING,
+    SieveSegment,
     base_primes,
     int_kth_root_array,
     integer_kth_root,
@@ -26,25 +27,71 @@ from .sieve import (
 )
 
 
-def pi_count(x: float, *, ceiling: int = SIEVE_CEILING) -> int:
+def step_segments(
+    step: str, hi: int, *, lo: int = 0
+) -> Iterator[Tuple[SieveSegment, np.ndarray]]:
+    """Sieve segments over [0, hi] that reach lo, each with the step's right-limit values.
+
+    step "pi" gives int64 prime counts; "psi" gives the Kahan-compensated
+    total of the earlier segments plus the running sum of this segment's
+    Lambda, and its segments carry ``lam``.  Segments that end below lo are
+    sieved only for the carry: their running sums are never formed.
+    """
+    if step not in ("pi", "psi"):
+        raise ValueError(f"unknown step function {step!r}")
+    pi_run = 0
+    psi_run = KahanSum()
+    for seg in iter_segments(0, hi, want_lam=step == "psi"):
+        if seg.hi >= lo:
+            if step == "pi":
+                vals = np.cumsum(seg.is_prime, dtype=np.int64)
+                vals += pi_run
+            else:
+                vals = np.cumsum(seg.lam)
+                vals += psi_run.value
+            yield seg, vals
+        if step == "pi":
+            pi_run += int(np.count_nonzero(seg.is_prime))
+        else:
+            psi_run.add(math.fsum(seg.lam))
+
+
+def step_at(step: str, xs: np.ndarray) -> np.ndarray:
+    """pi, psi or J (step "pi", "psi" or "j") at integer abscissae xs >= 0, as float64.
+
+    One sieve sweep to max(xs) serves all points, in any order; J adds the
+    k >= 2 jumps at the requested points only.
+    """
+    if step not in ("pi", "psi", "j"):
+        raise ValueError(f"unknown step function {step!r}")
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.zeros(xs.size, dtype=np.float64)
+    if xs.size == 0:
+        return out
+    top = int(xs.max())
+    for seg, vals in step_segments("psi" if step == "psi" else "pi", top, lo=int(xs.min())):
+        in_seg = (xs >= seg.lo) & (xs <= seg.hi)
+        out[in_seg] = vals[xs[in_seg] - seg.lo]
+    if step == "j":
+        out += j_higher_terms(xs, top)
+    return out
+
+
+def pi_count(x: float) -> int:
     """Number of primes <= floor(x)."""
     if x < 2:
         return 0
     n = int(math.floor(x))
-    total = 0
-    for seg in iter_segments(0, n, ceiling=ceiling):
-        total += int(np.count_nonzero(seg.is_prime))
-    return total
+    ((_seg, counts),) = step_segments("pi", n, lo=n)
+    return int(counts[-1])
 
 
 @lru_cache(maxsize=4)
 def pi_table(limit: int) -> np.ndarray:
     """Cumulative prime-count table: pi_table(limit)[m] = pi(m) for 0 <= m <= limit."""
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for seg in iter_segments(0, limit):
-        out[seg.lo : seg.hi + 1] = np.cumsum(seg.is_prime)
-        if seg.lo > 0:
-            out[seg.lo : seg.hi + 1] += out[seg.lo - 1]
+    out = np.empty(limit + 1, dtype=np.int64)
+    for seg, counts in step_segments("pi", limit):
+        out[seg.lo : seg.hi + 1] = counts
     out.setflags(write=False)
     return out
 
@@ -58,7 +105,7 @@ class JValue:
     value: float
 
 
-def j_value(x: float, *, ceiling: int = SIEVE_CEILING) -> JValue:
+def j_value(x: float) -> JValue:
     """J at x from per-exponent prime counts at exact integer roots."""
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -72,13 +119,13 @@ def j_value(x: float, *, ceiling: int = SIEVE_CEILING) -> JValue:
         r = integer_kth_root(n, k)
         if r < 2:
             break
-        counts.append(int(pi_count(r, ceiling=ceiling)) if k == 1 else int(ptab[r]))
+        counts.append(pi_count(r) if k == 1 else int(ptab[r]))
         k += 1
     value = math.fsum(c / kk for kk, c in enumerate(counts, start=1))
     return JValue(x=x, counts_per_k=counts, value=value)
 
 
-def pi_from_j(x: float, *, ceiling: int = SIEVE_CEILING) -> float:
+def pi_from_j(x: float) -> float:
     """Recover pi(x) from J by Mobius inversion: sum_n mu(n)/n * J(x**(1/n))."""
     if x < 2:
         raise ValueError("x must be >= 2")
@@ -91,18 +138,21 @@ def pi_from_j(x: float, *, ceiling: int = SIEVE_CEILING) -> float:
             break
         mu = mobius(m)
         if mu:
-            total.add(mu / m * j_value(float(r), ceiling=ceiling).value)
+            total.add(mu / m * j_value(float(r)).value)
         m += 1
     return total.value
 
 
-def psi_value(x: float, *, ceiling: int = SIEVE_CEILING) -> float:
-    """Chebyshev psi: sum of Lambda(n) for n <= floor(x), streamed with compensation."""
+def psi_value(x: float) -> float:
+    """Chebyshev psi(x) as the compensated sum of exact per-segment Lambda totals.
+
+    Each segment's total is an fsum, not the step engine's running cumsum, so
+    the value is correctly rounded per segment.
+    """
     if x < 2:
         return 0.0
-    n = int(math.floor(x))
     acc = KahanSum()
-    for seg in iter_segments(0, n, want_lam=True, ceiling=ceiling):
+    for seg in iter_segments(0, int(math.floor(x)), want_lam=True):
         acc.add(math.fsum(seg.lam))
     return acc.value
 
@@ -145,11 +195,6 @@ def j_higher_terms(xs: np.ndarray, limit: int) -> np.ndarray:
     nz = idx > 0
     out[nz] = cum[idx[nz] - 1]
     return out
-
-
-def j_values_int(xs: np.ndarray, pi_vals: np.ndarray, limit: int) -> np.ndarray:
-    """Vectorised J over integer abscissae, given matching pi values."""
-    return pi_vals.astype(np.float64) + j_higher_terms(xs, limit)
 
 
 def pi_from_j_residuals(limit: int) -> np.ndarray:

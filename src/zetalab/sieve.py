@@ -1,13 +1,13 @@
-"""Segmented sieve primitives: primality, Mobius mu, von Mangoldt Lambda, prime
-powers, and exact integer k-th roots.
+"""Segmented sieve primitives: primality, von Mangoldt Lambda, prime powers,
+scalar Mobius mu, and exact integer k-th roots.
 
 All range work is segmented so memory stays proportional to the segment size,
 not to the upper endpoint.  Segments are immutable once built and safe to share
 across threads; every function here is re-entrant.
 
 Conventions:
-    mu[n]  = 0 if a squared prime divides n, else (-1)**(number of prime factors)
-    lam[n] = log p if n = p**k for a prime p and k >= 1, else 0.0
+    mobius(n) = 0 if a squared prime divides n, else (-1)**(number of prime factors)
+    lam[n]    = log p if n = p**k for a prime p and k >= 1, else 0.0
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -25,16 +25,14 @@ SIEVE_CEILING = 1 << 40
 
 @dataclass(frozen=True)
 class SieveSegment:
-    """Primality, mu, and Lambda over the inclusive integer range [lo, hi].
+    """Primality and Lambda over the inclusive integer range [lo, hi].
 
-    ``mu`` and ``lam`` may be None when a caller asked ``iter_segments`` to
-    skip them; ``sieve_segment`` always fills all three.
+    ``lam`` is None unless the caller asked ``iter_segments`` for it.
     """
 
     lo: int
     hi: int
     is_prime: np.ndarray
-    mu: Optional[np.ndarray]
     lam: Optional[np.ndarray]
 
     def __len__(self) -> int:
@@ -59,11 +57,11 @@ def base_primes(limit: int) -> np.ndarray:
     return np.concatenate(([2], odds)).astype(np.int64)
 
 
-def _check_range(lo: int, hi: int, ceiling: int) -> None:
+def _check_range(lo: int, hi: int) -> None:
     if lo < 0 or hi < lo:
         raise ValueError(f"inverted or negative range [{lo}, {hi}]")
-    if hi > ceiling:
-        raise ValueError(f"hi={hi} exceeds sieve ceiling {ceiling}")
+    if hi > SIEVE_CEILING:
+        raise ValueError(f"hi={hi} exceeds sieve ceiling {SIEVE_CEILING}")
 
 
 def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -94,37 +92,6 @@ def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mu_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Mobius mu on [lo, hi] via sign flips plus squared-factor zeroing."""
-    size = hi - lo + 1
-    mu = np.ones(size, dtype=np.int8)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = ((lo + p - 1) // p) * p
-        if start <= hi:
-            mu[start - lo :: p] *= -1
-        p2 = p * p
-        start2 = ((lo + p2 - 1) // p2) * p2
-        if start2 <= hi:
-            mu[start2 - lo :: p2] = 0
-        # strip every power of p so the leftover cofactor is the large prime part
-        pj = p
-        while pj <= hi:
-            startj = ((lo + pj - 1) // pj) * pj
-            if startj <= hi:
-                rem[startj - lo :: pj] //= p
-            if pj > hi // p:
-                break
-            pj *= p
-    mu[rem > 1] *= -1
-    if lo == 0:
-        mu[0] = 0
-    return mu
-
-
 def _lam_block(lo: int, hi: int, primes: np.ndarray, is_prime: np.ndarray) -> np.ndarray:
     """von Mangoldt Lambda on [lo, hi]: log p at every prime power p**k."""
     size = hi - lo + 1
@@ -152,44 +119,21 @@ def iter_segments(
     hi: int,
     *,
     segment_size: int = DEFAULT_SEGMENT,
-    want_mu: bool = False,
     want_lam: bool = False,
-    ceiling: int = SIEVE_CEILING,
 ) -> Iterator[SieveSegment]:
     """Yield consecutive SieveSegments covering [lo, hi]."""
-    _check_range(lo, hi, ceiling)
+    _check_range(lo, hi)
     primes = base_primes(math.isqrt(hi) if hi >= 4 else 2)
     a = lo
     while a <= hi:
         b = min(a + segment_size - 1, hi)
         isp = _primality_block(a, b, primes)
-        mu = _mu_block(a, b, primes) if want_mu else None
+        isp.setflags(write=False)
         lam = _lam_block(a, b, primes, isp) if want_lam else None
-        seg = SieveSegment(a, b, isp, mu, lam)
-        seg.is_prime.setflags(write=False)
-        if mu is not None:
-            mu.setflags(write=False)
         if lam is not None:
             lam.setflags(write=False)
-        yield seg
+        yield SieveSegment(a, b, isp, lam)
         a = b + 1
-
-
-def sieve_segment(lo: int, hi: int, *, ceiling: int = SIEVE_CEILING) -> SieveSegment:
-    """Fully populated SieveSegment for [lo, hi] (primality, mu, Lambda)."""
-    _check_range(lo, hi, ceiling)
-    size = hi - lo + 1
-    isp = np.empty(size, dtype=bool)
-    mu = np.empty(size, dtype=np.int8)
-    lam = np.empty(size, dtype=np.float64)
-    for seg in iter_segments(lo, hi, want_mu=True, want_lam=True, ceiling=ceiling):
-        sl = slice(seg.lo - lo, seg.hi - lo + 1)
-        isp[sl] = seg.is_prime
-        mu[sl] = seg.mu
-        lam[sl] = seg.lam
-    for arr in (isp, mu, lam):
-        arr.setflags(write=False)
-    return SieveSegment(lo, hi, isp, mu, lam)
 
 
 def mobius(n: int) -> int:
@@ -233,13 +177,6 @@ def von_mangoldt(n: int) -> float:
     return math.log(n)
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    p: int
-    k: int
-    value: int
-
-
 def prime_power_arrays(limit: float):
     """(values, primes, exponents) int64/int64/int64 arrays of all p**k <= limit, ascending."""
     n = int(math.floor(limit))
@@ -272,17 +209,6 @@ def prime_power_arrays(limit: float):
     kk = np.concatenate(ks)
     order = np.argsort(vs, kind="stable")
     return vs[order], pp[order], kk[order]
-
-
-def prime_powers_up_to(x: float) -> List[PrimePower]:
-    """All prime powers p**k <= floor(x), sorted ascending by value.
-
-    Membership is decided in exact integer arithmetic; no float powers.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    vs, ps, ks = prime_power_arrays(x)
-    return [PrimePower(int(p), int(k), int(v)) for v, p, k in zip(vs, ps, ks)]
 
 
 def integer_kth_root(n: int, k: int) -> int:

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,7 +31,6 @@ N_DECADES = (2, 10, 100, 1000, 10000)
 S_GRID = (1.5, 2.0, 3.0, 5.0, 10.0)
 C_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 DEFAULT_COMB_LIMIT = 1e6
-ROW_RETENTION_CAP = 120_000
 
 Row = Tuple[float, float, float, float, bool]
 
@@ -81,7 +80,7 @@ class ScanReport:
 
 
 class _RowCollector:
-    """Streams rows to an optional sink, keeps them when small, tracks extrema."""
+    """Streams rows to an optional sink, keeps all of them if asked, tracks extrema."""
 
     def __init__(self, sink: Optional[IO[str]], keep_rows: bool):
         self.sink = sink
@@ -111,7 +110,7 @@ class _RowCollector:
                     f"{fmt17(x)},{fmt17(a)},{fmt17(b)},{fmt17(m)},{'true' if p else 'false'}\n"
                 )
             self.sink.write("".join(out))
-        if self.keep and len(self.rows) < ROW_RETENTION_CAP:
+        if self.keep:
             self.rows.extend(
                 (float(x), float(a), float(b), float(m), bool(p))
                 for x, a, b, m, p in zip(xs, lhs, rhs, margin, ok)
@@ -132,24 +131,23 @@ class _BoundDef:
     default_lo: float
     default_hi: float
     default_mode: str
-    # smooth(xs) and bound(xs) receive float arrays; convention only matters for B4
-    smooth: Callable[[np.ndarray, Optional[str]], np.ndarray]
+    # smooth(xs), upper(xs) and lower(xs) receive float arrays
+    smooth: Callable[[np.ndarray], np.ndarray]
     upper: Callable[[np.ndarray], np.ndarray]
     lower: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # named alternatives to `smooth`, chosen by scan_bound's `convention`
+    conventions: Dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
 
-def _li_arr(xs: np.ndarray, convention: Optional[str]) -> np.ndarray:
-    return analytic.li_vec(xs)
+def _li_arr(xs: np.ndarray) -> np.ndarray:
+    return analytic.li_vec(xs)  # looked up per call, so a patched li_vec is used
 
 
 _LI_AT_2 = analytic.li_pv(2.0)
 
 
-def _li_offset_arr(xs: np.ndarray, convention: Optional[str]) -> np.ndarray:
-    vals = analytic.li_vec(xs)
-    if convention == "li":
-        return vals
-    return vals - _LI_AT_2
+def _li_offset_arr(xs: np.ndarray) -> np.ndarray:
+    return analytic.li_vec(xs) - _LI_AT_2
 
 
 _E12 = math.exp(12.0)
@@ -200,7 +198,7 @@ _register_bound(
         default_lo=1.0,
         default_hi=1e7,
         default_mode="every_integer",
-        smooth=lambda xs, conv: xs,
+        smooth=lambda xs: xs,
         upper=lambda xs: 2.0 * np.sqrt(xs),
     )
 )
@@ -216,6 +214,7 @@ _register_bound(
         default_mode="every_integer",
         smooth=_li_offset_arr,
         upper=lambda xs: 0.7 * np.sqrt(xs) / np.log(xs),
+        conventions={"offset": _li_offset_arr, "li": _li_arr},
     )
 )
 
@@ -283,108 +282,54 @@ def _emit_bound_rows(
     col.add_block(X, A, B)
 
 
-def _smooth_parallel(
-    bdef: _BoundDef, xs: np.ndarray, convention: Optional[str], threads: int
-) -> np.ndarray:
+def _smooth_parallel(smooth, xs: np.ndarray, threads: int) -> np.ndarray:
     if threads <= 1 or len(xs) < 200_000:
-        return bdef.smooth(xs, convention)
+        return smooth(xs)
     pieces = np.array_split(xs, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda p: bdef.smooth(p, convention), pieces))
+        parts = list(pool.map(smooth, pieces))
     return np.concatenate(parts)
 
 
 def _scan_stream(
-    bdef: _BoundDef,
-    lo: float,
-    hi: float,
-    jumps_only: bool,
-    convention: Optional[str],
-    col: _RowCollector,
-    threads: int,
+    bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, smooth, col: _RowCollector
 ) -> None:
     """every_integer / every_jump engine: one sweep of sieve segments."""
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
     if hi_i < lo_i:
         return
-    need_lam = bdef.step == "psi"
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
-    pi_run = 0
-    psi_run = KahanSum()
-    for seg in iter_segments(0, hi_i, want_lam=need_lam):
-        if bdef.step in ("pi", "j"):
-            counts = np.cumsum(seg.is_prime)
-            seg_pi_last = pi_run + int(counts[-1])
-        if need_lam:
-            lam_cum = np.cumsum(seg.lam)
-        if seg.hi >= lo_i:
-            a = max(lo_i, seg.lo)
-            sel = slice(a - seg.lo, seg.hi + 1 - seg.lo)
-            xs_i = np.arange(a, seg.hi + 1, dtype=np.int64)
-            if bdef.step == "pi":
-                right = (pi_run + counts[sel]).astype(np.float64)
-                wts = seg.is_prime[sel].astype(np.float64)
-            elif bdef.step == "psi":
-                right = psi_run.value + lam_cum[sel]
-                wts = seg.lam[sel]
-            else:  # j
-                right = (pi_run + counts[sel]).astype(np.float64)
-                right += arith.j_higher_terms(xs_i, hi_i)
-                wts = seg.is_prime[sel].astype(np.float64)
-                lo_idx = np.searchsorted(hp_vals, a)
-                hi_idx = np.searchsorted(hp_vals, seg.hi, side="right")
-                for v, w in zip(hp_vals[lo_idx:hi_idx], hp_wts[lo_idx:hi_idx]):
-                    wts[int(v) - a] += w
-            jump_mask = wts > 0
-            if jumps_only:
-                keep = jump_mask
-                xs_i, right, wts = xs_i[keep], right[keep], wts[keep]
-                jump_mask = np.ones(len(xs_i), dtype=bool)
-            if len(xs_i):
-                xs_f = xs_i.astype(np.float64)
-                smooth = _smooth_parallel(bdef, xs_f, convention, threads)
-                _emit_bound_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth)
-        if bdef.step in ("pi", "j"):
-            pi_run = seg_pi_last
-        if need_lam:
-            psi_run.add(math.fsum(seg.lam))
+    for seg, vals in arith.step_segments("psi" if bdef.step == "psi" else "pi", hi_i, lo=lo_i):
+        a = max(lo_i, seg.lo)
+        xs_i = np.arange(a, seg.hi + 1, dtype=np.int64)
+        right = vals[a - seg.lo :].astype(np.float64)
+        if bdef.step == "j":
+            right += arith.j_higher_terms(xs_i, hi_i)
+        if bdef.step == "psi":
+            wts = seg.lam[a - seg.lo :]
+        else:
+            wts = seg.is_prime[a - seg.lo :].astype(np.float64)
+        if bdef.step == "j":
+            # k >= 2 powers are never prime, so each lands on a zero weight
+            i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
+            wts[hp_vals[i0:i1] - a] += hp_wts[i0:i1]
+        jump_mask = wts > 0
+        if jumps_only:
+            xs_i, right, wts = xs_i[jump_mask], right[jump_mask], wts[jump_mask]
+            jump_mask = np.ones(len(xs_i), dtype=bool)
+        if len(xs_i):
+            xs_f = xs_i.astype(np.float64)
+            _emit_bound_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth(xs_f))
 
 
 def _scan_log_grid(
-    bdef: _BoundDef,
-    lo: float,
-    hi: float,
-    points: int,
-    convention: Optional[str],
-    col: _RowCollector,
-    threads: int,
+    bdef: _BoundDef, lo: float, hi: float, points: int, smooth, col: _RowCollector
 ) -> None:
-    lo = max(lo, float(bdef.min_x))
-    xs = np.geomspace(lo, hi, points)
-    floors = np.floor(xs).astype(np.int64)
-    step_vals = np.zeros(len(xs), dtype=np.float64)
-    need_lam = bdef.step == "psi"
-    pi_run = 0
-    psi_run = KahanSum()
-    max_floor = int(floors.max())
-    for seg in iter_segments(0, max_floor, want_lam=need_lam):
-        in_seg = (floors >= seg.lo) & (floors <= seg.hi)
-        if bdef.step in ("pi", "j"):
-            counts = np.cumsum(seg.is_prime)
-            if in_seg.any():
-                step_vals[in_seg] = pi_run + counts[floors[in_seg] - seg.lo]
-            pi_run += int(counts[-1])
-        else:
-            lam_cum = np.cumsum(seg.lam)
-            if in_seg.any():
-                step_vals[in_seg] = psi_run.value + lam_cum[floors[in_seg] - seg.lo]
-            psi_run.add(math.fsum(seg.lam))
-    if bdef.step == "j":
-        step_vals += arith.j_higher_terms(floors, max_floor)
-    smooth = _smooth_parallel(bdef, xs, convention, threads)
-    _emit_bound_rows(bdef, col, xs, step_vals, None, None, smooth)
+    xs = np.geomspace(max(lo, float(bdef.min_x)), hi, points)
+    step_vals = arith.step_at(bdef.step, np.floor(xs).astype(np.int64))
+    _emit_bound_rows(bdef, col, xs, step_vals, None, None, smooth(xs))
 
 
 def scan_bound(
@@ -403,7 +348,8 @@ def scan_bound(
 
     mode is one of every_integer (all integers, plus left limits at jumps),
     every_jump (only the step function's jump abscissae, both sides), or
-    log_grid (`points` log-spaced abscissae).
+    log_grid (`points` log-spaced abscissae).  convention picks B4's smooth
+    side: 'offset' (li - li(2), the default) or 'li'; other bounds take none.
     """
     if bound_id not in _BOUNDS:
         raise ValueError(f"unknown bound id {bound_id!r}; known: {', '.join(sorted(_BOUNDS))}")
@@ -413,17 +359,23 @@ def scan_bound(
     mode = bdef.default_mode if mode is None else mode
     if hi < lo:
         raise ValueError("inverted scan range")
-    if convention not in (None, "li", "offset"):
-        raise ValueError("convention must be 'li' or 'offset'")
+    if mode == "log_grid" and points < 1:
+        raise ValueError("log_grid needs points >= 1")
+    if convention is not None and convention not in bdef.conventions:
+        known = ", ".join(bdef.conventions) or "none; only B4 takes one"
+        raise ValueError(f"unknown convention {convention!r} for {bound_id}; known: {known}")
+    smooth = bdef.conventions.get(convention, bdef.smooth)
     if keep_rows is None:
         keep_rows = (hi - lo) <= 50_000 or mode == "log_grid"
     col = _RowCollector(row_sink, keep_rows)
-    if mode == "every_integer":
-        _scan_stream(bdef, lo, hi, False, convention, col, threads)
-    elif mode == "every_jump":
-        _scan_stream(bdef, lo, hi, True, convention, col, threads)
+
+    def smooth_at(xs: np.ndarray) -> np.ndarray:
+        return _smooth_parallel(smooth, xs, threads)
+
+    if mode in ("every_integer", "every_jump"):
+        _scan_stream(bdef, lo, hi, mode == "every_jump", smooth_at, col)
     elif mode == "log_grid":
-        _scan_log_grid(bdef, lo, hi, points, convention, col, threads)
+        _scan_log_grid(bdef, lo, hi, points, smooth_at, col)
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
     params = {"lo": lo, "hi": hi, "mode": mode, "min_margin": col.min_margin}
@@ -469,6 +421,29 @@ def _result_from_rows(
         tolerance=tol_at[i] if tol_at else 0.0,
         verdict="pass" if ok else "fail",
         arg_extremum=rows[i][0] if rows else math.nan,
+        rows=rows,
+    )
+
+
+def _margin_verdict(
+    claim_id: str, kind: str, params: dict, rows: List[Row], extra_excess: float = 0.0
+) -> ClaimResult:
+    """Verdict for rows that must keep a positive margin.
+
+    max_abs_residual is the deepest escape (0 when nothing escapes), raised to
+    extra_excess if that is larger; a nonzero extra_excess fails the claim.
+    arg_extremum is the row of the deepest escape, or the first row.
+    """
+    excess = [max(0.0, -r[3]) for r in rows]
+    i = int(np.argmax(excess))
+    return ClaimResult(
+        id=claim_id,
+        kind=kind,
+        params=params,
+        max_abs_residual=max(excess + [extra_excess]),
+        tolerance=0.0,
+        verdict="pass" if all(r[4] for r in rows) and extra_excess == 0.0 else "fail",
+        arg_extremum=rows[i][0],
         rows=rows,
     )
 
@@ -536,19 +511,7 @@ def _bracket_claim(claim_id: str, pair_id: str, params: dict) -> ClaimResult:
         rows.append((float(s), br.numeric_lo, br.numeric_hi, min(lo_gap, hi_gap), br.contains()))
         if claim_id == "C6" and s == 2.0 and br.width >= 1e-6:
             width_excess = br.width - 1e-6
-    excesses = [max(0.0, -r[3]) for r in rows] + [width_excess]
-    i = int(np.argmax([max(0.0, -r[3]) for r in rows]))
-    ok = all(r[4] for r in rows) and width_excess == 0.0
-    return ClaimResult(
-        id=claim_id,
-        kind="identity",
-        params=params,
-        max_abs_residual=max(excesses),
-        tolerance=0.0,
-        verdict="pass" if ok else "fail",
-        arg_extremum=rows[i][0],
-        rows=rows,
-    )
+    return _margin_verdict(claim_id, "identity", params, rows, width_excess)
 
 
 def _run_c5(params: dict) -> ClaimResult:
@@ -641,18 +604,7 @@ def _run_c11(params: dict) -> ClaimResult:
         lo, hi = br.numeric_lo * s * z, br.numeric_hi * s * z
         target = -analytic.zeta_prime_real(s)
         rows.append((s, lo, hi, min(target - lo, hi - target), lo <= target <= hi))
-    excess = [max(0.0, -r[3]) for r in rows]
-    i = int(np.argmax(excess))
-    return ClaimResult(
-        id="C11",
-        kind="identity",
-        params=params,
-        max_abs_residual=max(excess),
-        tolerance=0.0,
-        verdict="pass" if all(r[4] for r in rows) else "fail",
-        arg_extremum=rows[i][0],
-        rows=rows,
-    )
+    return _margin_verdict("C11", "identity", params, rows)
 
 
 def _run_c12(params: dict) -> ClaimResult:
@@ -671,18 +623,7 @@ def _run_c12(params: dict) -> ClaimResult:
         rows.append((float(x), float(a), float(b), float(b - a), a < b))
     for x, a, b in zip(xs, lhs3, rhs3):
         rows.append((float(x), float(a), float(b), float(b - a), a < b))
-    worst = min(r[3] for r in rows)
-    i = int(np.argmin([r[3] for r in rows]))
-    return ClaimResult(
-        id="C12",
-        kind="bound_scan",
-        params=params,
-        max_abs_residual=max(0.0, -worst),
-        tolerance=0.0,
-        verdict="pass" if all(r[4] for r in rows) else "fail",
-        arg_extremum=rows[i][0],
-        rows=rows,
-    )
+    return _margin_verdict("C12", "bound_scan", params, rows)
 
 
 def _run_c13(params: dict) -> ClaimResult:
@@ -692,18 +633,7 @@ def _run_c13(params: dict) -> ClaimResult:
         x = float(x)
         v = comb.r_integral(x)
         rows.append((x, v, x / 2.0, x / 2.0 - v, v < x / 2.0))
-    worst = min(r[3] for r in rows)
-    i = int(np.argmin([r[3] for r in rows]))
-    return ClaimResult(
-        id="C13",
-        kind="bound_scan",
-        params=params,
-        max_abs_residual=max(0.0, -worst),
-        tolerance=0.0,
-        verdict="pass" if all(r[4] for r in rows) else "fail",
-        arg_extremum=rows[i][0],
-        rows=rows,
-    )
+    return _margin_verdict("C13", "bound_scan", params, rows)
 
 
 def _run_c14(params: dict) -> ClaimResult:
@@ -716,18 +646,7 @@ def _run_c14(params: dict) -> ClaimResult:
         hi = 4.0 * math.sqrt(x) / math.log(x)
         rows.append((x, lo, v, v - lo, lo < v))
         rows.append((x, v, hi, hi - v, v < hi))
-    worst = min(r[3] for r in rows)
-    i = int(np.argmin([r[3] for r in rows]))
-    return ClaimResult(
-        id="C14",
-        kind="bound_scan",
-        params=params,
-        max_abs_residual=max(0.0, -worst),
-        tolerance=0.0,
-        verdict="pass" if all(r[4] for r in rows) else "fail",
-        arg_extremum=rows[i][0],
-        rows=rows,
-    )
+    return _margin_verdict("C14", "bound_scan", params, rows)
 
 
 def _run_c15(params: dict) -> ClaimResult:
@@ -747,18 +666,15 @@ def _run_m1(params: dict) -> ClaimResult:
     samples = np.unique(np.geomspace(10, x_max, int(params["points"])).astype(np.int64))
     psi_at = np.zeros(samples.size)
     nlam_at = np.zeros(samples.size)
-    psi_run = KahanSum()
-    nlam_run = KahanSum()
-    for seg in iter_segments(0, x_max, want_lam=True):
+    nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments
+    for seg, psi in arith.step_segments("psi", x_max):
         in_seg = (samples >= seg.lo) & (samples <= seg.hi)
+        nlam = seg.lam * np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
         if in_seg.any():
-            lam_cum = np.cumsum(seg.lam)
-            nlam_cum = np.cumsum(seg.lam * np.arange(seg.lo, seg.hi + 1, dtype=np.float64))
             idx = samples[in_seg] - seg.lo
-            psi_at[in_seg] = psi_run.value + lam_cum[idx]
-            nlam_at[in_seg] = nlam_run.value + nlam_cum[idx]
-        psi_run.add(math.fsum(seg.lam))
-        nlam_run.add(float(np.sum(seg.lam * np.arange(seg.lo, seg.hi + 1, dtype=np.float64))))
+            psi_at[in_seg] = psi[idx]
+            nlam_at[in_seg] = nlam_before.value + np.cumsum(nlam)[idx]
+        nlam_before.add(float(np.sum(nlam)))
     one_plus_gamma = 1.0 + analytic.EULER_GAMMA
     rows: List[Row] = []
     worst = 0.0

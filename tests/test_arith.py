@@ -8,14 +8,20 @@ import pytest
 from zetalab.arith import (
     higher_power_jumps,
     j_value,
-    j_values_int,
     pi_count,
     pi_from_j,
     pi_from_j_residuals,
     pi_table,
     psi_value,
+    step_at,
+    step_segments,
 )
-from zetalab.sieve import sieve_segment
+from zetalab.sieve import DEFAULT_SEGMENT, iter_segments
+
+
+def one_segment(hi: int):
+    (seg,) = iter_segments(0, hi, want_lam=True)
+    return seg
 
 
 def test_pi_count_examples():
@@ -27,7 +33,7 @@ def test_pi_count_examples():
 
 
 def test_pi_count_matches_trial_division():
-    seg = sieve_segment(0, 5000)
+    seg = one_segment(5000)
     running = 0
     for n in range(2, 5001):
         running += int(seg.is_prime[n])
@@ -45,7 +51,7 @@ def test_j_value_examples():
 
 
 def test_j_value_matches_direct_prime_power_sum():
-    seg = sieve_segment(0, 10_000)
+    seg = one_segment(10_000)
     direct = 0.0
     values = []
     for n in range(2, 10_001):
@@ -73,12 +79,67 @@ def test_mobius_roundtrip_vectorised():
 
 
 def test_vectorised_j_matches_scalar():
-    limit = 70_000
-    ptab = pi_table(limit)
     xs = np.array([2, 3, 4, 8, 9, 16, 100, 1024, 6859, 59049, 65536], dtype=np.int64)
-    vec = j_values_int(xs, ptab[xs], limit)
+    vec = step_at("j", xs)
     for x, v in zip(xs, vec):
         assert v == pytest.approx(j_value(int(x)).value, abs=1e-12)
+
+
+# both sides of the first segment boundary, and perfect powers with their
+# left neighbours: 3**12, 1021**2 and 2**20 (the boundary itself)
+B = DEFAULT_SEGMENT
+STEP_XS = np.array(
+    [2, 3, 531_440, 3**12, 1_042_440, 1021**2, B - 2, B - 1, B, B + 1, B + 2], dtype=np.int64
+)
+
+
+def exact_power_psi(n: int, primes: np.ndarray) -> float:
+    """psi(n) = fsum of log p once for every k >= 1 with p**k <= n, in integers."""
+    terms = []
+    for p in primes[primes <= n].tolist():
+        pk = p
+        while pk <= n:
+            terms.append(math.log(p))
+            pk *= p
+    return math.fsum(terms)
+
+
+def test_step_at_matches_the_oracle_across_segments_and_powers():
+    import _oracle as oracle
+
+    top = int(STEP_XS.max())
+    flags = np.concatenate([f for _, f in oracle.prime_segments(top)])
+    pi = np.cumsum(flags)[STEP_XS]
+    assert step_at("pi", STEP_XS).tolist() == pi.tolist()
+    j = pi + oracle._HigherTerms(top)(STEP_XS)
+    assert np.array_equal(step_at("j", STEP_XS), j)
+    # order does not matter, and a jump at a perfect power is its 1/k weight
+    assert np.array_equal(step_at("j", STEP_XS[::-1]), j[::-1])
+    assert (step_at("j", [3**12]) - step_at("j", [3**12 - 1]))[0] == pytest.approx(1 / 12, abs=1e-9)
+    primes = np.flatnonzero(flags)
+    psi = step_at("psi", STEP_XS)
+    for n, got in zip(STEP_XS.tolist(), psi):
+        want = exact_power_psi(n, primes)
+        # recursive summation of the nonzero terms of one segment, on top of a
+        # compensated carry: at most (count - 1) eps times the total
+        count = int(np.count_nonzero(primes <= n)) + 2 * math.isqrt(n)
+        assert abs(got - want) <= count * np.finfo(float).eps * want, n
+
+
+def test_step_segments_carry_and_validation():
+    segs = list(step_segments("pi", B + 5))
+    assert [(seg.lo, seg.hi) for seg, _ in segs] == [(0, B - 1), (B, B + 5)]
+    assert segs[0][1].dtype == np.int64 and segs[1][1][0] == pi_count(B)
+    # a segment wholly below lo is sieved for the carry but not yielded
+    ((seg, vals),) = step_segments("pi", B + 5, lo=B)
+    assert seg.lo == B and vals.tolist() == segs[1][1].tolist()
+    psi_segs = list(step_segments("psi", B + 5))
+    ((seg, vals),) = step_segments("psi", B + 5, lo=B + 5)
+    assert seg.lam is not None and vals.tolist() == psi_segs[1][1].tolist()
+    with pytest.raises(ValueError):
+        list(step_segments("j", 10))
+    with pytest.raises(ValueError):
+        step_at("mu", [10])
 
 
 def test_psi_value_examples():
@@ -89,7 +150,7 @@ def test_psi_value_examples():
 
 
 def test_psi_monotone_with_log_p_jumps():
-    seg = sieve_segment(0, 400)
+    seg = one_segment(400)
     prev = 0.0
     for n in range(2, 401):
         cur = psi_value(n)

@@ -56,6 +56,8 @@ def test_scan_exit_codes(tmp_path):
     assert dispatch(["scan", "B3", "--from", "1", "--to", "2000"]) == 0
     # the stricter-than-true offset-free bound variant fails near 100
     assert dispatch(["scan", "B4", "--from", "90", "--to", "110", "--convention", "li"]) == 1
+    # --convention applies to B4 only: elsewhere it is a usage error, not ignored
+    assert dispatch(["scan", "B2", "--from", "2", "--to", "100", "--convention", "offset"]) == 2
     assert dispatch(["scan", "B9", "--from", "1", "--to", "10"]) == 2
 
 

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab.sieve import (
-    SieveSegment,
     base_primes,
     int_kth_root_array,
     integer_kth_root,
     iter_segments,
     mobius,
-    prime_powers_up_to,
-    sieve_segment,
+    prime_power_arrays,
     von_mangoldt,
 )
 
@@ -61,55 +59,59 @@ def trial_lambda(n: int) -> float:
     return math.log(n)
 
 
+def one_segment(lo: int, hi: int):
+    """[lo, hi] as a single SieveSegment with Lambda."""
+    (seg,) = iter_segments(lo, hi, want_lam=True)
+    return seg
+
+
 def test_segment_matches_trial_division_up_to_104():
-    seg = sieve_segment(0, 10_000)
+    seg = one_segment(0, 10_000)
     for n in range(0, 10_001):
         assert seg.is_prime[n] == trial_is_prime(n)
-        assert seg.mu[n] == trial_mu(n)
         assert seg.lam[n] == pytest.approx(trial_lambda(n), abs=1e-12)
 
 
 def test_segment_window_above_million():
-    seg = sieve_segment(10**6, 10**6 + 100)
+    seg = one_segment(10**6, 10**6 + 100)
     primes = [int(i) + 10**6 for i in np.flatnonzero(seg.is_prime)]
     assert primes == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
     for n in range(10**6, 10**6 + 101):
-        assert seg.mu[n - 10**6] == trial_mu(n)
         assert seg.lam[n - 10**6] == pytest.approx(trial_lambda(n), abs=1e-12)
 
 
 def test_trivial_segment():
-    seg = sieve_segment(0, 1)
+    seg = one_segment(0, 1)
     assert not seg.is_prime.any()
-    assert seg.mu[1] == 1 and seg.mu[0] == 0
     assert not seg.lam.any()
 
 
 def test_small_segment_primes():
-    seg = sieve_segment(2, 30)
+    seg = one_segment(2, 30)
     primes = {int(i) + 2 for i in np.flatnonzero(seg.is_prime)}
     assert primes == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 
 
 def test_segmentation_is_invisible():
-    whole = sieve_segment(0, 65_000)
-    parts = list(iter_segments(0, 65_000, segment_size=7_919, want_mu=True, want_lam=True))
+    whole = one_segment(0, 65_000)
+    parts = list(iter_segments(0, 65_000, segment_size=7_919, want_lam=True))
     assert np.array_equal(np.concatenate([p.is_prime for p in parts]), whole.is_prime)
-    assert np.array_equal(np.concatenate([p.mu for p in parts]), whole.mu)
     assert np.allclose(np.concatenate([p.lam for p in parts]), whole.lam)
 
 
 def test_range_validation():
     with pytest.raises(ValueError):
-        sieve_segment(10, 5)
+        next(iter_segments(10, 5))
     with pytest.raises(ValueError):
-        sieve_segment(0, 2**41)
+        next(iter_segments(0, 2**41))
 
 
 def test_segments_are_immutable():
-    seg = sieve_segment(0, 100)
+    seg = one_segment(0, 100)
     with pytest.raises(ValueError):
         seg.is_prime[0] = True
+    with pytest.raises(ValueError):
+        seg.lam[0] = 1.0
 
 
 def test_mobius_values():
@@ -117,6 +119,7 @@ def test_mobius_values():
     assert mobius(6) == 1
     assert mobius(4) == 0
     assert mobius(30) == -1
+    assert [mobius(n) for n in range(1, 2001)] == [trial_mu(n) for n in range(1, 2001)]
     with pytest.raises(ValueError):
         mobius(0)
 
@@ -139,7 +142,7 @@ def test_von_mangoldt_values():
 
 def test_lambda_divisor_sum_is_log():
     # sum of Lambda(d) over divisors d of n telescopes to log n
-    seg = sieve_segment(0, 10_000)
+    seg = one_segment(0, 10_000)
     acc = np.zeros(10_001)
     for d in range(1, 10_001):
         if seg.lam[d]:
@@ -149,15 +152,18 @@ def test_lambda_divisor_sum_is_log():
 
 
 def test_prime_powers_enumeration():
-    assert [q.value for q in prime_powers_up_to(20)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
-    assert [(q.p, q.k) for q in prime_powers_up_to(10)] == [
+    values, primes, exps = prime_power_arrays(20)
+    assert values.tolist() == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+    values, primes, exps = prime_power_arrays(10)
+    assert list(zip(primes.tolist(), exps.tolist())) == [
         (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
     ]
-    assert prime_powers_up_to(1.5) == []
-    values = [q.value for q in prime_powers_up_to(10_000)]
-    assert values == sorted(values)
+    assert all(v.size == 0 for v in prime_power_arrays(1.5))
+    values, primes, exps = prime_power_arrays(10_000)
+    assert values.tolist() == sorted(values.tolist())
+    assert (primes ** exps == values).all()
     expected = {n for n in range(2, 10_001) if trial_lambda(n) > 0}
-    assert set(values) == expected
+    assert set(values.tolist()) == expected
 
 
 def test_integer_kth_root_examples():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetalab.sieve import sieve_segment
+from zetalab.sieve import iter_segments
 from zetalab.verify import (
     CLAIMS,
     ClaimResult,
@@ -194,6 +194,12 @@ def test_scan_modes_and_validation():
         scan_bound("B2", 2, 100, mode="sometimes")
     with pytest.raises(ValueError):
         scan_bound("B4", 2, 100, convention="offset2")
+    # only B4 has an li offset to choose; elsewhere a convention would be ignored
+    for bid in ("B1", "B2", "B3"):
+        with pytest.raises(ValueError):
+            scan_bound(bid, 2, 100, convention="offset")
+    with pytest.raises(ValueError):
+        scan_bound("B2", 100, 10_000, mode="log_grid", points=0)
     rep = scan_bound("B2", 100, 10_000, mode="log_grid", points=200)
     assert rep.passed and rep.n_rows == 400
 
@@ -208,7 +214,7 @@ def test_b1_jump_mode_counts_both_sides():
 def test_every_integer_matches_denser_grid_extrema():
     hi = 2000
     rep = scan_bound("B3", 1, hi)
-    seg = sieve_segment(0, hi)
+    (seg,) = iter_segments(0, hi, want_lam=True)
     cum = np.cumsum(seg.lam)
     dense = np.arange(1.0, hi + 0.05, 0.1)
     psi_dense = cum[np.floor(dense).astype(int)]
@@ -222,6 +228,14 @@ def test_scan_rows_invariant_under_threads():
     assert base.min_margin == multi.min_margin
     assert base.argmin_x == multi.argmin_x
     assert base.n_rows == multi.n_rows and base.n_failures == multi.n_failures
+
+
+def test_kept_rows_are_complete_past_one_segment():
+    # the range straddles the first sieve segment boundary at 2**20
+    rep = scan_bound("B3", 900_000, 1_100_000, keep_rows=True)
+    assert rep.n_rows == 214_460
+    assert len(rep.rows) == rep.n_rows
+    assert rep.rows[-1][0] == 1_100_000.0
 
 
 def test_scan_streaming_to_sink_matches_retained_rows():
