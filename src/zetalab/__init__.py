@@ -10,7 +10,6 @@ emits machine-readable verdicts.
 
 from .analytic import (
     EULER_GAMMA,
-    AnalyticConfig,
     ModelPair,
     R_of_s,
     harmonic_model,
@@ -61,7 +60,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticConfig",
     "ApproxKernel",
     "ArithmeticKind",
     "Claim",

@@ -32,27 +32,11 @@ from .compensated import (
 
 EULER_GAMMA = 0.5772156649015329
 
-# B_2, B_4, B_6, B_8
-_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
-
-
-@dataclass(frozen=True)
-class AnalyticConfig:
-    euler_gamma: float = EULER_GAMMA
-    em_cutoff: int = 20  # direct-sum length before the Euler-Maclaurin tail
-    em_bernoulli_terms: int = 3
-    series_tol: float = 1e-14  # relative stopping tolerance for power series
-
-    def __post_init__(self):
-        if self.em_cutoff < 10:
-            raise ValueError("em_cutoff must be >= 10")
-        if not 1 <= self.em_bernoulli_terms <= len(_BERNOULLI):
-            raise ValueError("em_bernoulli_terms out of supported range")
-        if self.series_tol <= 0:
-            raise ValueError("series_tol must be positive")
-
-
-DEFAULT_CONFIG = AnalyticConfig()
+# B_2, B_4, B_6: the Bernoulli corrections of the Euler-Maclaurin tails
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
+_EM_CUTOFF = 20  # direct-sum length before the Euler-Maclaurin tail, for s >= 1.1
+_LI_VEC_TOL = 1e-14  # li_vec stops once every series term is below this
+_LI_VEC_BLOCK = 1 << 15  # points per li_vec block, so that its work arrays fit in L2
 
 
 @dataclass(frozen=True)
@@ -74,20 +58,19 @@ def _require_s(s: float) -> None:
         raise ValueError(f"series domain is s > 1, got s={s}")
 
 
-def hurwitz_zeta_real(s: float, q: float = 1.0, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def hurwitz_zeta_real(s: float, q: float = 1.0) -> float:
     """sum_{n>=0} (n+q)**-s by Euler-Maclaurin, for s > 1 and q > 0."""
     _require_s(s)
     if q <= 0:
         raise ValueError("q must be positive")
-    m = config.em_cutoff if s >= 1.1 else 100
+    m = _EM_CUTOFF if s >= 1.1 else 100
     n = np.arange(m, dtype=np.float64) + q
     direct = float(np.sum(n ** -s))
     t = m + q  # tail starts at (m+q)**-s
     tail = t ** (1.0 - s) / (s - 1.0) + 0.5 * t ** -s
     poch = s
     tk = t ** (-s - 1.0)
-    for j in range(config.em_bernoulli_terms):
-        b = _BERNOULLI[j]
+    for j, b in enumerate(_BERNOULLI):
         fact = math.factorial(2 * j + 2)
         tail += b / fact * poch * tk
         poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
@@ -95,15 +78,15 @@ def hurwitz_zeta_real(s: float, q: float = 1.0, config: AnalyticConfig = DEFAULT
     return direct + tail
 
 
-def zeta_real(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def zeta_real(s: float) -> float:
     """Riemann zeta from the original series, s > 1 only."""
-    return hurwitz_zeta_real(s, 1.0, config)
+    return hurwitz_zeta_real(s, 1.0)
 
 
-def zeta_prime_real(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def zeta_prime_real(s: float) -> float:
     """zeta'(s) = -sum log(n) n**-s for s > 1, Euler-Maclaurin on log(t) t**-s."""
     _require_s(s)
-    m = config.em_cutoff if s >= 1.1 else 100
+    m = _EM_CUTOFF if s >= 1.1 else 100
     n = np.arange(2.0, m)
     direct = float(np.sum(np.log(n) * n ** -s))
     t = float(m)
@@ -115,8 +98,7 @@ def zeta_prime_real(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
     a_m, b_m = s, -1.0
     order = 1
     tk = t ** (-s - 1.0)
-    for j in range(config.em_bernoulli_terms):
-        b = _BERNOULLI[j]
+    for j, b in enumerate(_BERNOULLI):
         fact = math.factorial(2 * j + 2)
         # f^(2j+1)(t) = -t**(-s-2j-1) (A log t + B); E-M adds -B_2k/(2k)! f^(2k-1)
         tail += b / fact * tk * (a_m * logt + b_m)
@@ -129,17 +111,15 @@ def zeta_prime_real(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
     return -(direct + tail)
 
 
-def li_series_terms(log_x: float, tol: float) -> float:
+def li_series_terms(log_x: float) -> float:
     """sum_{k>=1} (log x)**k / (k * k!), the shared tail of li and lie.
 
     The term recursion runs in double-double: sixty plain-float multiplies
     drift by ~1e-7 absolute near log x = 20, which would drown the constant
-    that separates lie from the growth integral.  Truncation goes below the
-    64-bit representability floor of the sum (tighter than the configured
-    relative tolerance, never looser), so the geometric tail left behind is
-    ulp-sized.
+    that separates lie from the growth integral.  Truncation waits for a term
+    below 1e-17 of the sum, under the 64-bit representability floor, so the
+    geometric tail left behind is ulp-sized.
     """
-    cut = min(tol, 1e-17)
     term = (1.0, 0.0)
     acc = (0.0, 0.0)
     k = 0
@@ -148,11 +128,11 @@ def li_series_terms(log_x: float, tol: float) -> float:
         term = dd_mul(term, dd_div((log_x, 0.0), (float(k), 0.0)))
         contrib = dd_div(term, (float(k), 0.0))
         acc = dd_add(acc, contrib)
-        if abs(contrib[0]) < cut * max(1.0, abs(acc[0])) and k > abs(log_x):
+        if abs(contrib[0]) < 1e-17 * max(1.0, abs(acc[0])) and k > abs(log_x):
             return acc[0]
 
 
-def li_pv(x: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def li_pv(x: float) -> float:
     """Principal-value logarithmic integral, from the classical series.
 
     li(x) = gamma + log|log x| + sum_k (log x)**k / (k * k!), valid for x > 1.
@@ -160,37 +140,70 @@ def li_pv(x: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
     if not x > 1.0:
         raise ValueError("li_pv requires x > 1")
     lx = math.log(x)
-    return config.euler_gamma + math.log(abs(lx)) + li_series_terms(lx, config.series_tol)
+    return EULER_GAMMA + math.log(abs(lx)) + li_series_terms(lx)
 
 
-def lie(x: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def lie(x: float) -> float:
     """li evaluated at e**x: gamma + log x + sum_k x**k / (k * k!), for x > 0."""
     if not x > 0.0:
         raise ValueError("lie requires x > 0")
-    return config.euler_gamma + math.log(x) + li_series_terms(x, config.series_tol)
+    return EULER_GAMMA + math.log(x) + li_series_terms(x)
 
 
-def li_vec(x: np.ndarray, config: AnalyticConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorised li over an array of x > 1 (series, shared term recursion)."""
-    lx = np.log(np.asarray(x, dtype=np.float64))
-    acc = np.zeros_like(lx)
-    term = np.ones_like(lx)
+def _li_vec_steps(lx_ends: np.ndarray) -> int:
+    """Series length of li_vec for an array whose log x values span lx_ends."""
+    term = np.ones_like(lx_ends)
+    k_floor = float(np.max(lx_ends))
     k = 0
-    k_floor = float(np.max(lx)) if lx.size else 0.0
     while True:
         k += 1
-        term *= lx / k
-        contrib = term / k
-        acc += contrib
-        if k > k_floor and float(np.max(np.abs(contrib))) < config.series_tol:
-            break
-    return config.euler_gamma + np.log(np.abs(lx)) + acc
+        term *= lx_ends / k
+        if k > k_floor and float(np.max(np.abs(term / k))) < _LI_VEC_TOL:
+            return k
 
 
-def R_of_s(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def li_vec(x: np.ndarray) -> np.ndarray:
+    """Vectorised li over a 1-D array of x > 1 (series, shared term recursion).
+
+    Every point runs the same K steps of ``term *= lx / k; acc += term / k``
+    with lx = log x, where K is the first k above max(lx) at which every
+    |term / k| is below 1e-14.  |term / k| grows with |lx| at each k, because
+    IEEE multiply and divide are monotone, so the largest one belongs to the
+    smallest or the largest lx and K is found from those two alone.  The
+    array is then run in L2-sized blocks of K steps each.  Every point sees
+    the same operations in the same order as in one pass over the whole
+    array, so the blocks change the speed but not a bit of the result.
+    Against 30-digit mpmath.li the error is below 1e-14 relative on
+    [2, 1e9] and below 1e-14 absolute on (1, 2].
+    """
+    lx = np.log(np.asarray(x, dtype=np.float64))
+    out = np.abs(lx)
+    np.log(out, out=out)
+    out += EULER_GAMMA
+    if not lx.size:
+        return out
+    n_steps = _li_vec_steps(np.array([lx.min(), lx.max()]))
+    width = min(lx.size, _LI_VEC_BLOCK)
+    term, acc, tmp = np.empty(width), np.empty(width), np.empty(width)
+    for start in range(0, lx.size, width):
+        lb = lx[start : start + width]
+        n = lb.size
+        t, a, w = term[:n], acc[:n], tmp[:n]
+        t.fill(1.0)
+        a.fill(0.0)
+        for k in range(1, n_steps + 1):
+            np.divide(lb, k, out=w)
+            t *= w
+            np.divide(t, k, out=w)
+            a += w
+        out[start : start + n] += a
+    return out
+
+
+def R_of_s(s: float) -> float:
     """Laplace image of the staircase remainder: 1/(s-1) - zeta(s)/s."""
     _require_s(s)
-    return 1.0 / (s - 1.0) - zeta_real(s, config) / s
+    return 1.0 / (s - 1.0) - zeta_real(s) / s
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,17 @@ digits so values round-trip through text.
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 from typing import List, Optional
 
 from . import analytic, arith, comb, laplace, verify
 
 
+# Every command runs on one thread.  perfbench/run.py records this value in
+# its provenance, so the function stays.
 def _threads_default() -> int:
-    env = os.environ.get("ZL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -30,8 +26,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="zetalab",
         description="Evaluate prime-counting functions, run identity claims, and scan bounds.",
     )
-    p.add_argument("--threads", type=int, default=_threads_default(),
-                   help="parallelism budget (default: ZL_THREADS or machine cores)")
     sub = p.add_subparsers(dest="command")
 
     ev = sub.add_parser("eval", help="evaluate one function at a point")
@@ -137,26 +131,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_scan(args) -> int:
     mode = args.mode.replace("-", "_") if args.mode else None
-    sink_ctx = None
+    rows_to_stdout = args.format == "csv" and args.out == "-"
     try:
-        if args.format == "csv":
-            if args.out == "-":
-                report = verify.scan_bound(
-                    args.bound, args.lo, args.hi, mode,
-                    points=args.points, convention=args.convention,
-                    row_sink=sys.stdout, threads=args.threads,
-                )
-            else:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                    report = verify.scan_bound(
-                        args.bound, args.lo, args.hi, mode,
-                        points=args.points, convention=args.convention,
-                        row_sink=fh, threads=args.threads,
-                    )
+        if args.format != "csv":
+            sink_ctx = contextlib.nullcontext()
+        elif rows_to_stdout:
+            sink_ctx = contextlib.nullcontext(sys.stdout)
         else:
+            sink_ctx = open(args.out, "w", encoding="utf-8", newline="\n")
+        with sink_ctx as sink:
             report = verify.scan_bound(
                 args.bound, args.lo, args.hi, mode,
-                points=args.points, convention=args.convention, threads=args.threads,
+                points=args.points, convention=args.convention, row_sink=sink,
             )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -165,7 +151,7 @@ def _cmd_scan(args) -> int:
         f"{report.bound_id} {'pass' if report.passed else 'fail'} "
         f"rows={report.n_rows} failures={report.n_failures} "
         f"min_margin={_fmt(report.min_margin)} at={_fmt(report.argmin_x)}",
-        file=sys.stderr if args.format == "csv" and args.out == "-" else sys.stdout,
+        file=sys.stderr if rows_to_stdout else sys.stdout,
     )
     if args.format == "json":
         _write_text(verify.render_json([report]), args.out)

@@ -23,9 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .analytic import (
-    DEFAULT_CONFIG,
     EULER_GAMMA,
-    AnalyticConfig,
     R_of_s,
     hurwitz_zeta_real,
     lie,
@@ -125,21 +123,21 @@ def _comb_tail(c: StepComb, s: float):
     raise ValueError(f"no tail rule for comb kind {kind!r}")
 
 
-def closed_form_for(kind, s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> Optional[float]:
+def closed_form_for(kind, s: float) -> Optional[float]:
     """Known closed form of the (1/s)-scaled transform for a comb kind, if any."""
     if isinstance(kind, ArithmeticKind):
         # sum (start + m*stride)**-s = stride**-s * hurwitz(s, start/stride)
-        return kind.stride ** -s * hurwitz_zeta_real(s, kind.start / kind.stride, config) / s
+        return kind.stride ** -s * hurwitz_zeta_real(s, kind.start / kind.stride) / s
     if kind is CombKind.ZETA1:
-        return zeta_real(s, config) / s
+        return zeta_real(s) / s
     if kind is CombKind.MCOMB:
-        return -zeta_prime_real(s, config) / s
+        return -zeta_prime_real(s) / s
     if kind is CombKind.JCOMB:
-        return math.log(zeta_real(s, config)) / s
+        return math.log(zeta_real(s)) / s
     if kind is CombKind.PSICOMB:
-        return -zeta_prime_real(s, config) / (s * zeta_real(s, config))
+        return -zeta_prime_real(s) / (s * zeta_real(s))
     if kind is CombKind.ETA:
-        return (1.0 - 2.0 ** (1.0 - s)) * zeta_real(s, config) / s
+        return (1.0 - 2.0 ** (1.0 - s)) * zeta_real(s) / s
     return None
 
 
@@ -165,6 +163,7 @@ def laplace_comb(c: StepComb, s: float, *, pair_id: Optional[str] = None) -> Tra
 # quadrature transforms
 
 _R_PANEL_CAP = 12.5  # numeric window cap: panel count is e**cap
+_TAIL_TOL = 1e-8  # largest analytic tail bound a quadrature bracket may carry
 
 
 @lru_cache(maxsize=4)
@@ -209,14 +208,12 @@ def laplace_quadrature(
     fn_id: str,
     s: float,
     x_max: Optional[float] = None,
-    *,
-    tail_tol: float = 1e-8,
 ) -> TransformBracket:
     """Bracket for the transform of the remainder ("r") or of lie ("lie").
 
     x_max caps the numeric window; beyond it an analytic tail bound widens the
-    bracket on the high side.  Raises when the achievable tail bound cannot meet
-    tail_tol.
+    bracket on the high side.  Raises when the achievable tail bound exceeds
+    1e-8.
     """
     _require_s(s)
     if fn_id == "r":
@@ -224,12 +221,12 @@ def laplace_quadrature(
         edge = min(x_max if x_max is not None else _R_PANEL_CAP, _R_PANEL_CAP, max(want, 1.0))
         cap = min(x_max, _R_PANEL_CAP) if x_max is not None else _R_PANEL_CAP
         tail_hi = math.exp(-s * edge) / s  # 0 <= r < 1
-        if tail_hi > tail_tol:
+        if tail_hi > _TAIL_TOL:
             edge = cap
             tail_hi = math.exp(-s * edge) / s
-            if tail_hi > tail_tol:
+            if tail_hi > _TAIL_TOL:
                 raise ValueError(
-                    f"tail bound {tail_hi:.3e} at x_max={edge} exceeds tail_tol={tail_tol}"
+                    f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
                 )
         value, err = _laplace_r_numeric(s, edge)
         err += 1e-15 * (1.0 + abs(value))
@@ -248,9 +245,9 @@ def laplace_quadrature(
         tail_hi = math.exp((1.0 - s) * edge) / (s - 1.0) + (edge / s + 1.0 / s ** 2) * math.exp(
             -s * edge
         )
-        if tail_hi > tail_tol:
+        if tail_hi > _TAIL_TOL:
             raise ValueError(
-                f"tail bound {tail_hi:.3e} at x_max={edge} exceeds tail_tol={tail_tol}"
+                f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
             )
         value, err = quad(
             lambda x: lie(x) * math.exp(-s * x),
@@ -273,24 +270,24 @@ def laplace_quadrature(
 # ---------------------------------------------------------------------------
 # the expansion of the error transform and the kernel comparison
 
-def er_closed(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def er_closed(s: float) -> float:
     """(1/s) log((s-1) zeta(s) / s)."""
     _require_s(s)
-    return math.log((s - 1.0) * zeta_real(s, config) / s) / s
+    return math.log((s - 1.0) * zeta_real(s) / s) / s
 
 
-def expansion_argument(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def expansion_argument(s: float) -> float:
     """u = (s-1) R(s); the series below converges only for 0 < u < 1."""
     _require_s(s)
-    return (s - 1.0) * R_of_s(s, config)
+    return (s - 1.0) * R_of_s(s)
 
 
-def er_partial(s: float, K: int, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def er_partial(s: float, K: int) -> float:
     """-(1/s) sum_{k=1..K} u**k / k with u = (s-1) R(s); converges to er_closed."""
     _require_s(s)
     if K < 1:
         raise ValueError("K must be >= 1")
-    u = expansion_argument(s, config)
+    u = expansion_argument(s)
     if not 0.0 < u < 1.0:
         raise ValueError(f"expansion argument u={u} outside (0, 1) at s={s}")
     acc = 0.0
@@ -301,10 +298,10 @@ def er_partial(s: float, K: int, config: AnalyticConfig = DEFAULT_CONFIG) -> flo
     return -acc / s
 
 
-def kernel_residual(s: float, config: AnalyticConfig = DEFAULT_CONFIG) -> float:
+def kernel_residual(s: float) -> float:
     """R(s) minus the rational kernel with offset; report-only measurement."""
     _require_s(s)
-    return R_of_s(s, config) - ApproxKernel().value(s)
+    return R_of_s(s) - ApproxKernel().value(s)
 
 
 # ---------------------------------------------------------------------------

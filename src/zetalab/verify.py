@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
@@ -282,15 +281,6 @@ def _emit_bound_rows(
     col.add_block(X, A, B)
 
 
-def _smooth_parallel(smooth, xs: np.ndarray, threads: int) -> np.ndarray:
-    if threads <= 1 or len(xs) < 200_000:
-        return smooth(xs)
-    pieces = np.array_split(xs, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(smooth, pieces))
-    return np.concatenate(parts)
-
-
 def _scan_stream(
     bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, smooth, col: _RowCollector
 ) -> None:
@@ -327,7 +317,10 @@ def _scan_stream(
 def _scan_log_grid(
     bdef: _BoundDef, lo: float, hi: float, points: int, smooth, col: _RowCollector
 ) -> None:
-    xs = np.geomspace(max(lo, float(bdef.min_x)), hi, points)
+    lo = max(lo, float(bdef.min_x))
+    if lo > hi:
+        return
+    xs = np.geomspace(lo, hi, points)
     step_vals = arith.step_at(bdef.step, np.floor(xs).astype(np.int64))
     _emit_bound_rows(bdef, col, xs, step_vals, None, None, smooth(xs))
 
@@ -342,7 +335,6 @@ def scan_bound(
     convention: Optional[str] = None,
     row_sink: Optional[IO[str]] = None,
     keep_rows: Optional[bool] = None,
-    threads: int = 1,
 ) -> ScanReport:
     """Run one bound scanner over [lo, hi].
 
@@ -369,13 +361,10 @@ def scan_bound(
         keep_rows = (hi - lo) <= 50_000 or mode == "log_grid"
     col = _RowCollector(row_sink, keep_rows)
 
-    def smooth_at(xs: np.ndarray) -> np.ndarray:
-        return _smooth_parallel(smooth, xs, threads)
-
     if mode in ("every_integer", "every_jump"):
-        _scan_stream(bdef, lo, hi, mode == "every_jump", smooth_at, col)
+        _scan_stream(bdef, lo, hi, mode == "every_jump", smooth, col)
     elif mode == "log_grid":
-        _scan_log_grid(bdef, lo, hi, points, smooth_at, col)
+        _scan_log_grid(bdef, lo, hi, points, smooth, col)
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
     params = {"lo": lo, "hi": hi, "mode": mode, "min_margin": col.min_margin}
@@ -444,6 +433,29 @@ def _margin_verdict(
         tolerance=0.0,
         verdict="pass" if all(r[4] for r in rows) and extra_excess == 0.0 else "fail",
         arg_extremum=rows[i][0],
+        rows=rows,
+    )
+
+
+def _report_result(
+    claim_id: str, params: dict, rows: List[Row], measured: Optional[List[Row]] = None
+) -> ClaimResult:
+    """Report-only result over the measured rows (all rows unless given).
+
+    max_abs_residual is their largest |residual| (0 when there are none) and
+    arg_extremum the first row that reaches it.
+    """
+    measured = rows if measured is None else measured
+    residuals = [abs(r[3]) for r in measured]
+    i = int(np.argmax(residuals)) if residuals else 0
+    return ClaimResult(
+        id=claim_id,
+        kind="report_only",
+        params=params,
+        max_abs_residual=residuals[i] if residuals else 0.0,
+        tolerance=0.0,
+        verdict="report",
+        arg_extremum=measured[i][0] if measured else math.nan,
         rows=rows,
     )
 
@@ -677,55 +689,33 @@ def _run_m1(params: dict) -> ClaimResult:
         nlam_before.add(float(np.sum(nlam)))
     one_plus_gamma = 1.0 + analytic.EULER_GAMMA
     rows: List[Row] = []
-    worst = 0.0
-    arg = float(samples[0]) if samples.size else math.nan
     for x, p, nl in zip(samples.astype(np.float64), psi_at, nlam_at):
         model = x - one_plus_gamma * math.log(x)
-        resid = p - model
-        rows.append((float(x), p, model, resid, True))
-        if abs(resid) > worst:
-            worst, arg = abs(resid), float(x)
+        rows.append((float(x), p, model, p - model, True))
         # running mean of psi(t) - t over (0, x]: (integral psi - x^2/2)/x
         run_mean = ((x * p - nl) - x * x / 2.0) / x
         rows.append((float(x), run_mean, 0.0, run_mean, True))
-    return ClaimResult(
-        id="M1", kind="report_only", params=params, max_abs_residual=worst,
-        tolerance=0.0, verdict="report", arg_extremum=arg, rows=rows,
-    )
+    return _report_result("M1", params, rows, measured=rows[0::2])
 
 
 def _run_m2(params: dict) -> ClaimResult:
     kernel = laplace.ApproxKernel()
     rows: List[Row] = []
-    worst, arg = 0.0, math.nan
     for s in params["s_grid"]:
         s = float(s)
-        resid = laplace.kernel_residual(s)
-        rows.append((s, analytic.R_of_s(s), kernel.value(s), resid, True))
-        if abs(resid) > worst:
-            worst, arg = abs(resid), s
-    return ClaimResult(
-        id="M2", kind="report_only", params=params, max_abs_residual=worst,
-        tolerance=0.0, verdict="report", arg_extremum=arg, rows=rows,
-    )
+        rows.append((s, analytic.R_of_s(s), kernel.value(s), laplace.kernel_residual(s), True))
+    return _report_result("M2", params, rows)
 
 
 def _run_m3(params: dict) -> ClaimResult:
     rows: List[Row] = []
-    worst, arg = 0.0, math.nan
     for pid in ("ze2", "ze1.5"):
         for s in params["s_grid"]:
             s = float(s)
             br = laplace.laplace_pair(pid, s, limit=params.get("limit", DEFAULT_COMB_LIMIT))
             mid = 0.5 * (br.numeric_lo + br.numeric_hi)
-            resid = br.closed_form - mid
-            rows.append((s, mid, br.closed_form, resid, True))
-            if abs(resid) > worst:
-                worst, arg = abs(resid), s
-    return ClaimResult(
-        id="M3", kind="report_only", params=params, max_abs_residual=worst,
-        tolerance=0.0, verdict="report", arg_extremum=arg, rows=rows,
-    )
+            rows.append((s, mid, br.closed_form, br.closed_form - mid, True))
+    return _report_result("M3", params, rows)
 
 
 CLAIMS: Dict[str, Claim] = {}

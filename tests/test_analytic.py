@@ -2,15 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
+from zetalab import analytic
 from zetalab.analytic import (
-    DEFAULT_CONFIG,
     EULER_GAMMA,
-    AnalyticConfig,
     R_of_s,
     harmonic_model,
     hurwitz_zeta_real,
@@ -83,6 +83,38 @@ def test_li_vec_matches_scalar():
         assert v == pytest.approx(li_pv(float(x)), rel=1e-13)
 
 
+def _li_vec_one_pass(xs: np.ndarray) -> np.ndarray:
+    """li_vec's series run over the whole array at once, with its own stopping test."""
+    lx = np.log(xs)
+    acc = np.zeros_like(lx)
+    term = np.ones_like(lx)
+    k = 0
+    while True:
+        k += 1
+        term *= lx / k
+        contrib = term / k
+        acc += contrib
+        if k > float(np.max(lx)) and float(np.max(np.abs(contrib))) < 1e-14:
+            return EULER_GAMMA + np.log(np.abs(lx)) + acc
+
+
+def test_li_vec_against_mpmath_across_blocks():
+    block = analytic._LI_VEC_BLOCK
+    n = 3 * block + block // 3  # three whole blocks and a partial one
+    xs = np.geomspace(1.0 + 2.0**-20, 1e9, n)
+    np.random.default_rng(7).shuffle(xs)  # put both ends of the range at every boundary
+    xs[[block - 1, block]] = 1.5, 2.0
+    vals = li_vec(xs)
+    assert np.array_equal(vals, _li_vec_one_pass(xs))
+    near = [i for b in range(0, n, block) for i in range(b - 2, b + 3) if 0 <= i < n]
+    with mpmath.workdps(30):
+        for i in near + [n - 1]:
+            x = float(xs[i])
+            exact = mpmath.li(x)
+            err = abs(float(vals[i]) - exact)
+            assert err <= (1e-14 if x < 2.0 else 1e-14 * abs(exact)), (i, x)
+
+
 def test_lie_differs_from_growth_integral_by_constant():
     # lie(x) minus the integral of e^t/t from 1 to x is independent of x
     diffs = []
@@ -120,12 +152,13 @@ def test_zeta_spot_values():
         zeta_real(0.5)
 
 
-def test_zeta_cutoff_invariance():
-    c20 = AnalyticConfig(em_cutoff=20)
-    c40 = AnalyticConfig(em_cutoff=40)
-    for s in np.linspace(1.1, 50.0, 99):
-        s = float(s)
-        assert abs(zeta_real(s, c20) - zeta_real(s, c40)) < 1e-12
+def test_zeta_and_zeta_prime_against_mpmath():
+    with mpmath.workdps(30):
+        for s in np.linspace(1.1, 50.0, 99):
+            s = float(s)
+            z, dz = mpmath.zeta(s), mpmath.zeta(s, derivative=1)
+            assert abs((zeta_real(s) - z) / z) <= 1e-13, s
+            assert abs((zeta_prime_real(s) - dz) / dz) <= 5e-13, s
 
 
 def test_zeta_prime_against_brute_series():
@@ -219,9 +252,5 @@ def test_li_sqrt_bracket_from_100():
         assert 2.0 * math.sqrt(x) / math.log(x) < v < 4.0 * math.sqrt(x) / math.log(x), x
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AnalyticConfig(em_cutoff=5)
-    with pytest.raises(ValueError):
-        AnalyticConfig(series_tol=0.0)
-    assert DEFAULT_CONFIG.euler_gamma == pytest.approx(0.5772156649015329, abs=0)
+def test_euler_gamma_is_the_nearest_double():
+    assert EULER_GAMMA == float(mpmath.euler)

@@ -91,7 +91,3 @@ def test_laplace_command(capsys):
     out = capsys.readouterr().out
     assert out.count("contained") == 2
     assert dispatch(["laplace", "unknown-pair", "--s", "2"]) == 2
-
-
-def test_threads_flag_accepted():
-    assert dispatch(["--threads", "2", "scan", "B3", "--from", "1", "--to", "500"]) == 0
