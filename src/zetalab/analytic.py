@@ -163,7 +163,10 @@ def _li_vec_steps(lx_ends: np.ndarray) -> int:
 
 
 def li_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorised li over a 1-D array of x > 1 (series, shared term recursion).
+    """Vectorised li over a 1-D array of finite x > 1 (series, shared term recursion).
+
+    Any other x raises ValueError: log x <= 0, NaN or inf would keep the
+    stopping test below from ever holding.
 
     Every point runs the same K steps of ``term *= lx / k; acc += term / k``
     with lx = log x, where K is the first k above max(lx) at which every
@@ -176,13 +179,17 @@ def li_vec(x: np.ndarray) -> np.ndarray:
     Against 30-digit mpmath.li the error is below 1e-14 relative on
     [2, 1e9] and below 1e-14 absolute on (1, 2].
     """
-    lx = np.log(np.asarray(x, dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore"):  # bad x raise below
+        lx = np.log(np.asarray(x, dtype=np.float64))
+    if not lx.size:
+        return lx
+    lx_ends = np.array([lx.min(), lx.max()])
+    if not (0.0 < lx_ends[0] and lx_ends[1] < math.inf):
+        raise ValueError("li_vec needs finite x > 1")
     out = np.abs(lx)
     np.log(out, out=out)
     out += EULER_GAMMA
-    if not lx.size:
-        return out
-    n_steps = _li_vec_steps(np.array([lx.min(), lx.max()]))
+    n_steps = _li_vec_steps(lx_ends)
     width = min(lx.size, _LI_VEC_BLOCK)
     term, acc, tmp = np.empty(width), np.empty(width), np.empty(width)
     for start in range(0, lx.size, width):

@@ -1,10 +1,15 @@
 """Exact arithmetic counting functions on the ordinary abscissa.
 
 pi and psi are step functions summed segment by segment over one sieve
-sweep (``step_segments``), so memory stays bounded; ``step_at`` reads pi, psi
-or J off that sweep at given integer abscissae.  The weighted prime-power
-count J is pi plus the k >= 2 jumps at exact integer k-th roots; float powers
-are never used to decide whether a lattice point is a perfect power.
+sweep (``step_segments``), so memory stays bounded.  The sweep hands each
+segment over with the step's value just left of it; ``segment_values`` then
+forms right-limit values either at every offset (dense readers: every-integer
+scans, ``pi_table``) or at sorted offsets only (sparse readers: ``step_at``
+for log grids, every-jump scans), where the cost follows the segment's jumps
+and the requested points, not its length, and the bits are the dense ones.
+The weighted prime-power count J is pi plus the k >= 2 jumps at exact integer
+k-th roots, added at the requested points only; float powers are never used
+to decide whether a lattice point is a perfect power.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,13 +34,15 @@ from .sieve import (
 
 def step_segments(
     step: str, hi: int, *, lo: int = 0
-) -> Iterator[Tuple[SieveSegment, np.ndarray]]:
-    """Sieve segments over [0, hi] that reach lo, each with the step's right-limit values.
+) -> Iterator[Tuple[SieveSegment, Union[int, float]]]:
+    """Sieve segments over [0, hi] that reach lo, each with the step's value just left of it.
 
-    step "pi" gives int64 prime counts; "psi" gives the Kahan-compensated
-    total of the earlier segments plus the running sum of this segment's
-    Lambda, and its segments carry ``lam``.  Segments that end below lo are
-    sieved only for the carry: their running sums are never formed.
+    That value, ``before``, is the step at seg.lo - 1.  step "pi" gives
+    ``before`` as an int prime count; "psi" gives the
+    Kahan-compensated total of the earlier segments' Lambda, and its segments
+    carry ``lam``.  No running sum is formed here: ``segment_values`` forms
+    the right-limit values a reader asks for.  Every segment, reached or not,
+    adds only its total to the carry.
     """
     if step not in ("pi", "psi"):
         raise ValueError(f"unknown step function {step!r}")
@@ -43,24 +50,70 @@ def step_segments(
     psi_run = KahanSum()
     for seg in iter_segments(0, hi, want_lam=step == "psi"):
         if seg.hi >= lo:
-            if step == "pi":
-                vals = np.cumsum(seg.is_prime, dtype=np.int64)
-                vals += pi_run
-            else:
-                vals = np.cumsum(seg.lam)
-                vals += psi_run.value
-            yield seg, vals
+            yield seg, pi_run if step == "pi" else psi_run.value
         if step == "pi":
             pi_run += int(np.count_nonzero(seg.is_prime))
         else:
-            psi_run.add(math.fsum(seg.lam))
+            psi_run.add(_lam_total(seg.lam))
+
+
+def _lam_total(lam: np.ndarray) -> float:
+    """Correctly rounded sum of a segment's Lambda; its zeros cannot change an fsum."""
+    return math.fsum(lam[np.flatnonzero(lam)].tolist())
+
+
+# Up to this many offsets, a sparse pi read counts primes slice by slice rather
+# than listing a segment's primes: on a 2-core x86 VM one count_nonzero slice
+# costs about 1.3 us and listing a 2**20 segment's primes about 1.7 ms.
+_FEW_OFFSETS = 1024
+
+
+def segment_values(
+    step: str, seg: SieveSegment, before: Union[int, float], offs: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Right-limit values of pi (int64) or psi (float64) at seg.lo + offs, from ``before``.
+
+    Dense readers pass no offs and get every offset: ``before`` plus the
+    running sum of the whole segment.  Sparse readers pass ascending offsets
+    (repeats allowed) and pay for the segment's jumps or the offsets, not a
+    running sum over its integers: pi counts the primes at or below each
+    offset, slice by slice for a few offsets and by a binary search over the
+    prime offsets for many; psi runs the same sequential sum over the nonzero
+    Lambda only.  Adding 0.0 leaves a running float sum unchanged, so each
+    value has the bits of the dense sum at that offset.
+    """
+    if offs is None:
+        if step == "pi":
+            vals = np.cumsum(seg.is_prime, dtype=np.int64)
+        else:
+            vals = np.cumsum(seg.lam)
+        vals += before
+        return vals
+    offs = np.asarray(offs, dtype=np.int64)
+    if step == "pi":
+        if offs.size > _FEW_OFFSETS:
+            return np.searchsorted(np.flatnonzero(seg.is_prime), offs, "right") + before
+        # few offsets: count the primes between consecutive ones instead
+        ends = (offs + 1).tolist()
+        counts = [np.count_nonzero(seg.is_prime[i:j]) for i, j in zip([0] + ends[:-1], ends)]
+        return np.cumsum(counts, dtype=np.int64) + before
+    lam = seg.lam[: int(offs[-1]) + 1] if offs.size else seg.lam[:0]
+    nz = np.flatnonzero(lam)
+    run = np.zeros(nz.size + 1)
+    np.cumsum(lam[nz], out=run[1:])
+    vals = run[np.searchsorted(nz, offs, "right")]
+    vals += before
+    return vals
 
 
 def step_at(step: str, xs: np.ndarray) -> np.ndarray:
     """pi, psi or J (step "pi", "psi" or "j") at integer abscissae xs >= 0, as float64.
 
-    One sieve sweep to max(xs) serves all points, in any order; J adds the
-    k >= 2 jumps at the requested points only.
+    One sieve sweep to max(xs) serves all points, in any order.  Each segment
+    that holds points is read sparsely (``segment_values`` at the sorted
+    offsets), so the work past the sieve follows the number of points and the
+    segment's jumps, not its length; J adds the k >= 2 jumps at the requested
+    points only.
     """
     if step not in ("pi", "psi", "j"):
         raise ValueError(f"unknown step function {step!r}")
@@ -68,10 +121,14 @@ def step_at(step: str, xs: np.ndarray) -> np.ndarray:
     out = np.zeros(xs.size, dtype=np.float64)
     if xs.size == 0:
         return out
-    top = int(xs.max())
-    for seg, vals in step_segments("psi" if step == "psi" else "pi", top, lo=int(xs.min())):
-        in_seg = (xs >= seg.lo) & (xs <= seg.hi)
-        out[in_seg] = vals[xs[in_seg] - seg.lo]
+    order = np.argsort(xs, kind="stable")
+    sx = xs[order]
+    top = int(sx[-1])
+    base = "psi" if step == "psi" else "pi"
+    for seg, before in step_segments(base, top, lo=int(sx[0])):
+        i0, i1 = np.searchsorted(sx, [seg.lo, seg.hi + 1])
+        if i0 < i1:
+            out[order[i0:i1]] = segment_values(base, seg, before, sx[i0:i1] - seg.lo)
     if step == "j":
         out += j_higher_terms(xs, top)
     return out
@@ -82,16 +139,16 @@ def pi_count(x: float) -> int:
     if x < 2:
         return 0
     n = int(math.floor(x))
-    ((_seg, counts),) = step_segments("pi", n, lo=n)
-    return int(counts[-1])
+    ((seg, before),) = step_segments("pi", n, lo=n)
+    return before + int(np.count_nonzero(seg.is_prime))
 
 
 @lru_cache(maxsize=4)
 def pi_table(limit: int) -> np.ndarray:
     """Cumulative prime-count table: pi_table(limit)[m] = pi(m) for 0 <= m <= limit."""
     out = np.empty(limit + 1, dtype=np.int64)
-    for seg, counts in step_segments("pi", limit):
-        out[seg.lo : seg.hi + 1] = counts
+    for seg, before in step_segments("pi", limit):
+        out[seg.lo : seg.hi + 1] = segment_values("pi", seg, before)
     out.setflags(write=False)
     return out
 
@@ -153,7 +210,7 @@ def psi_value(x: float) -> float:
         return 0.0
     acc = KahanSum()
     for seg in iter_segments(0, int(math.floor(x)), want_lam=True):
-        acc.add(math.fsum(seg.lam))
+        acc.add(_lam_total(seg.lam))
     return acc.value
 
 

@@ -72,16 +72,14 @@ def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     if first_odd <= hi:
         n_odd = (hi - first_odd) // 2 + 1
         mask = np.ones(n_odd, dtype=bool)
-        for p in primes[1:]:  # odd base primes
-            p = int(p)
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start > hi:
-                continue
-            mask[(start - first_odd) // 2 :: p] = False
+        # odd base primes with p*p <= hi; each strikes its odd multiples from
+        # max(p*p, the first multiple >= lo), bumped to odd
+        ps = primes[1 : np.searchsorted(primes, math.isqrt(hi), "right")]
+        starts = np.maximum(ps * ps, -(-lo // ps) * ps)
+        starts += ps * (starts % 2 == 0)
+        live = starts <= hi
+        for s, p in zip(((starts[live] - first_odd) // 2).tolist(), ps[live].tolist()):
+            mask[s::p] = False
         out[first_odd - lo :: 2] = mask
     if lo <= 2 <= hi:
         out[2 - lo] = True

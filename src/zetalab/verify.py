@@ -284,32 +284,48 @@ def _emit_bound_rows(
 def _scan_stream(
     bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, smooth, col: _RowCollector
 ) -> None:
-    """every_integer / every_jump engine: one sweep of sieve segments."""
+    """every_integer / every_jump engine: one sweep of sieve segments.
+
+    every_integer forms the step's values at all integers of a segment;
+    every_jump finds the jump offsets first and forms values, weights and
+    J's k >= 2 terms at those offsets only.
+    """
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
     if hi_i < lo_i:
         return
+    base = "psi" if bdef.step == "psi" else "pi"
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
-    for seg, vals in arith.step_segments("psi" if bdef.step == "psi" else "pi", hi_i, lo=lo_i):
+    for seg, before in arith.step_segments(base, hi_i, lo=lo_i):
         a = max(lo_i, seg.lo)
-        xs_i = np.arange(a, seg.hi + 1, dtype=np.int64)
-        right = vals[a - seg.lo :].astype(np.float64)
-        if bdef.step == "j":
-            right += arith.j_higher_terms(xs_i, hi_i)
-        if bdef.step == "psi":
-            wts = seg.lam[a - seg.lo :]
-        else:
-            wts = seg.is_prime[a - seg.lo :].astype(np.float64)
+        wts = (seg.lam if base == "psi" else seg.is_prime)[a - seg.lo :]
         if bdef.step == "j":
             # k >= 2 powers are never prime, so each lands on a zero weight
             i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
-            wts[hp_vals[i0:i1] - a] += hp_wts[i0:i1]
-        jump_mask = wts > 0
+            hp_offs, hp_w = hp_vals[i0:i1] - a, hp_wts[i0:i1]
         if jumps_only:
-            xs_i, right, wts = xs_i[jump_mask], right[jump_mask], wts[jump_mask]
-            jump_mask = np.ones(len(xs_i), dtype=bool)
-        if len(xs_i):
+            offs = np.flatnonzero(wts)
+            wts = wts[offs] if base == "psi" else np.ones(offs.size)
+            if bdef.step == "j":
+                offs = np.concatenate((offs, hp_offs))
+                order = np.argsort(offs, kind="stable")
+                offs, wts = offs[order], np.concatenate((wts, hp_w))[order]
+            right = arith.segment_values(base, seg, before, offs + (a - seg.lo))
+            jump_mask = np.ones(offs.size, dtype=bool)
+        else:
+            offs = np.arange(seg.hi - a + 1, dtype=np.int64)
+            right = arith.segment_values(base, seg, before)[a - seg.lo :]
+            if base == "pi":
+                wts = wts.astype(np.float64)
+            if bdef.step == "j":
+                wts[hp_offs] += hp_w
+            jump_mask = wts > 0
+        if len(offs):
+            xs_i = offs + a
+            right = right.astype(np.float64)
+            if bdef.step == "j":
+                right += arith.j_higher_terms(xs_i, hi_i)
             xs_f = xs_i.astype(np.float64)
             _emit_bound_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth(xs_f))
 
@@ -679,12 +695,12 @@ def _run_m1(params: dict) -> ClaimResult:
     psi_at = np.zeros(samples.size)
     nlam_at = np.zeros(samples.size)
     nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments
-    for seg, psi in arith.step_segments("psi", x_max):
+    for seg, psi_before in arith.step_segments("psi", x_max):
         in_seg = (samples >= seg.lo) & (samples <= seg.hi)
         nlam = seg.lam * np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
         if in_seg.any():
             idx = samples[in_seg] - seg.lo
-            psi_at[in_seg] = psi[idx]
+            psi_at[in_seg] = arith.segment_values("psi", seg, psi_before, idx)
             nlam_at[in_seg] = nlam_before.value + np.cumsum(nlam)[idx]
         nlam_before.add(float(np.sum(nlam)))
     one_plus_gamma = 1.0 + analytic.EULER_GAMMA

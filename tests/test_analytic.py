@@ -115,6 +115,13 @@ def test_li_vec_against_mpmath_across_blocks():
             assert err <= (1e-14 if x < 2.0 else 1e-14 * abs(exact)), (i, x)
 
 
+@pytest.mark.parametrize("xs", [[0.0, 2.0], [math.nan, 2.0], [math.inf], [1.0], [-3.0, 2.0]])
+def test_li_vec_rejects_x_outside_its_domain(xs):
+    # log x <= 0, NaN or inf would keep the series' stopping test from holding
+    with pytest.raises(ValueError):
+        li_vec(np.array(xs))
+
+
 def test_lie_differs_from_growth_integral_by_constant():
     # lie(x) minus the integral of e^t/t from 1 to x is independent of x
     diffs = []

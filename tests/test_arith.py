@@ -13,6 +13,7 @@ from zetalab.arith import (
     pi_from_j_residuals,
     pi_table,
     psi_value,
+    segment_values,
     step_at,
     step_segments,
 )
@@ -129,17 +130,75 @@ def test_step_at_matches_the_oracle_across_segments_and_powers():
 def test_step_segments_carry_and_validation():
     segs = list(step_segments("pi", B + 5))
     assert [(seg.lo, seg.hi) for seg, _ in segs] == [(0, B - 1), (B, B + 5)]
-    assert segs[0][1].dtype == np.int64 and segs[1][1][0] == pi_count(B)
+    # each segment comes with the step's value just left of it
+    assert segs[0][1] == 0 and segs[1][1] == pi_count(B - 1)
+    dense = segment_values("pi", *segs[1])
+    assert dense.dtype == np.int64 and dense[0] == pi_count(B)
     # a segment wholly below lo is sieved for the carry but not yielded
-    ((seg, vals),) = step_segments("pi", B + 5, lo=B)
-    assert seg.lo == B and vals.tolist() == segs[1][1].tolist()
+    ((seg, before),) = step_segments("pi", B + 5, lo=B)
+    assert seg.lo == B and segment_values("pi", seg, before).tolist() == dense.tolist()
     psi_segs = list(step_segments("psi", B + 5))
-    ((seg, vals),) = step_segments("psi", B + 5, lo=B + 5)
-    assert seg.lam is not None and vals.tolist() == psi_segs[1][1].tolist()
+    ((seg, before),) = step_segments("psi", B + 5, lo=B + 5)
+    assert seg.lam is not None
+    want = segment_values("psi", *psi_segs[1])
+    assert segment_values("psi", seg, before).tolist() == want.tolist()
     with pytest.raises(ValueError):
         list(step_segments("j", 10))
     with pytest.raises(ValueError):
         step_at("mu", [10])
+
+
+def test_sparse_segment_values_have_the_dense_bits():
+    rng = np.random.default_rng(11)
+    for step in ("pi", "psi"):
+        for seg, before in step_segments(step, 2 * B + 777):
+            dense = segment_values(step, seg, before)
+            n = len(seg)
+            picks = [
+                np.arange(n),
+                np.sort(rng.integers(0, n, 500)),
+                np.array([0, 0, 1, n - 1, n - 1]),
+                np.array([n - 1]),
+                np.array([0]),
+                np.arange(0, n, 4099),
+            ]
+            for offs in picks:
+                sparse = segment_values(step, seg, before, offs)
+                assert sparse.dtype == dense.dtype
+                assert np.array_equal(sparse, dense[offs]), (step, seg.lo, offs[:5])
+            assert segment_values(step, seg, before, np.array([], dtype=np.int64)).size == 0
+
+
+def test_step_at_sparse_points_match_the_oracle():
+    import _oracle as oracle
+
+    # 10 and 3e6 leave whole segments between them without a point; repeats,
+    # a lone point and a segment's last integer (2**20 - 1) read sparsely too
+    cases = [
+        np.array([10, 3_000_000], dtype=np.int64),
+        np.array([3_000_000, 10, 10, 3_000_000, B - 1, B - 1], dtype=np.int64),
+        np.array([B - 1], dtype=np.int64),
+        np.array([3_000_000], dtype=np.int64),
+        np.array([0, 1, 2, 2], dtype=np.int64),
+    ]
+    top = 3_000_000
+    flags = np.concatenate([f for _, f in oracle.prime_segments(top)])
+    pi_all = np.cumsum(flags)
+    higher = oracle._HigherTerms(top)
+    primes = np.flatnonzero(flags)
+    for xs in cases:
+        pi = pi_all[xs]
+        assert step_at("pi", xs).tolist() == pi.tolist(), xs
+        assert np.array_equal(step_at("j", xs), pi + higher(xs)), xs
+        psi = step_at("psi", xs)
+        for n, got in zip(xs.tolist(), psi):
+            want = exact_power_psi(n, primes)
+            count = int(np.count_nonzero(primes <= n)) + 2 * math.isqrt(max(n, 0))
+            assert abs(got - want) <= count * np.finfo(float).eps * want, n
+        # a point's value does not depend on which other points are asked for
+        for step in ("pi", "psi", "j"):
+            alone = np.concatenate([step_at(step, [x]) for x in xs.tolist()])
+            assert np.array_equal(step_at(step, xs), alone), (step, xs)
 
 
 def test_psi_value_examples():

@@ -215,6 +215,47 @@ def test_b1_jump_mode_counts_both_sides():
     assert rep.passed
 
 
+@pytest.mark.parametrize("bound_id", ["B1", "B2", "B3", "B4"])
+def test_every_jump_rows_are_every_integer_rows_at_the_jumps(bound_id):
+    # 2**20 starts a sieve segment and is a jump itself: weight 1/20 in J,
+    # log 2 in psi (B2's pi does not jump there)
+    import _oracle as oracle
+
+    seg0 = 1 << 20
+    lo, hi = seg0 - 3000, seg0 + 3000
+    flags = np.concatenate([f for _, f in oracle.prime_segments(hi)])
+    jumps = set(np.flatnonzero(flags[lo:]) + lo)
+    if bound_id != "B2":
+        for p in np.flatnonzero(flags[: math.isqrt(hi) + 1]).tolist():
+            pk = p * p
+            while pk <= hi:
+                if pk >= lo:
+                    jumps.add(pk)
+                pk *= p
+    assert (seg0 in jumps) == (bound_id != "B2")
+    dense = scan_bound(bound_id, lo, hi, "every_integer", keep_rows=True)
+    sparse = scan_bound(bound_id, lo, hi, "every_jump", keep_rows=True)
+    at_jumps = [r for r in dense.rows if int(r[0]) in jumps]
+    assert sparse.rows == at_jumps
+    assert sorted({int(r[0]) for r in sparse.rows}) == sorted(jumps)
+
+
+def test_every_jump_scan_asks_j_only_at_its_jumps(monkeypatch):
+    from zetalab import arith
+
+    asked = []
+    real = arith.j_higher_terms
+
+    def counting(xs, limit):
+        asked.append(len(xs))
+        return real(xs, limit)
+
+    monkeypatch.setattr(arith, "j_higher_terms", counting)
+    rep = scan_bound("B1", 2, 3e6, "every_jump")
+    # one-sided bound: a left-limit row and a value row per jump
+    assert rep.n_rows > 0 and sum(asked) == rep.n_rows // 2
+
+
 def test_every_integer_matches_denser_grid_extrema():
     hi = 2000
     rep = scan_bound("B3", 1, hi)
