@@ -69,7 +69,11 @@ _FEW_OFFSETS = 1024
 
 
 def segment_values(
-    step: str, seg: SieveSegment, before: Union[int, float], offs: Optional[np.ndarray] = None
+    step: str,
+    seg: SieveSegment,
+    before: Union[int, float],
+    offs: Optional[np.ndarray] = None,
+    nonzero: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Right-limit values of pi (int64) or psi (float64) at seg.lo + offs, from ``before``.
 
@@ -80,7 +84,9 @@ def segment_values(
     offset, slice by slice for a few offsets and by a binary search over the
     prime offsets for many; psi runs the same sequential sum over the nonzero
     Lambda only.  Adding 0.0 leaves a running float sum unchanged, so each
-    value has the bits of the dense sum at that offset.
+    value has the bits of the dense sum at that offset.  A reader that has
+    already listed the segment's jump offsets (``np.flatnonzero`` of its
+    is_prime or lam) passes them as ``nonzero``, so they are not listed again.
     """
     if offs is None:
         if step == "pi":
@@ -91,16 +97,21 @@ def segment_values(
         return vals
     offs = np.asarray(offs, dtype=np.int64)
     if step == "pi":
-        if offs.size > _FEW_OFFSETS:
-            return np.searchsorted(np.flatnonzero(seg.is_prime), offs, "right") + before
-        # few offsets: count the primes between consecutive ones instead
-        ends = (offs + 1).tolist()
-        counts = [np.count_nonzero(seg.is_prime[i:j]) for i, j in zip([0] + ends[:-1], ends)]
-        return np.cumsum(counts, dtype=np.int64) + before
-    lam = seg.lam[: int(offs[-1]) + 1] if offs.size else seg.lam[:0]
-    nz = np.flatnonzero(lam)
+        if nonzero is None and offs.size <= _FEW_OFFSETS:
+            # few offsets: count the primes between consecutive ones instead
+            ends = (offs + 1).tolist()
+            counts = [np.count_nonzero(seg.is_prime[i:j]) for i, j in zip([0] + ends[:-1], ends)]
+            return np.cumsum(counts, dtype=np.int64) + before
+        if nonzero is None:
+            nonzero = np.flatnonzero(seg.is_prime)
+        return np.searchsorted(nonzero, offs, "right") + before
+    top = int(offs[-1]) + 1 if offs.size else 0
+    if nonzero is None:
+        nz = np.flatnonzero(seg.lam[:top])
+    else:
+        nz = nonzero[: np.searchsorted(nonzero, top)]
     run = np.zeros(nz.size + 1)
-    np.cumsum(lam[nz], out=run[1:])
+    np.cumsum(seg.lam[nz], out=run[1:])
     vals = run[np.searchsorted(nz, offs, "right")]
     vals += before
     return vals

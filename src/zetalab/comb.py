@@ -13,7 +13,6 @@ points (``r_value_ordinate``), so nothing depends on float rounding of logs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -188,7 +187,6 @@ def r_value_ordinate(a: float) -> float:
     return a - n
 
 
-_LOGFACT_LOCK = threading.Lock()
 _LOGFACT: np.ndarray = np.zeros(1, dtype=np.longdouble)  # _LOGFACT[n] = log n!
 
 
@@ -198,12 +196,10 @@ def log_factorial(n: int) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >= _LOGFACT.size:
-        with _LOGFACT_LOCK:
-            if n >= _LOGFACT.size:
-                new_size = max(n + 1, 2 * _LOGFACT.size, 1024)
-                fresh = np.zeros(new_size, dtype=np.longdouble)
-                fresh[1:] = np.cumsum(np.log(np.arange(1, new_size, dtype=np.longdouble)))
-                _LOGFACT = fresh
+        new_size = max(n + 1, 2 * _LOGFACT.size, 1024)
+        fresh = np.zeros(new_size, dtype=np.longdouble)
+        fresh[1:] = np.cumsum(np.log(np.arange(1, new_size, dtype=np.longdouble)))
+        _LOGFACT = fresh
     return float(_LOGFACT[n])
 
 

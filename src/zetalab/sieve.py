@@ -2,8 +2,7 @@
 scalar Mobius mu, and exact integer k-th roots.
 
 All range work is segmented so memory stays proportional to the segment size,
-not to the upper endpoint.  Segments are immutable once built and safe to share
-across threads; every function here is re-entrant.
+not to the upper endpoint.  Segments are immutable once built.
 
 Conventions:
     mobius(n) = 0 if a squared prime divides n, else (-1)**(number of prime factors)

@@ -149,6 +149,9 @@ def _li_offset_arr(xs: np.ndarray) -> np.ndarray:
     return analytic.li_vec(xs) - _LI_AT_2
 
 
+# li-based smooth sides, each with the constant it subtracts from li_vec
+_LI_SHIFTS = {_li_arr: 0.0, _li_offset_arr: _LI_AT_2}
+
 _E12 = math.exp(12.0)
 
 _BOUNDS: Dict[str, _BoundDef] = {}
@@ -281,6 +284,110 @@ def _emit_bound_rows(
     col.add_block(X, A, B)
 
 
+_LI_BLOCK = 1 << 10  # integers per li interval block
+_DECIDE_CHUNK = 1 << 15  # abscissae per interval pass, so its work arrays stay in L2
+_SLACK = 1e-12  # relative and absolute rounding slack of a margin interval
+
+
+def _li_grid(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Block starts a = xs[0] + k * _LI_BLOCK up to max(xs), and li_vec at them."""
+    a = xs[0] + _LI_BLOCK * np.arange((xs[-1] - xs[0]) // _LI_BLOCK + 1)
+    return a, analytic.li_vec(a)
+
+
+def _li_bounds(x: np.ndarray, a: np.ndarray, li_a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """lo, hi with lo <= li(x) <= hi, for ascending x in the blocks of the grid a, li_a = li(a).
+
+    li is increasing and concave for x > 1 (li' = 1/log), so for x = a + h in
+    the block that starts at a, li(a) + h/log(a + h) <= li(x) <= li(a) + h/log a.
+    The bounds hold in real arithmetic for exact li(a); ``_slack`` covers the rest.
+    """
+    j0, j1 = np.searchsorted(a, [x[0], x[-1]], "right")
+    a, li_a = a[j0 - 1 : j1], li_a[j0 - 1 : j1]
+    counts = np.diff(np.searchsorted(x, a[1:]), prepend=0, append=x.size)
+    h = x - np.repeat(a, counts)
+    base = np.repeat(li_a, counts)
+    lo = h / np.log(x)
+    lo += base
+    h /= np.repeat(np.log(a), counts)
+    h += base
+    return lo, h
+
+
+def _slack(magnitude: np.ndarray) -> np.ndarray:
+    return _SLACK * magnitude + _SLACK
+
+
+def _emit_decided_rows(
+    bdef: _BoundDef,
+    col: _RowCollector,
+    xs: np.ndarray,
+    right: np.ndarray,
+    left: np.ndarray,
+    jump_mask: np.ndarray,
+    smooth,
+    shift: float,
+) -> None:
+    """Summary-only rows of one segment, with li exact only where the summary can depend on it.
+
+    The smooth side is S = li - shift.  ``_li_bounds`` puts li(x), and so S,
+    in an interval of width w from one li_vec call per segment on the block
+    starts.  Every margin is rhs - lhs with lhs or rhs equal to v - S or
+    |v - S| (v the right or left limit), so it moves by at most |dS| when S
+    does: over the interval it lies in [m_lo, m_lo + w].  That interval is
+    widened by the slack 1e-12 (|S| + |v| + |bounds|) + 1e-12 on each side.
+    The slack covers li_vec's error (under 1e-14 relative, against li(x) and
+    li(a)), the rounding of the interval ends, and the few float operations
+    that form a margin, so the computed margin of every row lies inside.
+
+    An abscissa goes down the exact path (li_vec on the abscissae, then
+    ``_emit_bound_rows``) when the lowest widened m_lo of its rows is <= 0
+    (a row may fail) or <= both the running minimum and the lowest widened
+    m_lo + w of the rows in its chunk and the segment's earlier chunks (a row
+    may be, or tie with, the minimum).  Every other row passes and has a margin above some other
+    row's, so it is only counted.  li_vec is pointwise, so the exact rows
+    have the bits of a full scan and reach the collector in the same order:
+    n_failures, min_margin and argmin_x (the first of ties) are those of a
+    full scan.
+    """
+    grid = _li_grid(xs)
+    sel = []
+    cut = col.min_margin
+    for c0 in range(0, xs.size, _DECIDE_CHUNK):
+        c = slice(c0, c0 + _DECIDE_CHUNK)
+        x, v, jm = xs[c], right[c], jump_mask[c]
+        s_lo, s_hi = _li_bounds(x, *grid)
+        s_lo -= shift
+        s_hi -= shift
+        up = bdef.upper(x)
+        lo = bdef.lower(x) if bdef.two_sided else None
+        m_lo = _margin_floor(v, s_lo, s_hi, up, lo)
+        j = np.flatnonzero(jm)
+        if j.size:
+            m_left = _margin_floor(left[c0 + j], s_lo[j], s_hi[j], up[j], None if lo is None else lo[j])
+            m_lo[j] = np.minimum(m_lo[j], m_left)
+        mag = np.abs(s_hi) + v + up  # |left| <= right: both are step values >= 0
+        if lo is not None:
+            mag += np.abs(lo)
+        slack = _slack(mag)
+        cut = min(cut, float(np.min(m_lo + (s_hi - s_lo) + slack)))
+        m_lo -= slack
+        sel.append(c0 + np.flatnonzero(m_lo <= max(0.0, cut)))
+    sel = np.concatenate(sel)
+    xs_s = xs[sel]
+    if xs_s.size:
+        _emit_bound_rows(bdef, col, xs_s, right[sel], left[sel], jump_mask[sel], smooth(xs_s))
+    skipped = xs.size - sel.size + int(np.count_nonzero(jump_mask)) - int(np.count_nonzero(jump_mask[sel]))
+    col.n_rows += (2 if bdef.two_sided else 1) * skipped
+
+
+def _margin_floor(v, s_lo, s_hi, up, lo) -> np.ndarray:
+    """Lowest margin of the rows at step value v over smooth sides S in [s_lo, s_hi]."""
+    if lo is None:  # up - |v - S|
+        return up - np.maximum(s_hi - v, v - s_lo)
+    return np.minimum(v - s_hi - lo, up - (v - s_lo))  # v - S - lo and up - (v - S)
+
+
 def _scan_stream(
     bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, smooth, col: _RowCollector
 ) -> None:
@@ -288,7 +395,9 @@ def _scan_stream(
 
     every_integer forms the step's values at all integers of a segment;
     every_jump finds the jump offsets first and forms values, weights and
-    J's k >= 2 terms at those offsets only.
+    J's k >= 2 terms at those offsets only.  A scan that keeps no rows and
+    has an li smooth side forms rows only where ``_emit_decided_rows``
+    cannot decide them from li intervals.
     """
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
@@ -297,6 +406,8 @@ def _scan_stream(
     base = "psi" if bdef.step == "psi" else "pi"
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
+    shift = _LI_SHIFTS.get(smooth)
+    decide = shift is not None and col.sink is None and not col.keep
     for seg, before in arith.step_segments(base, hi_i, lo=lo_i):
         a = max(lo_i, seg.lo)
         wts = (seg.lam if base == "psi" else seg.is_prime)[a - seg.lo :]
@@ -305,13 +416,14 @@ def _scan_stream(
             i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
             hp_offs, hp_w = hp_vals[i0:i1] - a, hp_wts[i0:i1]
         if jumps_only:
-            offs = np.flatnonzero(wts)
+            nz = np.flatnonzero(seg.lam if base == "psi" else seg.is_prime)
+            offs = nz[np.searchsorted(nz, a - seg.lo) :] - (a - seg.lo)
             wts = wts[offs] if base == "psi" else np.ones(offs.size)
             if bdef.step == "j":
                 offs = np.concatenate((offs, hp_offs))
                 order = np.argsort(offs, kind="stable")
                 offs, wts = offs[order], np.concatenate((wts, hp_w))[order]
-            right = arith.segment_values(base, seg, before, offs + (a - seg.lo))
+            right = arith.segment_values(base, seg, before, offs + (a - seg.lo), nonzero=nz)
             jump_mask = np.ones(offs.size, dtype=bool)
         else:
             offs = np.arange(seg.hi - a + 1, dtype=np.int64)
@@ -327,7 +439,10 @@ def _scan_stream(
             if bdef.step == "j":
                 right += arith.j_higher_terms(xs_i, hi_i)
             xs_f = xs_i.astype(np.float64)
-            _emit_bound_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth(xs_f))
+            if decide:
+                _emit_decided_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth, shift)
+            else:
+                _emit_bound_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth(xs_f))
 
 
 def _scan_log_grid(

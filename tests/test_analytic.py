@@ -115,6 +115,28 @@ def test_li_vec_against_mpmath_across_blocks():
             assert err <= (1e-14 if x < 2.0 else 1e-14 * abs(exact)), (i, x)
 
 
+def test_li_vec_is_pointwise():
+    # each value is its own series' fixed point, whatever else the array holds
+    block = analytic._LI_VEC_BLOCK
+    n = block + block // 2
+    xs = 1.0 + np.geomspace(2.0**-40, 1e12 - 1.0, n)  # spans (1, 1e12]
+    rng = np.random.default_rng(19)
+    rng.shuffle(xs)
+    vals = li_vec(xs)
+    picks = np.concatenate([rng.choice(n, 600, replace=False), [0, block - 1, block, n - 1]])
+    for i in picks:
+        assert li_vec(xs[i : i + 1])[0] == vals[i], (i, xs[i])
+    subset = np.sort(rng.choice(n, 5000, replace=False))
+    assert np.array_equal(li_vec(xs[subset]), vals[subset])
+    assert np.array_equal(li_vec(xs[::-1]), vals[::-1])
+    with mpmath.workdps(30):
+        for i in picks[:200]:
+            x = float(xs[i])
+            exact = mpmath.li(x)
+            err = abs(float(vals[i]) - exact)
+            assert err <= (1e-14 if x < 2.0 else 1e-14 * abs(exact)), (i, x)
+
+
 @pytest.mark.parametrize("xs", [[0.0, 2.0], [math.nan, 2.0], [math.inf], [1.0], [-3.0, 2.0]])
 def test_li_vec_rejects_x_outside_its_domain(xs):
     # log x <= 0, NaN or inf would keep the series' stopping test from holding

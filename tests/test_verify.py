@@ -256,6 +256,65 @@ def test_every_jump_scan_asks_j_only_at_its_jumps(monkeypatch):
     assert rep.n_rows > 0 and sum(asked) == rep.n_rows // 2
 
 
+def _summary(rep: ScanReport):
+    return rep.n_rows, rep.n_failures, rep.min_margin.hex(), rep.argmin_x.hex()
+
+
+def _counting_li(monkeypatch):
+    from zetalab import analytic
+
+    points = [0]
+    real = analytic.li_vec
+
+    def counting(xs):
+        points[0] += len(xs)
+        return real(xs)
+
+    monkeypatch.setattr(analytic, "li_vec", counting)
+    return points
+
+
+@pytest.mark.parametrize("mode", ["every_integer", "every_jump", "log_grid"])
+@pytest.mark.parametrize("bound_id,convention", [("B1", None), ("B2", None), ("B4", None), ("B4", "li")])
+def test_summary_scan_is_the_kept_rows_scan(monkeypatch, bound_id, convention, mode):
+    # summary-only scans decide most rows from li intervals; their summary
+    # must still be bit for bit that of the scan that forms every row
+    seg0 = 1 << 20
+    rng = np.random.default_rng([ord(c) for c in bound_id + str(convention) + mode])
+    ranges = [(2, 70_000)]  # B4's failure clusters and the small-x rows
+    ranges += [(rng.uniform(seg0 - 150_000, seg0), rng.uniform(seg0, seg0 + 150_000)) for _ in range(2)]
+    points = _counting_li(monkeypatch)
+    for lo, hi in ranges:
+        kept = scan_bound(bound_id, lo, hi, mode, points=3000, convention=convention, keep_rows=True)
+        points[0] = 0
+        summary = scan_bound(bound_id, lo, hi, mode, points=3000, convention=convention, keep_rows=False)
+        assert summary.rows is None
+        assert _summary(summary) == _summary(kept), (lo, hi)
+        if mode != "log_grid":  # li exact at a small share of the abscissae only
+            assert points[0] < 0.2 * len({r[0] for r in kept.rows}), (lo, hi, points[0])
+
+
+def test_summary_b4_scan_evaluates_li_at_under_one_percent_of_abscissae(monkeypatch):
+    points = _counting_li(monkeypatch)
+    rep = scan_bound("B4", 2, 2e6, keep_rows=False)
+    assert rep.n_failures == 78 and rep.argmin_x == 59753.0
+    assert points[0] < 0.01 * (2e6 - 1)
+
+
+def test_li_interval_holds_on_a_million_rows():
+    from zetalab import analytic, verify
+
+    rng = np.random.default_rng(29)
+    starts = np.concatenate([[2.0], np.exp(rng.uniform(math.log(2.0), math.log(1e12), 15))])
+    for a0 in np.floor(starts):
+        xs = np.sort(rng.integers(a0, a0 + (1 << 20), 1 << 16)).astype(np.float64)
+        lo, hi = verify._li_bounds(xs, *verify._li_grid(xs))
+        li = analytic.li_vec(xs)
+        slack = verify._slack(np.abs(hi))
+        assert np.all(lo - slack <= li), a0
+        assert np.all(li <= hi + slack), a0
+
+
 def test_every_integer_matches_denser_grid_extrema():
     hi = 2000
     rep = scan_bound("B3", 1, hi)
