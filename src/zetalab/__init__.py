@@ -13,10 +13,8 @@ from .analytic import (
     ModelPair,
     R_of_s,
     harmonic_model,
-    j_mean_original,
     lie,
     li_pv,
-    psi_mean_original,
     stirling_model,
     zeta_prime_real,
     zeta_real,
@@ -27,8 +25,6 @@ from .comb import (
     CombKind,
     StepComb,
     build_comb,
-    eval_comb,
-    integrate_comb,
     r_integral,
     r_integral_model,
     r_value,
@@ -45,7 +41,7 @@ from .laplace import (
     laplace_pair,
     laplace_quadrature,
 )
-from .sieve import SieveSegment, integer_kth_root, mobius, von_mangoldt
+from .sieve import SieveSegment, integer_kth_root, mobius
 from .verify import (
     Claim,
     ClaimResult,
@@ -78,11 +74,8 @@ __all__ = [
     "emit_report",
     "er_closed",
     "er_partial",
-    "eval_comb",
     "harmonic_model",
     "integer_kth_root",
-    "integrate_comb",
-    "j_mean_original",
     "j_value",
     "kernel_residual",
     "laplace_comb",
@@ -93,7 +86,6 @@ __all__ = [
     "mobius",
     "pi_count",
     "pi_from_j",
-    "psi_mean_original",
     "psi_value",
     "r_integral",
     "r_integral_model",
@@ -103,7 +95,6 @@ __all__ = [
     "run_claim",
     "scan_bound",
     "stirling_model",
-    "von_mangoldt",
     "zeta1_count",
     "zeta_prime_real",
     "zeta_real",

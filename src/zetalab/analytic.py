@@ -26,7 +26,6 @@ from .compensated import (
     dd_log,
     dd_mul,
     dd_mul_d,
-    dd_sub,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -218,17 +217,6 @@ def _dd_log_factorial(n: int):
     return _DD_LOGFACT[n]
 
 
-def _dd_stirling_sides(n: int):
-    exact = _dd_log_factorial(n)
-    ln_n = dd_log(float(n))
-    model = dd_mul_d(ln_n, float(n))
-    model = dd_add(model, (-float(n), 0.0))
-    model = dd_add(model, dd_mul_d(ln_n, 0.5))
-    model = dd_add(model, dd_mul_d(LOG_2PI_DD, 0.5))
-    model = dd_add(model, dd_div((1.0, 0.0), (12.0 * n, 0.0)))
-    return exact, model
-
-
 def stirling_model(N: int) -> ModelPair:
     """log N! against N log N - N + (log N)/2 + log(2 pi)/2 + 1/(12 N).
 
@@ -236,19 +224,13 @@ def stirling_model(N: int) -> ModelPair:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    exact_dd, model_dd = _dd_stirling_sides(N)
-    return ModelPair.of(exact_dd[0], model_dd[0], 1.0 / (100.0 * N ** 3))
-
-
-def stirling_residual_accurate(N: int) -> float:
-    """The Stirling residual measured in double-double, before any rounding to
-    64-bit endpoints.  Below N ~ 2000 this agrees with ModelPair.residual; above,
-    the endpoint ulp (~1e-11) swamps the true ~1e-15 gap and this is the only
-    faithful measurement."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    exact_dd, model_dd = _dd_stirling_sides(N)
-    return dd_sub(exact_dd, model_dd)[0]
+    ln_n = dd_log(float(N))
+    model = dd_mul_d(ln_n, float(N))
+    model = dd_add(model, (-float(N), 0.0))
+    model = dd_add(model, dd_mul_d(ln_n, 0.5))
+    model = dd_add(model, dd_mul_d(LOG_2PI_DD, 0.5))
+    model = dd_add(model, dd_div((1.0, 0.0), (12.0 * N, 0.0)))
+    return ModelPair.of(_dd_log_factorial(N)[0], model[0], 1.0 / (100.0 * N ** 3))
 
 
 _HARMONIC: np.ndarray = np.zeros(1, dtype=np.longdouble)
@@ -272,16 +254,3 @@ def harmonic_model(N: int) -> ModelPair:
     model = N * math.log(N) - (1.0 - EULER_GAMMA) * N + 0.5 - 1.0 / (12.0 * N)
     return ModelPair.of(exact, model, 1.0 / N ** 2)
 
-
-def psi_mean_original(x: float) -> float:
-    """Density whose integral is the mean staircase e**x - (1+gamma)x."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return math.exp(x) - (1.0 + EULER_GAMMA)
-
-
-def j_mean_original(x: float) -> float:
-    """e**x/x - (1+gamma)/x; satisfies x * j_mean_original(x) = psi_mean_original(x)."""
-    if x == 0:
-        raise ValueError("x = 0 is singular")
-    return math.exp(x) / x - (1.0 + EULER_GAMMA) / x

@@ -24,7 +24,7 @@ import numpy as np
 from .compensated import KahanSum
 from .sieve import (
     SieveSegment,
-    base_primes,
+    higher_prime_powers,
     int_kth_root_array,
     integer_kth_root,
     iter_segments,
@@ -229,28 +229,13 @@ def psi_value(x: float) -> float:
 def higher_power_jumps(limit: int):
     """Jump table of J's k >= 2 components: (values, weights 1/k, cumulative weights).
 
-    J(x) = pi(x) + H(x) where H steps by 1/k at every p**k <= x with k >= 2.
-    Only primes up to sqrt(limit) can contribute, so the table stays tiny even
-    for limits in the billions.
+    J(x) = pi(x) + H(x) where H steps by 1/k at every p**k <= x with k >= 2,
+    the entries of ``sieve.higher_prime_powers(limit)``.
     """
-    vals = []
-    wts = []
-    for p in base_primes(math.isqrt(limit) if limit >= 4 else 2):
-        p = int(p)
-        v, k = p * p, 2
-        while v <= limit:
-            vals.append(v)
-            wts.append(1.0 / k)
-            if v > limit // p:
-                break
-            v *= p
-            k += 1
-    values = np.array(vals, dtype=np.int64)
-    weights = np.array(wts, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    values, weights = values[order], weights[order]
+    values, _primes, exps = higher_prime_powers(limit)
+    weights = 1.0 / exps
     cum = np.cumsum(weights)
-    for arr in (values, weights, cum):
+    for arr in (weights, cum):
         arr.setflags(write=False)
     return values, weights, cum
 

@@ -5,9 +5,9 @@ convention u(0) = 1: a jump located at x0 is already included in the value at
 x = x0.  That convention makes the staircase of all integers hit exactly n at
 x = log n, so the remainder e**x minus the staircase vanishes on the lattice.
 
-Jump positions are stored both as ordinates a_n and as log a_n.  Queries that
-must land exactly on a lattice point go through the ordinate-domain entry
-points (``r_value_ordinate``), so nothing depends on float rounding of logs.
+Jumps are stored by their ordinates a_n.  Queries that must land exactly on a
+lattice point go through the ordinate-domain entry points
+(``r_value_ordinate``), so nothing depends on float rounding of logs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -45,25 +45,12 @@ Kind = Union[CombKind, ArithmeticKind]
 class StepComb:
     kind: Kind
     values: np.ndarray  # ordinates a_n, strictly ascending
-    jumps: np.ndarray  # log a_n
     weights: np.ndarray
     limit: float  # largest ordinate that was materialised against
-    cum_weights: np.ndarray
-    cum_weight_jumps: np.ndarray  # prefix sums of w_n * log a_n
-    # JCOMB only: per-exponent cumulative jump counts, so evaluation can sum
-    # count_k / k instead of accumulating many rounded 1/k terms
-    k_cum_counts: Optional[np.ndarray] = None  # shape (k_max, n_jumps)
 
     def __post_init__(self):
-        for arr in (self.values, self.jumps, self.weights, self.cum_weights,
-                    self.cum_weight_jumps):
-            arr.setflags(write=False)
-        if self.k_cum_counts is not None:
-            self.k_cum_counts.setflags(write=False)
-
-    @property
-    def max_x(self) -> float:
-        return math.log(self.limit)
+        self.values.setflags(write=False)
+        self.weights.setflags(write=False)
 
 
 def build_comb(kind: Kind, limit: float) -> StepComb:
@@ -76,7 +63,6 @@ def build_comb(kind: Kind, limit: float) -> StepComb:
         n_terms = int(math.floor((limit - kind.start) / kind.stride)) + 1
         values = kind.start + kind.stride * np.arange(n_terms, dtype=np.float64)
         weights = np.ones(n_terms)
-        k_cum = None
     elif kind in (CombKind.ZETA1, CombKind.MCOMB, CombKind.ETA):
         if limit < 1:
             raise ValueError("limit must be >= 1")
@@ -88,7 +74,6 @@ def build_comb(kind: Kind, limit: float) -> StepComb:
             weights = np.log(values)
         else:
             weights = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
-        k_cum = None
     elif kind in (CombKind.JCOMB, CombKind.PSICOMB):
         if limit < 1:
             raise ValueError("limit must be >= 1")
@@ -96,60 +81,19 @@ def build_comb(kind: Kind, limit: float) -> StepComb:
         values = vs.astype(np.float64)
         if kind is CombKind.PSICOMB:
             weights = np.log(ps.astype(np.float64))
-            k_cum = None
         else:
             weights = 1.0 / ks.astype(np.float64)
-            k_max = int(ks.max()) if ks.size else 1
-            k_cum = np.empty((k_max, ks.size), dtype=np.int64)
-            for k in range(1, k_max + 1):
-                k_cum[k - 1] = np.cumsum(ks == k)
     else:
         raise ValueError(f"unknown comb kind {kind!r}")
 
-    jumps = np.log(values)
-    return StepComb(
-        kind=kind,
-        values=values,
-        jumps=jumps,
-        weights=weights,
-        limit=float(limit),
-        cum_weights=np.cumsum(weights),
-        cum_weight_jumps=np.cumsum(weights * jumps),
-        k_cum_counts=k_cum,
-    )
-
-
-def _jump_index(c: StepComb, x: float) -> int:
-    """Number of jumps with position <= x (u(0) = 1 inclusion)."""
-    if x < 0 or x > c.max_x:
-        raise ValueError(f"x={x} outside materialised range [0, {c.max_x}]")
-    return int(np.searchsorted(c.jumps, x, side="right"))
-
-
-def eval_comb(c: StepComb, x: float) -> float:
-    """Sum of weights over jumps at positions <= x."""
-    idx = _jump_index(c, x)
-    if idx == 0:
-        return 0.0
-    if c.k_cum_counts is not None:
-        counts = c.k_cum_counts[:, idx - 1]
-        return float(sum(int(cnt) / k for k, cnt in enumerate(counts, start=1)))
-    return float(c.cum_weights[idx - 1])
-
-
-def integrate_comb(c: StepComb, x: float) -> float:
-    """Exact piecewise-linear integral: sum_n w_n * max(0, x - log a_n)."""
-    idx = _jump_index(c, x)
-    if idx == 0:
-        return 0.0
-    return float(x * c.cum_weights[idx - 1] - c.cum_weight_jumps[idx - 1])
+    return StepComb(kind=kind, values=values, weights=weights, limit=float(limit))
 
 
 def zeta1_count(x: float) -> int:
     """Value of the integer staircase at x: the number of n >= 1 with log n <= x.
 
-    Closed-form evaluation of the ZETA1 comb, consistent with jump positions
-    stored as math.log(n).
+    Closed-form evaluation of the ZETA1 comb, with its jumps placed at
+    math.log(n).
     """
     if x < 0:
         raise ValueError("x must be >= 0")

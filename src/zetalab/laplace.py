@@ -71,15 +71,6 @@ class TransformBracket:
             raise ValueError("no value to test")
         return self.numeric_lo <= v <= self.numeric_hi
 
-    def excess(self, value: Optional[float] = None) -> float:
-        """Distance by which the value escapes the bracket (0 when contained)."""
-        v = self.closed_form if value is None else value
-        if v < self.numeric_lo:
-            return self.numeric_lo - v
-        if v > self.numeric_hi:
-            return v - self.numeric_hi
-        return 0.0
-
 
 def _require_s(s: float) -> None:
     if not s > 1.0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -89,44 +89,34 @@ def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lam_block(lo: int, hi: int, primes: np.ndarray, is_prime: np.ndarray) -> np.ndarray:
-    """von Mangoldt Lambda on [lo, hi]: log p at every prime power p**k."""
+def _lam_block(lo: int, hi: int, powers: Tuple[np.ndarray, ...], is_prime: np.ndarray) -> np.ndarray:
+    """von Mangoldt Lambda on [lo, hi]: log p at every prime power p**k.
+
+    ``powers`` is the ``higher_prime_powers`` table of the whole sweep; its
+    entries inside [lo, hi] get math.log(p).
+    """
     size = hi - lo + 1
     lam = np.zeros(size, dtype=np.float64)
     idx = np.flatnonzero(is_prime)
     if idx.size:
         lam[idx] = np.log(idx + float(lo))
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        logp = math.log(p)
-        pj = p * p
-        while pj <= hi:
-            if pj >= lo:
-                lam[pj - lo] = logp
-            if pj > hi // p:
-                break
-            pj *= p
+    values, primes, _k = powers
+    i0, i1 = np.searchsorted(values, [lo, hi + 1])
+    lam[values[i0:i1] - lo] = [math.log(p) for p in primes[i0:i1].tolist()]
     return lam
 
 
-def iter_segments(
-    lo: int,
-    hi: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT,
-    want_lam: bool = False,
-) -> Iterator[SieveSegment]:
-    """Yield consecutive SieveSegments covering [lo, hi]."""
+def iter_segments(lo: int, hi: int, *, want_lam: bool = False) -> Iterator[SieveSegment]:
+    """Yield consecutive SieveSegments of DEFAULT_SEGMENT integers covering [lo, hi]."""
     _check_range(lo, hi)
     primes = base_primes(math.isqrt(hi) if hi >= 4 else 2)
+    powers = higher_prime_powers(hi) if want_lam else None
     a = lo
     while a <= hi:
-        b = min(a + segment_size - 1, hi)
+        b = min(a + DEFAULT_SEGMENT - 1, hi)
         isp = _primality_block(a, b, primes)
         isp.setflags(write=False)
-        lam = _lam_block(a, b, primes, isp) if want_lam else None
+        lam = _lam_block(a, b, powers, isp) if want_lam else None
         if lam is not None:
             lam.setflags(write=False)
         yield SieveSegment(a, b, isp, lam)
@@ -155,23 +145,31 @@ def mobius(n: int) -> int:
     return result
 
 
-def von_mangoldt(n: int) -> float:
-    """Lambda(n) for a single integer: log p when n is a prime power, else 0."""
-    if n < 1:
-        raise ValueError("von_mangoldt is defined for n >= 1")
-    if n == 1:
-        return 0.0
-    m = n
-    for p in base_primes(math.isqrt(n)):
-        p = int(p)
-        if p * p > m:
+@lru_cache(maxsize=4)
+def higher_prime_powers(limit: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, primes, exponents) int64 arrays of every p**k <= limit with k >= 2, ascending.
+
+    The one walk over the powers of p: Lambda's segments, ``prime_power_arrays``
+    and J's k >= 2 jumps all read this table.  Only primes up to sqrt(limit)
+    contribute, so it stays small (3,689 entries to 1e9).
+    """
+    values, primes, exps = [], [], []
+    ps = base_primes(math.isqrt(max(limit, 0)))
+    vs, k = ps * ps, 2
+    while True:
+        values.append(vs)
+        primes.append(ps)
+        exps.append(np.full(ps.size, k, dtype=np.int64))
+        more = vs <= limit // ps  # p**(k+1) <= limit, without overflowing int64
+        if not more.any():
             break
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return math.log(p) if m == 1 else 0.0
-    # n itself is prime
-    return math.log(n)
+        ps, vs, k = ps[more], vs[more] * ps[more], k + 1
+    values, primes, exps = np.concatenate(values), np.concatenate(primes), np.concatenate(exps)
+    order = np.argsort(values, kind="stable")
+    out = (values[order], primes[order], exps[order])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def prime_power_arrays(limit: float):
@@ -186,26 +184,15 @@ def prime_power_arrays(limit: float):
     prime_chunks = []
     for seg in iter_segments(2, n):
         prime_chunks.append(np.flatnonzero(seg.is_prime).astype(np.int64) + seg.lo)
-    primes = np.concatenate(prime_chunks) if prime_chunks else np.empty(0, np.int64)
-    values = [primes]
-    ps = [primes]
-    ks = [np.ones(primes.size, dtype=np.int64)]
-    for p in primes[primes <= math.isqrt(n)]:
-        p = int(p)
-        v, k = p * p, 2
-        while v <= n:
-            values.append(np.array([v], dtype=np.int64))
-            ps.append(np.array([p], dtype=np.int64))
-            ks.append(np.array([k], dtype=np.int64))
-            if v > n // p:
-                break
-            v *= p
-            k += 1
-    vs = np.concatenate(values)
-    pp = np.concatenate(ps)
-    kk = np.concatenate(ks)
+    primes = np.concatenate(prime_chunks)
+    hv, hp, hk = higher_prime_powers(n)
+    vs = np.concatenate((primes, hv))
     order = np.argsort(vs, kind="stable")
-    return vs[order], pp[order], kk[order]
+    return (
+        vs[order],
+        np.concatenate((primes, hp))[order],
+        np.concatenate((np.ones(primes.size, dtype=np.int64), hk))[order],
+    )
 
 
 def integer_kth_root(n: int, k: int) -> int:

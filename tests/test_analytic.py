@@ -14,13 +14,10 @@ from zetalab.analytic import (
     R_of_s,
     harmonic_model,
     hurwitz_zeta_real,
-    j_mean_original,
     li_pv,
     li_vec,
     lie,
-    psi_mean_original,
     stirling_model,
-    stirling_residual_accurate,
     zeta_prime_real,
     zeta_real,
 )
@@ -236,10 +233,19 @@ def test_stirling_model_examples():
 
 
 def test_stirling_residual_within_tolerance_everywhere():
-    # measured in double-double; the 64-bit endpoint pair cannot resolve the
-    # ~1e-15 true gap once N log N reaches ~1e4 (one ulp there is ~1e-11)
-    for n in range(2, 10_001):
-        assert abs(stirling_residual_accurate(n)) < 1.0 / (100.0 * n**3), n
+    # each 64-bit endpoint is the correctly rounded 40-digit value, and the
+    # 40-digit gap meets the tolerance; the float64 difference itself cannot
+    # resolve the ~1e-15 gap once one ulp of log N! is ~1e-11 (N ~ 1e4)
+    with mpmath.workdps(40):
+        half_log_2pi = mpmath.log(2 * mpmath.pi) / 2
+        log_fact = mpmath.mpf(0)
+        for n in range(2, 10_001):
+            log_n = mpmath.log(n)
+            log_fact += log_n
+            model = n * log_n - n + log_n / 2 + half_log_2pi + mpmath.mpf(1) / (12 * n)
+            pair = stirling_model(n)
+            assert (pair.exact, pair.model) == (float(log_fact), float(model)), n
+            assert abs(log_fact - model) < mpmath.mpf(1) / (100 * n**3), n
 
 
 def test_stirling_float64_pair_on_decade_grid():
@@ -259,18 +265,6 @@ def test_harmonic_model():
         assert abs(p.residual) <= p.tolerance, n
     with pytest.raises(ValueError):
         harmonic_model(1)
-
-
-def test_mean_function_identities():
-    assert psi_mean_original(0.0) == pytest.approx(-EULER_GAMMA, abs=3e-16)
-    assert psi_mean_original(math.log(10.0)) == pytest.approx(10 - 1.5772156649015329, abs=1e-12)
-    assert psi_mean_original(1.0) == pytest.approx(math.e - 1.5772156649015329, abs=1e-14)
-    assert j_mean_original(1.0) == pytest.approx(math.e - (1 + EULER_GAMMA), abs=1e-14)
-    assert j_mean_original(2.0) == pytest.approx((math.e**2 - 1.5772156649015329) / 2, abs=1e-13)
-    for x in [0.25, 1.0, 3.0, 9.9]:
-        assert x * j_mean_original(x) == pytest.approx(psi_mean_original(x), rel=1e-14)
-    with pytest.raises(ValueError):
-        j_mean_original(0.0)
 
 
 def test_li_sqrt_bracket_from_100():

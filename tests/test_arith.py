@@ -17,7 +17,7 @@ from zetalab.arith import (
     step_at,
     step_segments,
 )
-from zetalab.sieve import DEFAULT_SEGMENT, iter_segments
+from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, iter_segments
 
 
 def one_segment(hi: int):
@@ -256,3 +256,17 @@ def test_higher_power_jump_table():
     assert list(vals) == [4, 8, 9, 16, 25, 27, 32, 49, 64, 81]
     assert wts[0] == 0.5 and wts[1] == pytest.approx(1 / 3)
     assert cum[-1] == pytest.approx(np.sum(wts))
+    # to 1e9 the table is the prime-power table, weighted 1/k, and agrees with
+    # a plain walk over p**k in Python integers
+    limit = 10**9
+    vals, wts, cum = higher_power_jumps(limit)
+    assert np.array_equal(vals, higher_prime_powers(limit)[0])
+    walk = sorted(
+        (p**k, k)
+        for p in base_primes(math.isqrt(limit)).tolist()
+        for k in range(2, limit.bit_length())
+        if p**k <= limit
+    )
+    assert vals.tolist() == [v for v, _ in walk]
+    assert wts.tolist() == [1.0 / k for _, k in walk]
+    assert np.array_equal(cum, np.cumsum(wts))

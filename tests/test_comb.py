@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab.arith import j_value
 from zetalab.comb import (
     ArithmeticKind,
     CombKind,
     build_comb,
-    eval_comb,
-    integrate_comb,
     log_factorial,
     r_integral,
     r_integral_model,
@@ -27,9 +26,8 @@ LOG3 = math.log(3.0)
 
 def test_build_staircase():
     c = build_comb(CombKind.ZETA1, 4)
-    assert np.allclose(c.jumps, [0.0, LOG2, LOG3, math.log(4)])
+    assert c.values.tolist() == [1.0, 2.0, 3.0, 4.0]
     assert np.all(c.weights == 1.0)
-    assert np.all(np.diff(c.jumps) > 0)
 
 
 def test_build_prime_power_comb():
@@ -55,65 +53,51 @@ def test_build_validation():
 
 def test_staircase_hits_every_integer_exactly():
     c = build_comb(CombKind.ZETA1, 2000)
+    assert np.array_equal(c.values, np.arange(1.0, 2001.0))
     for n in range(1, 2001):
-        assert eval_comb(c, math.log(n)) == float(n)
         assert zeta1_count(math.log(n)) == n
 
 
 def test_eval_examples():
+    # a comb's value at log a is the sum of its weights at ordinates <= a
     c = build_comb(CombKind.ZETA1, 10)
-    assert eval_comb(c, LOG3) == 3.0
-    assert eval_comb(c, 0.5) == 1.0
+    assert c.weights[c.values <= 3].sum() == 3.0
     p = build_comb(CombKind.PSICOMB, 100)
-    assert eval_comb(p, math.log(10)) == pytest.approx(7.832014180505469, abs=1e-12)
-
-
-def test_eval_out_of_range():
-    c = build_comb(CombKind.ZETA1, 10)
-    with pytest.raises(ValueError):
-        eval_comb(c, math.log(11))
-    with pytest.raises(ValueError):
-        eval_comb(c, -0.1)
+    assert p.weights[p.values <= 10].sum() == pytest.approx(7.832014180505469, abs=1e-12)
 
 
 def test_jcomb_eval_uses_per_k_counts():
+    # per exponent k, the comb holds one weight 1/k for each prime up to the
+    # exact k-th root, as j_value counts them
     c = build_comb(CombKind.JCOMB, 100_000)
-    # value at the top is sum over k of count_k / k with integer counts
-    v = eval_comb(c, c.max_x)
-    counts = [int(arr[-1]) for arr in c.k_cum_counts]
-    assert v == sum(cnt / k for k, cnt in enumerate(counts, start=1))
-
-
-def test_integrate_examples():
-    c = build_comb(CombKind.ZETA1, 10)
-    assert integrate_comb(c, LOG2) == pytest.approx(LOG2, abs=1e-15)
-    assert integrate_comb(c, LOG3) == pytest.approx(2 * LOG3 - LOG2, abs=1e-14)
-    e = build_comb(CombKind.ETA, 10)
-    assert integrate_comb(e, LOG2) == pytest.approx(LOG2, abs=1e-15)
-
-
-def test_integrate_monotone_for_nonnegative_combs():
-    for kind in (CombKind.ZETA1, CombKind.JCOMB, CombKind.PSICOMB, CombKind.MCOMB):
-        c = build_comb(kind, 500)
-        xs = np.linspace(0.0, c.max_x, 400)
-        vals = [integrate_comb(c, float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+    want = j_value(100_000)
+    counts = [int(np.count_nonzero(c.weights == 1.0 / k)) for k in range(1, 20)]
+    assert counts == want.counts_per_k + [0] * (19 - len(want.counts_per_k))
+    assert math.fsum(c.weights) == want.value
 
 
 def test_eta_values_are_zero_or_one():
     e = build_comb(CombKind.ETA, 5000)
-    for x in np.linspace(0.0, e.max_x, 2003):
-        assert eval_comb(e, float(x)) in (0.0, 1.0)
+    assert set(np.cumsum(e.weights).tolist()) == {0.0, 1.0}
+
+
+def brute_lambda(n: int) -> float:
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            while n % d == 0:
+                n //= d
+            return math.log(d) if n == 1 else 0.0
+    return math.log(n) if n > 1 else 0.0
 
 
 def test_eval_against_brute_oracle():
-    rng = np.random.default_rng(7)
+    # the psi comb's jumps are exactly the n with Lambda(n) > 0, weighted Lambda(n)
     c = build_comb(CombKind.PSICOMB, 300)
-    for x in rng.uniform(0.0, c.max_x, 60):
-        brute = sum(w for j, w in zip(c.jumps, c.weights) if j <= x)
-        assert eval_comb(c, float(x)) == pytest.approx(brute, rel=1e-12)
-        brute_int = sum(w * max(0.0, x - j) for j, w in zip(c.jumps, c.weights))
-        assert integrate_comb(c, float(x)) == pytest.approx(brute_int, rel=1e-10, abs=1e-12)
+    table = dict(zip(c.values.tolist(), c.weights.tolist()))
+    brute = {float(n): brute_lambda(n) for n in range(1, 301) if brute_lambda(n) > 0}
+    assert table.keys() == brute.keys()
+    for a, w in brute.items():
+        assert table[a] == pytest.approx(w, rel=1e-15)
 
 
 def test_remainder_lattice_values():

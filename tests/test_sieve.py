@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import sieve
 from zetalab.sieve import (
+    SIEVE_CEILING,
     base_primes,
     int_kth_root_array,
     integer_kth_root,
     iter_segments,
     mobius,
     prime_power_arrays,
-    von_mangoldt,
 )
 
 
@@ -92,9 +93,11 @@ def test_small_segment_primes():
     assert primes == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 
 
-def test_segmentation_is_invisible():
+def test_segmentation_is_invisible(monkeypatch):
     whole = one_segment(0, 65_000)
-    parts = list(iter_segments(0, 65_000, segment_size=7_919, want_lam=True))
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 7_919)
+    parts = list(iter_segments(0, 65_000, want_lam=True))
+    assert len(parts) == 9
     assert np.array_equal(np.concatenate([p.is_prime for p in parts]), whole.is_prime)
     assert np.allclose(np.concatenate([p.lam for p in parts]), whole.lam)
 
@@ -131,13 +134,13 @@ def test_mobius_multiplicative(a, b):
         assert mobius(a * b) == mobius(a) * mobius(b)
 
 
-def test_von_mangoldt_values():
-    assert von_mangoldt(8) == pytest.approx(math.log(2), abs=1e-15)
-    assert von_mangoldt(6) == 0.0
-    assert von_mangoldt(7) == pytest.approx(math.log(7), abs=1e-15)
-    assert von_mangoldt(1) == 0.0
-    with pytest.raises(ValueError):
-        von_mangoldt(0)
+@pytest.mark.parametrize("p", [285343, 287549, 351497, 504631, 664679, 757811, 857953])
+def test_lambda_at_prime_square_is_math_log(p):
+    # primes at which numpy's vectorised log can round log p differently from
+    # math.log; Lambda at a prime power must be math.log(p) bit for bit
+    assert p * p <= SIEVE_CEILING
+    (seg,) = iter_segments(p * p - 1, p * p + 1, want_lam=True)
+    assert seg.lam.tolist() == [0.0, math.log(p), 0.0]
 
 
 def test_lambda_divisor_sum_is_log():
