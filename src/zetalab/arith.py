@@ -141,7 +141,7 @@ def step_at(step: str, xs: np.ndarray) -> np.ndarray:
         if i0 < i1:
             out[order[i0:i1]] = segment_values(base, seg, before, sx[i0:i1] - seg.lo)
     if step == "j":
-        out += j_higher_terms(xs, top)
+        out[order] += j_higher_terms(sx, top)
     return out
 
 
@@ -241,13 +241,20 @@ def higher_power_jumps(limit: int):
 
 
 def j_higher_terms(xs: np.ndarray, limit: int) -> np.ndarray:
-    """H(x) = J(x) - pi(x) for an integer array xs with max <= limit."""
+    """H(x) = J(x) - pi(x) for an ascending integer-valued array xs with max <= limit.
+
+    Only the table entries in (xs[0], xs[-1]] are placed into xs, each at the
+    first x it does not exceed; H is constant between them, so the cumulative
+    weights are spread over xs by ``np.repeat``.  The cost follows len(xs)
+    plus those few entries, and each value is a copy of a ``cum`` entry (or 0).
+    """
     values, _w, cum = higher_power_jumps(limit)
-    idx = np.searchsorted(values, xs, side="right")
-    out = np.zeros(len(xs), dtype=np.float64)
-    nz = idx > 0
-    out[nz] = cum[idx[nz] - 1]
-    return out
+    if len(xs) == 0:
+        return np.zeros(0)
+    i0, i1 = np.searchsorted(values, [int(xs[0]), int(xs[-1])], side="right")
+    pos = np.searchsorted(xs, values[i0:i1])
+    levels = np.concatenate(([cum[i0 - 1] if i0 else 0.0], cum[i0:i1]))
+    return np.repeat(levels, np.diff(pos, prepend=0, append=len(xs)))
 
 
 def pi_from_j_residuals(limit: int) -> np.ndarray:

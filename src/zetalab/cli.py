@@ -142,7 +142,7 @@ def _cmd_scan(args) -> int:
         with sink_ctx as sink:
             report = verify.scan_bound(
                 args.bound, args.lo, args.hi, mode,
-                points=args.points, convention=args.convention, row_sink=sink,
+                points=args.points, convention=args.convention, row_sink=sink, keep_rows=False,
             )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

@@ -115,6 +115,24 @@ class _RowCollector:
                 for x, a, b, m, p in zip(xs, lhs, rhs, margin, ok)
             )
 
+    def add_margins(self, families: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
+        """Summary of one block given as margin families (ascending xs, margins); no rows formed.
+
+        Counts, failures and the minimum are those ``add_block`` gives on the
+        block's rows in any order that is ascending in x: a tie in the minimum
+        goes to the smallest x, the first of the tied rows in that order.
+        """
+        best = None
+        for xs, m in families:
+            self.n_rows += len(m)
+            self.n_failures += len(m) - int(np.count_nonzero(m > 0))
+            if len(m):
+                i = int(np.argmin(m))
+                if best is None or (m[i], xs[i]) < best:
+                    best = (m[i], xs[i])
+        if best is not None and best[0] < self.min_margin:
+            self.min_margin, self.argmin_x = float(best[0]), float(best[1])
+
 
 # ---------------------------------------------------------------------------
 # bound scanners
@@ -125,15 +143,16 @@ class _BoundDef:
     bound_id: str
     statement: str
     step: str  # pi | psi | j
-    two_sided: bool
     min_x: int
     default_lo: float
     default_hi: float
     default_mode: str
-    # smooth(xs), upper(xs) and lower(xs) receive float arrays
+    # smooth(xs) receives a float array
     smooth: Callable[[np.ndarray], np.ndarray]
-    upper: Callable[[np.ndarray], np.ndarray]
-    lower: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # the bounds are c sqrt(x)/log x, or c sqrt(x) when per_log is false
+    upper: float
+    lower: Optional[float] = None
+    per_log: bool = True
     # named alternatives to `smooth`, chosen by scan_bound's `convention`
     conventions: Dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
@@ -166,13 +185,12 @@ _register_bound(
         bound_id="B1",
         statement="|J(x) - li(x)| < 3 sqrt(x)/log x beyond x = e**12",
         step="j",
-        two_sided=False,
         min_x=2,
         default_lo=_E12,
         default_hi=1e8,
         default_mode="every_jump",
         smooth=_li_arr,
-        upper=lambda xs: 3.0 * np.sqrt(xs) / np.log(xs),
+        upper=3.0,
     )
 )
 _register_bound(
@@ -180,14 +198,13 @@ _register_bound(
         bound_id="B2",
         statement="-5 sqrt(x)/log x < pi(x) - li(x) < 2 sqrt(x)/log x",
         step="pi",
-        two_sided=True,
         min_x=2,
         default_lo=2.0,
         default_hi=1e7,
         default_mode="every_integer",
         smooth=_li_arr,
-        upper=lambda xs: 2.0 * np.sqrt(xs) / np.log(xs),
-        lower=lambda xs: -5.0 * np.sqrt(xs) / np.log(xs),
+        upper=2.0,
+        lower=-5.0,
     )
 )
 _register_bound(
@@ -195,13 +212,13 @@ _register_bound(
         bound_id="B3",
         statement="|psi(x) - x| < 2 sqrt(x)",
         step="psi",
-        two_sided=False,
         min_x=1,
         default_lo=1.0,
         default_hi=1e7,
         default_mode="every_integer",
         smooth=lambda xs: xs,
-        upper=lambda xs: 2.0 * np.sqrt(xs),
+        upper=2.0,
+        per_log=False,
     )
 )
 _register_bound(
@@ -209,16 +226,26 @@ _register_bound(
         bound_id="B4",
         statement="|J(x) - (li(x) - li(2))| < 0.7 sqrt(x)/log x",
         step="j",
-        two_sided=False,
         min_x=2,
         default_lo=2.0,
         default_hi=1e7,
         default_mode="every_integer",
         smooth=_li_offset_arr,
-        upper=lambda xs: 0.7 * np.sqrt(xs) / np.log(xs),
+        upper=0.7,
         conventions={"offset": _li_offset_arr, "li": _li_arr},
     )
 )
+
+
+def _bound_sides(bdef: _BoundDef, sqrt_x: np.ndarray, log_x: Optional[np.ndarray]):
+    """Upper and lower bound (None if one-sided) from sqrt(x) and log x (read only if per_log)."""
+    sides = []
+    for c in (bdef.upper, bdef.lower):
+        side = None if c is None else c * sqrt_x
+        if side is not None and bdef.per_log:
+            side /= log_x  # c * sqrt(x) / log(x), in that order
+        sides.append(side)
+    return sides
 
 
 def _emit_bound_rows(
@@ -230,57 +257,41 @@ def _emit_bound_rows(
     jump_mask: Optional[np.ndarray],
     smooth: np.ndarray,
 ) -> None:
-    """Rows for one block of abscissae, in ascending-x order.
+    """Rows for one block of ascending abscissae.
 
-    At a jump the left-limit rows precede the value rows for the same x; for a
-    two-sided bound each evaluation yields a lower row (lhs = lower bound,
-    rhs = value) and then an upper row (lhs = value, rhs = upper bound).
+    Each margin family is formed once: value (right-limit) rows at every x,
+    left-limit rows at the jumps only, and for a two-sided bound a lower row
+    (lhs = lower bound, rhs = value) and an upper row (lhs = value, rhs =
+    upper bound) per evaluation.  A collector with no sink and no kept rows
+    takes the families' margins directly and no row is formed.  Otherwise the
+    rows are interleaved in ascending-x order; at a jump the left-limit rows
+    precede the value rows for the same x, and a lower row its upper row.
     """
-    up = bdef.upper(xs)
-    n = len(xs)
-    has_jumps = jump_mask is not None and left is not None and bool(jump_mask.any())
-    per = 2 if bdef.two_sided else 1
-
-    if not bdef.two_sided:
-        vals_r = np.abs(right - smooth)
-        vals_l = np.abs(left - smooth) if has_jumps else None
-    else:
-        lo = bdef.lower(xs)
-        vals_r = right - smooth
-        vals_l = (left - smooth) if has_jumps else None
-
-    if not has_jumps:
-        if bdef.two_sided:
-            x2 = np.repeat(xs, 2)
-            a = np.empty(2 * n)
-            b = np.empty(2 * n)
-            a[0::2], b[0::2] = lo, vals_r  # lower bound < value
-            a[1::2], b[1::2] = vals_r, up  # value < upper bound
-            col.add_block(x2, a, b)
+    up, lo = _bound_sides(bdef, np.sqrt(xs), np.log(xs) if bdef.per_log else None)
+    evals = [(slice(None), right)]  # (selection of xs, step values), in row order at an x
+    if jump_mask is not None and left is not None and jump_mask.any():
+        j = np.flatnonzero(jump_mask)
+        evals.insert(0, (j, left[j]))
+    fams = []  # (x, lhs, rhs) per family
+    for sel, v in evals:
+        d = v - smooth[sel]
+        if lo is None:
+            fams.append((xs[sel], np.abs(d, out=d), up[sel]))
         else:
-            col.add_block(xs, vals_r, up)
+            fams += [(xs[sel], lo[sel], d), (xs[sel], d, up[sel])]
+    if col.sink is None and not col.keep:
+        # each lhs is a temporary that no later family reads, so its margin overwrites it
+        col.add_margins([(x, np.subtract(b, a, out=a)) for x, a, b in fams])
         return
 
-    slots = per * (1 + jump_mask.astype(np.int64))
-    ends = np.cumsum(slots)
-    total = int(ends[-1])
-    X = np.empty(total)
-    A = np.empty(total)
-    B = np.empty(total)
-    pos_r = ends - per  # first right-row slot per x; left rows sit just before
-    pos_l = pos_r[jump_mask] - per
-    if bdef.two_sided:
-        for pos, vals, sel in (
-            (pos_l, vals_l[jump_mask], jump_mask),
-            (pos_r, vals_r, slice(None)),
-        ):
-            X[pos] = xs[sel]
-            A[pos], B[pos] = lo[sel], vals
-            X[pos + 1] = xs[sel]
-            A[pos + 1], B[pos + 1] = vals, up[sel]
-    else:
-        X[pos_r], A[pos_r], B[pos_r] = xs, vals_r, up
-        X[pos_l], A[pos_l], B[pos_l] = xs[jump_mask], vals_l[jump_mask], up[jump_mask]
+    per = len(fams) // len(evals)
+    ends = np.cumsum(per * (1 + jump_mask) if len(evals) == 2 else np.full(len(xs), per))
+    X, A, B = (np.empty(int(ends[-1])) for _ in range(3))
+    pos_r = ends - per  # first value-row slot per x; left rows sit just before
+    starts = [pos_r[j] - per, pos_r] if len(evals) == 2 else [pos_r]
+    for k, (x, a, b) in enumerate(fams):
+        pos = starts[k // per] + k % per
+        X[pos], A[pos], B[pos] = x, a, b
     col.add_block(X, A, B)
 
 
@@ -295,8 +306,10 @@ def _li_grid(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return a, analytic.li_vec(a)
 
 
-def _li_bounds(x: np.ndarray, a: np.ndarray, li_a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """lo, hi with lo <= li(x) <= hi, for ascending x in the blocks of the grid a, li_a = li(a).
+def _li_bounds(
+    x: np.ndarray, log_x: np.ndarray, a: np.ndarray, li_a: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """lo, hi with lo <= li(x) <= hi for ascending x (log_x = log x), from the grid a, li_a = li(a).
 
     li is increasing and concave for x > 1 (li' = 1/log), so for x = a + h in
     the block that starts at a, li(a) + h/log(a + h) <= li(x) <= li(a) + h/log a.
@@ -307,7 +320,7 @@ def _li_bounds(x: np.ndarray, a: np.ndarray, li_a: np.ndarray) -> Tuple[np.ndarr
     counts = np.diff(np.searchsorted(x, a[1:]), prepend=0, append=x.size)
     h = x - np.repeat(a, counts)
     base = np.repeat(li_a, counts)
-    lo = h / np.log(x)
+    lo = h / log_x
     lo += base
     h /= np.repeat(np.log(a), counts)
     h += base
@@ -346,9 +359,10 @@ def _emit_decided_rows(
     m_lo + w of the rows in its chunk and the segment's earlier chunks (a row
     may be, or tie with, the minimum).  Every other row passes and has a margin above some other
     row's, so it is only counted.  li_vec is pointwise, so the exact rows
-    have the bits of a full scan and reach the collector in the same order:
-    n_failures, min_margin and argmin_x (the first of ties) are those of a
-    full scan.
+    have the bits of a full scan, and the collector takes the first of ties
+    in ascending x: n_failures, min_margin and argmin_x are those of a full
+    scan.  Each chunk takes log x and sqrt x once, for the li interval and
+    the bounds alike.
     """
     grid = _li_grid(xs)
     sel = []
@@ -356,11 +370,11 @@ def _emit_decided_rows(
     for c0 in range(0, xs.size, _DECIDE_CHUNK):
         c = slice(c0, c0 + _DECIDE_CHUNK)
         x, v, jm = xs[c], right[c], jump_mask[c]
-        s_lo, s_hi = _li_bounds(x, *grid)
+        log_x = np.log(x)
+        s_lo, s_hi = _li_bounds(x, log_x, *grid)
         s_lo -= shift
         s_hi -= shift
-        up = bdef.upper(x)
-        lo = bdef.lower(x) if bdef.two_sided else None
+        up, lo = _bound_sides(bdef, np.sqrt(x), log_x)
         m_lo = _margin_floor(v, s_lo, s_hi, up, lo)
         j = np.flatnonzero(jm)
         if j.size:
@@ -378,7 +392,7 @@ def _emit_decided_rows(
     if xs_s.size:
         _emit_bound_rows(bdef, col, xs_s, right[sel], left[sel], jump_mask[sel], smooth(xs_s))
     skipped = xs.size - sel.size + int(np.count_nonzero(jump_mask)) - int(np.count_nonzero(jump_mask[sel]))
-    col.n_rows += (2 if bdef.two_sided else 1) * skipped
+    col.n_rows += (1 if bdef.lower is None else 2) * skipped
 
 
 def _margin_floor(v, s_lo, s_hi, up, lo) -> np.ndarray:
@@ -395,9 +409,10 @@ def _scan_stream(
 
     every_integer forms the step's values at all integers of a segment;
     every_jump finds the jump offsets first and forms values, weights and
-    J's k >= 2 terms at those offsets only.  A scan that keeps no rows and
-    has an li smooth side forms rows only where ``_emit_decided_rows``
-    cannot decide them from li intervals.
+    J's k >= 2 terms at those offsets only.  A scan with no sink that keeps
+    no rows forms no rows: ``_emit_bound_rows`` hands its margins straight to
+    the summary, and with an li smooth side li is exact only at the abscissae
+    ``_emit_decided_rows`` cannot decide from li intervals.
     """
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
@@ -425,24 +440,23 @@ def _scan_stream(
                 offs, wts = offs[order], np.concatenate((wts, hp_w))[order]
             right = arith.segment_values(base, seg, before, offs + (a - seg.lo), nonzero=nz)
             jump_mask = np.ones(offs.size, dtype=bool)
+            xs = offs + float(a)
         else:
-            offs = np.arange(seg.hi - a + 1, dtype=np.int64)
             right = arith.segment_values(base, seg, before)[a - seg.lo :]
             if base == "pi":
                 wts = wts.astype(np.float64)
             if bdef.step == "j":
                 wts[hp_offs] += hp_w
             jump_mask = wts > 0
-        if len(offs):
-            xs_i = offs + a
-            right = right.astype(np.float64)
+            xs = np.arange(a, seg.hi + 1, dtype=np.float64)
+        if len(xs):
+            right = right.astype(np.float64, copy=False)
             if bdef.step == "j":
-                right += arith.j_higher_terms(xs_i, hi_i)
-            xs_f = xs_i.astype(np.float64)
+                right += arith.j_higher_terms(xs, hi_i)
             if decide:
-                _emit_decided_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth, shift)
+                _emit_decided_rows(bdef, col, xs, right, right - wts, jump_mask, smooth, shift)
             else:
-                _emit_bound_rows(bdef, col, xs_f, right, right - wts, jump_mask, smooth(xs_f))
+                _emit_bound_rows(bdef, col, xs, right, right - wts, jump_mask, smooth(xs))
 
 
 def _scan_log_grid(

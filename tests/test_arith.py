@@ -201,6 +201,44 @@ def test_step_at_sparse_points_match_the_oracle():
             assert np.array_equal(step_at(step, xs), alone), (step, xs)
 
 
+def test_j_higher_terms_one_pass_is_the_per_point_search():
+    import _oracle as oracle
+    from zetalab.arith import j_higher_terms
+
+    limit = B + 200_000
+    values, _w, cum = higher_power_jumps(limit)
+
+    def per_point(xs):  # one binary search per x, as J's k >= 2 terms were first read
+        idx = np.searchsorted(values, xs, side="right")
+        out = np.zeros(len(xs), dtype=np.float64)
+        nz = idx > 0
+        out[nz] = cum[idx[nz] - 1]
+        return out
+
+    rng = np.random.default_rng(43)
+    at_powers = np.sort(np.concatenate([values[:50], values[:50] - 1, values[-5:], values[-5:] - 1]))
+    scattered = np.sort(rng.integers(0, limit + 1, 20_000))
+    cases = [
+        np.array([], dtype=np.int64),
+        np.arange(4),  # below the first k >= 2 jump, at 4
+        np.array([0, 0, 3, 4, 4, 7, 8, 8, 9, 9, 9]),  # repeats, at and just below powers
+        np.array([4, 4, 5, 7, 8]),  # starts exactly at the first power
+        at_powers,  # every x exactly at p**k or p**k - 1, some twice (8 = 9 - 1)
+        np.arange(B - 3000, B + 3000),  # across 2**20
+        scattered,
+        np.array([limit]),
+    ]
+    for xs in cases:
+        for arr in (xs.astype(np.int64), xs.astype(np.float64)):
+            got = j_higher_terms(arr, limit)
+            assert got.dtype == np.float64 and got.tobytes() == per_point(arr).tobytes(), xs[:5]
+    # step_at hands the terms its sorted points and scatters them back
+    pts = rng.permutation(np.concatenate([at_powers, scattered[:2000], np.arange(4)]))
+    flags = np.concatenate([f for _, f in oracle.prime_segments(limit)])
+    want = np.cumsum(flags)[pts] + oracle._HigherTerms(limit)(pts)
+    assert np.array_equal(step_at("j", pts), want)
+
+
 def test_psi_value_examples():
     assert psi_value(10) == pytest.approx(7.832014180505469, abs=1e-12)
     assert psi_value(20) == pytest.approx(19.265658314547978, abs=1e-12)

@@ -275,10 +275,12 @@ def _counting_li(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["every_integer", "every_jump", "log_grid"])
-@pytest.mark.parametrize("bound_id,convention", [("B1", None), ("B2", None), ("B4", None), ("B4", "li")])
+@pytest.mark.parametrize(
+    "bound_id,convention", [("B1", None), ("B2", None), ("B3", None), ("B4", None), ("B4", "li")]
+)
 def test_summary_scan_is_the_kept_rows_scan(monkeypatch, bound_id, convention, mode):
-    # summary-only scans decide most rows from li intervals; their summary
-    # must still be bit for bit that of the scan that forms every row
+    # summary-only scans form no rows and decide most li rows from intervals;
+    # their summary must still be bit for bit that of the scan that forms every row
     seg0 = 1 << 20
     rng = np.random.default_rng([ord(c) for c in bound_id + str(convention) + mode])
     ranges = [(2, 70_000)]  # B4's failure clusters and the small-x rows
@@ -292,6 +294,66 @@ def test_summary_scan_is_the_kept_rows_scan(monkeypatch, bound_id, convention, m
         assert _summary(summary) == _summary(kept), (lo, hi)
         if mode != "log_grid":  # li exact at a small share of the abscissae only
             assert points[0] < 0.2 * len({r[0] for r in kept.rows}), (lo, hi, points[0])
+
+
+@pytest.mark.parametrize("mode", ["every_integer", "every_jump", "log_grid"])
+def test_summary_scans_form_no_rows(monkeypatch, mode):
+    from zetalab import verify
+
+    def no_rows(self, xs, lhs, rhs):
+        raise AssertionError("a summary-only scan formed rows")
+
+    monkeypatch.setattr(verify._RowCollector, "add_block", no_rows)
+    for bound_id, convention in (("B1", None), ("B2", None), ("B3", None), ("B4", None), ("B4", "li")):
+        rep = scan_bound(bound_id, 2, 1.1e6, mode, points=2000, convention=convention, keep_rows=False)
+        assert rep.n_rows > 0 and rep.rows is None, bound_id
+        assert math.isfinite(rep.min_margin) and math.isfinite(rep.argmin_x), bound_id
+
+
+def _interleaved(families):
+    """The rows of margin families in ascending-x order, families in slot order at an x."""
+    rows = sorted((x, k, m) for k, (xs, ms) in enumerate(families) for x, m in zip(xs, ms))
+    return np.array([r[0] for r in rows]), np.array([r[2] for r in rows])
+
+
+def _collector_summary(col):
+    return col.n_rows, col.n_failures, col.min_margin.hex(), col.argmin_x.hex()
+
+
+def test_margin_families_summarise_as_their_interleaved_rows():
+    from zetalab.verify import _RowCollector
+
+    # two-sided rows: left-limit lower, left-limit upper, value lower, value upper;
+    # the minimum -2 ties across families, at a smaller x in a later family
+    left_x = np.array([5.0, 9.0])
+    right_x = np.array([3.0, 5.0, 7.0, 9.0])
+    blocks = [
+        [(left_x, np.array([1.0, -2.0])), (left_x, np.array([4.0, 0.5])),
+         (right_x, np.array([3.0, 0.0, 2.0, -2.0])), (right_x, np.array([1.0, -2.0, 6.0, -1.0]))],
+        # a one-sided block: left (jumps) and value rows; -0.0 at x = 8 ties 0.0 at x = 6
+        [(np.array([8.0]), np.array([-0.0])), (np.array([6.0, 8.0]), np.array([0.0, 3.0]))],
+    ]
+    rng = np.random.default_rng(47)
+    for _ in range(200):  # few distinct small margins, so ties across families abound
+        xs = np.sort(rng.choice(np.arange(2.0, 40.0), 12, replace=False))
+        jumps = np.sort(rng.choice(xs, 5, replace=False))
+        blocks.append([(x, rng.integers(-2, 3, x.size) / 2.0) for x in (jumps, jumps, xs, xs)])
+    running_m, running_i = _RowCollector(None, False), _RowCollector(None, False)
+    for fams in blocks:
+        by_margins, by_rows = _RowCollector(None, False), _RowCollector(None, False)
+        x, m = _interleaved(fams)
+        by_margins.add_margins(fams)
+        by_rows.add_block(x, np.zeros_like(m), m)
+        assert _collector_summary(by_margins) == _collector_summary(by_rows), fams
+        running_m.add_margins(fams)
+        running_i.add_block(x, np.zeros_like(m), m)
+        assert _collector_summary(running_m) == _collector_summary(running_i)
+    first = _RowCollector(None, False)
+    first.add_margins(blocks[0])
+    assert (first.n_failures, first.min_margin, first.argmin_x) == (5, -2.0, 5.0)
+    second = _RowCollector(None, False)
+    second.add_margins(blocks[1])
+    assert second.min_margin.hex() == "0x0.0p+0" and second.argmin_x == 6.0
 
 
 def test_summary_b4_scan_evaluates_li_at_under_one_percent_of_abscissae(monkeypatch):
@@ -308,7 +370,7 @@ def test_li_interval_holds_on_a_million_rows():
     starts = np.concatenate([[2.0], np.exp(rng.uniform(math.log(2.0), math.log(1e12), 15))])
     for a0 in np.floor(starts):
         xs = np.sort(rng.integers(a0, a0 + (1 << 20), 1 << 16)).astype(np.float64)
-        lo, hi = verify._li_bounds(xs, *verify._li_grid(xs))
+        lo, hi = verify._li_bounds(xs, np.log(xs), *verify._li_grid(xs))
         li = analytic.li_vec(xs)
         slack = verify._slack(np.abs(hi))
         assert np.all(lo - slack <= li), a0
