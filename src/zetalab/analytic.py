@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .compensated import (
     LOG_2PI_DD,
+    SPLITTER,
     dd_add,
     dd_div,
     dd_log,
-    dd_mul,
     dd_mul_d,
 )
 
@@ -34,6 +35,8 @@ EULER_GAMMA = 0.5772156649015329
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
 _EM_CUTOFF = 20  # direct-sum length before the Euler-Maclaurin tail, for s >= 1.1
 _LI_VEC_BLOCK = 1 << 15  # points per li_vec block, so that its work arrays fit in L2
+# the largest log x at which li_series_terms finishes; one ulp more and it never does
+LI_SERIES_LOG_MAX = 695.2588015446954
 
 
 @dataclass(frozen=True)
@@ -111,39 +114,175 @@ def zeta_prime_real(s: float) -> float:
 def li_series_terms(log_x: float) -> float:
     """sum_{k>=1} (log x)**k / (k * k!), the shared tail of li and lie.
 
+    Domain: |log x| <= LI_SERIES_LOG_MAX, which the callers check.  Past it a
+    term exceeds ~1.3e300, the Dekker split of the next product overflows to
+    NaN, and the stopping test below never holds.  ``lie`` memoises what it
+    asks of this series; ``li_pv`` does not.
+
     The term recursion runs in double-double: sixty plain-float multiplies
     drift by ~1e-7 absolute near log x = 20, which would drown the constant
     that separates lie from the growth integral.  Truncation waits for a term
     below 1e-17 of the sum, under the 64-bit representability floor, so the
     geometric tail left behind is ulp-sized.
+
+    Step k is ``term = dd_mul(term, dd_div((log_x, 0), (k, 0)))``, then
+    ``contrib = dd_div(term, (k, 0))`` and ``acc = dd_add(acc, contrib)``, with
+    the ``compensated`` helpers inlined into one loop over local floats: the
+    same IEEE operations in the same order, so the same bits.  The only ones
+    left out add or multiply a zero (the low part of (k, 0), the zero low part
+    of (log_x, 0) and of the third quotient, and k's Dekker split, which is
+    exact for k < 2**26): they can change the sign of a zero but no other value.
     """
-    term = (1.0, 0.0)
-    acc = (0.0, 0.0)
+    x = log_x
+    abs_x = abs(x)
+    th, tl = 1.0, 0.0  # term
+    ah, al = 0.0, 0.0  # acc
     k = 0
     while True:
         k += 1
-        term = dd_mul(term, dd_div((log_x, 0.0), (float(k), 0.0)))
-        contrib = dd_div(term, (float(k), 0.0))
-        acc = dd_add(acc, contrib)
-        if abs(contrib[0]) < 1e-17 * max(1.0, abs(acc[0])) and k > abs(log_x):
-            return acc[0]
+        kf = float(k)
+        # q = (x, 0) / (k, 0): the quotient q1, corrected twice by the remainder
+        q1 = x / kf
+        p = kf * q1
+        t = SPLITTER * q1
+        bh = t - (t - q1)
+        e = (kf * bh - p) + kf * (q1 - bh)
+        m0 = p + e
+        m1 = e - (m0 - p)
+        s1 = x - m0
+        bb = s1 - x
+        s2 = ((x - (s1 - bb)) + (-m0 - bb)) - m1
+        u = s1 + s2
+        s2 = s2 - (u - s1)
+        r0 = u + s2
+        r1 = s2 - (r0 - u)
+        q2 = r0 / kf
+        p = kf * q2
+        t = SPLITTER * q2
+        bh = t - (t - q2)
+        e = (kf * bh - p) + kf * (q2 - bh)
+        m0 = p + e
+        m1 = e - (m0 - p)
+        s1 = r0 - m0
+        bb = s1 - r0
+        s2 = (r0 - (s1 - bb)) + (-m0 - bb)
+        t1 = r1 - m1
+        bb = t1 - r1
+        t2 = (r1 - (t1 - bb)) + (-m1 - bb)
+        s2 += t1
+        u = s1 + s2
+        s2 = s2 - (u - s1) + t2
+        q3 = (u + s2) / kf
+        s = q1 + q2
+        e = q2 - (s - q1)
+        s1 = s + q3
+        bb = s1 - s
+        s2 = ((s - (s1 - bb)) + (q3 - bb)) + e
+        u = s1 + s2
+        s2 = s2 - (u - s1)
+        qh = u + s2
+        ql = s2 - (qh - u)
+        # term = term * q
+        p = th * qh
+        t = SPLITTER * th
+        xh = t - (t - th)
+        xl = th - xh
+        t = SPLITTER * qh
+        bh = t - (t - qh)
+        bl = qh - bh
+        e = ((xh * bh - p) + xh * bl + xl * bh) + xl * bl
+        e += th * ql + tl * qh
+        th = p + e
+        tl = e - (th - p)
+        # contrib = term / (k, 0), as q above with the low part tl
+        q1 = th / kf
+        p = kf * q1
+        t = SPLITTER * q1
+        bh = t - (t - q1)
+        e = (kf * bh - p) + kf * (q1 - bh)
+        m0 = p + e
+        m1 = e - (m0 - p)
+        s1 = th - m0
+        bb = s1 - th
+        s2 = (th - (s1 - bb)) + (-m0 - bb)
+        t1 = tl - m1
+        bb = t1 - tl
+        t2 = (tl - (t1 - bb)) + (-m1 - bb)
+        s2 += t1
+        u = s1 + s2
+        s2 = s2 - (u - s1) + t2
+        r0 = u + s2
+        r1 = s2 - (r0 - u)
+        q2 = r0 / kf
+        p = kf * q2
+        t = SPLITTER * q2
+        bh = t - (t - q2)
+        e = (kf * bh - p) + kf * (q2 - bh)
+        m0 = p + e
+        m1 = e - (m0 - p)
+        s1 = r0 - m0
+        bb = s1 - r0
+        s2 = (r0 - (s1 - bb)) + (-m0 - bb)
+        t1 = r1 - m1
+        bb = t1 - r1
+        t2 = (r1 - (t1 - bb)) + (-m1 - bb)
+        s2 += t1
+        u = s1 + s2
+        s2 = s2 - (u - s1) + t2
+        q3 = (u + s2) / kf
+        s = q1 + q2
+        e = q2 - (s - q1)
+        s1 = s + q3
+        bb = s1 - s
+        s2 = ((s - (s1 - bb)) + (q3 - bb)) + e
+        u = s1 + s2
+        s2 = s2 - (u - s1)
+        ch = u + s2
+        cl = s2 - (ch - u)
+        # acc = acc + contrib
+        s1 = ah + ch
+        bb = s1 - ah
+        s2 = (ah - (s1 - bb)) + (ch - bb)
+        t1 = al + cl
+        bb = t1 - al
+        t2 = (al - (t1 - bb)) + (cl - bb)
+        s2 += t1
+        u = s1 + s2
+        s2 = s2 - (u - s1) + t2
+        ah = u + s2
+        al = s2 - (ah - u)
+        if k > abs_x and abs(ch) < 1e-17 * max(1.0, abs(ah)):
+            return ah
 
 
 def li_pv(x: float) -> float:
     """Principal-value logarithmic integral, from the classical series.
 
-    li(x) = gamma + log|log x| + sum_k (log x)**k / (k * k!), valid for x > 1.
+    li(x) = gamma + log|log x| + sum_k (log x)**k / (k * k!), valid for
+    1 < x <= e**LI_SERIES_LOG_MAX (about 8.85e301); any other x raises.
     """
     if not x > 1.0:
         raise ValueError("li_pv requires x > 1")
     lx = math.log(x)
+    if not lx <= LI_SERIES_LOG_MAX:
+        raise ValueError(
+            f"li_pv requires log x <= {LI_SERIES_LOG_MAX!r} (x <= ~8.85e301), got x={x!r}"
+        )
     return EULER_GAMMA + math.log(abs(lx)) + li_series_terms(lx)
 
 
+@lru_cache(maxsize=1024)
 def lie(x: float) -> float:
-    """li evaluated at e**x: gamma + log x + sum_k x**k / (k * k!), for x > 0."""
-    if not x > 0.0:
-        raise ValueError("lie requires x > 0")
+    """li evaluated at e**x: gamma + log x + sum_k x**k / (k * k!).
+
+    Domain: 0 < x <= LI_SERIES_LOG_MAX; any other x raises ValueError (never
+    cached).  Values are memoised (the 1024 most recent x) because scipy's
+    quad asks for the same nodes again and again: the five s of C6's grid
+    integrate over one interval with one set of breakpoints, and their 3717
+    integrand calls hold 777 distinct x.
+    """
+    if not 0.0 < x <= LI_SERIES_LOG_MAX:
+        raise ValueError(f"lie requires 0 < x <= {LI_SERIES_LOG_MAX!r}, got x={x!r}")
     return EULER_GAMMA + math.log(x) + li_series_terms(x)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
+SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 
 # hi/lo decompositions of constants needed beyond 53-bit precision
 LN2_DD = (0.6931471805599453, 2.3190468138462996e-17)
@@ -55,10 +55,10 @@ def _quick_two_sum(a: float, b: float):
 def two_prod(a: float, b: float):
     """Error-free product via Dekker splitting: a*b = p + e exactly."""
     p = a * b
-    t = _SPLITTER * a
+    t = SPLITTER * a
     ah = t - (t - a)
     al = a - ah
-    t = _SPLITTER * b
+    t = SPLITTER * b
     bh = t - (t - b)
     bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl

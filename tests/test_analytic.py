@@ -1,6 +1,7 @@
 """Series-defined quantities against quadrature and brute-series oracles."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
-from zetalab import analytic
+from zetalab import analytic, compensated, laplace, verify
 from zetalab.analytic import (
     EULER_GAMMA,
     R_of_s,
@@ -71,6 +72,101 @@ def test_lie_is_li_of_exp():
     assert lie(math.log(100.0)) == pytest.approx(li_pv(100.0), abs=1e-10)
     with pytest.raises(ValueError):
         lie(0.0)
+
+
+def _dd_li_series_terms(log_x: float) -> float:
+    """The series as a composition of the compensated helpers, the reference for the fused loop."""
+    dd_add, dd_div, dd_mul = compensated.dd_add, compensated.dd_div, compensated.dd_mul
+    term = (1.0, 0.0)
+    acc = (0.0, 0.0)
+    k = 0
+    while True:
+        k += 1
+        term = dd_mul(term, dd_div((log_x, 0.0), (float(k), 0.0)))
+        contrib = dd_div(term, (float(k), 0.0))
+        acc = dd_add(acc, contrib)
+        if abs(contrib[0]) < 1e-17 * max(1.0, abs(acc[0])) and k > abs(log_x):
+            return acc[0]
+
+
+def test_fused_li_series_has_the_bits_of_the_double_double_composition(monkeypatch):
+    seen = []
+    fused = analytic.li_series_terms
+
+    def record(log_x):
+        seen.append(log_x)
+        return fused(log_x)
+
+    monkeypatch.setattr(analytic, "li_series_terms", record)
+    analytic.lie.cache_clear()
+    verify.run_all()
+    monkeypatch.undo()
+    assert len(seen) > 1000  # C6's quadrature nodes and C14's li_pv arguments
+    edge = analytic.LI_SERIES_LOG_MAX
+    rng = np.random.default_rng(20260918)
+    spread = np.exp(rng.uniform(math.log(1e-12), math.log(edge), 20000)).tolist()
+    for lx in seen + spread + [1e-12, 1.0, 2.0, 40.0, edge]:
+        want = struct.pack("d", _dd_li_series_terms(lx))
+        assert struct.pack("d", fused(lx)) == want, lx
+
+
+def test_lie_and_li_against_30_digit_mpmath():
+    # 400 log-spaced points from 1e-12 to the domain edge; li is taken at e**x.
+    # The measured worst error is 2.4e-16 of max(1, |value|) (relative error is
+    # meaningless at li's zero near 1.451), so 3e-16 bounds it with no slack to hide a drift.
+    edge = analytic.LI_SERIES_LOG_MAX
+    grid = np.exp(np.linspace(math.log(1e-12), math.log(edge), 400)).tolist()[:-1] + [edge]
+    with mpmath.workdps(30):
+        for x in grid:
+            exact = mpmath.ei(x)
+            assert abs(lie(x) - exact) <= 3e-16 * max(1, abs(exact)), x
+            y = math.exp(x)
+            if y > 1.0 and math.log(y) <= edge:
+                exact = mpmath.li(y)
+                assert abs(li_pv(y) - exact) <= 3e-16 * max(1, abs(exact)), y
+
+
+def test_lie_memo_evaluates_each_c6_node_once(monkeypatch):
+    evaluations, calls = [0], [0]
+    series, cached = analytic.li_series_terms, laplace.lie
+
+    def count_series(log_x):
+        evaluations[0] += 1
+        return series(log_x)
+
+    def count_calls(x):
+        calls[0] += 1
+        return cached(x)
+
+    monkeypatch.setattr(analytic, "li_series_terms", count_series)
+    monkeypatch.setattr(laplace, "lie", count_calls)
+    analytic.lie.cache_clear()
+    assert verify.run_claim("C6").passed
+    # five s values over one interval with one set of breakpoints: quad asks
+    # for 777 distinct nodes in 3717 integrand calls
+    assert (calls[0], evaluations[0]) == (3717, 777)
+    for _ in range(2):  # a raise is never cached
+        with pytest.raises(ValueError):
+            lie(0.0)
+    assert evaluations[0] == 777
+
+
+def test_series_outside_its_domain_raises(monkeypatch):
+    edge = analytic.LI_SERIES_LOG_MAX
+    assert math.isfinite(lie(edge))
+    assert math.isfinite(li_pv(8.8e301))
+
+    def never_stops(log_x):
+        raise AssertionError(f"the series was asked for log x = {log_x!r}, where it never stops")
+
+    monkeypatch.setattr(analytic, "li_series_terms", never_stops)
+    for x in (math.nextafter(edge, math.inf), 700.0, math.inf, math.nan, -1.0, 0.0):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lie requires"):
+                lie(x)
+    for x in (8.9e301, math.inf, math.nan, 1.0):
+        with pytest.raises(ValueError, match="li_pv requires"):
+            li_pv(x)
 
 
 def test_li_vec_matches_scalar():

@@ -1,9 +1,13 @@
 """Command-line dispatch, output formats, and exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zetalab
 from zetalab.cli import dispatch
 
 
@@ -91,3 +95,24 @@ def test_laplace_command(capsys):
     out = capsys.readouterr().out
     assert out.count("contained") == 2
     assert dispatch(["laplace", "unknown-pair", "--s", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["lie", "700"], "lie requires 0 < x <= 695.2588015446954, got x=700.0"),
+        (["lie", "inf"], "lie requires 0 < x <= 695.2588015446954, got x=inf"),
+        (["li", "inf"], "li_pv requires log x <= 695.2588015446954"),
+    ],
+)
+def test_eval_outside_the_series_domain_exits_2(args, message):
+    # a fresh process with a timeout, so a series that never stops fails the test
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetalab", "eval", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
