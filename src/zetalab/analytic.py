@@ -54,8 +54,8 @@ class ModelPair:
 
 
 def _require_s(s: float) -> None:
-    if not s > 1.0:
-        raise ValueError(f"series domain is s > 1, got s={s}")
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"series domain is finite s > 1, got s={s}")
 
 
 def hurwitz_zeta_real(s: float, q: float = 1.0) -> float:

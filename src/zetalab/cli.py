@@ -13,6 +13,7 @@ import sys
 from typing import List, Optional
 
 from . import analytic, arith, comb, laplace, verify
+from .verify import fmt17
 
 
 # Every command runs on one thread.  perfbench/run.py records this value in
@@ -59,18 +60,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _write_text(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _cmd_eval(args) -> int:
     x = args.argument
     fn = args.function
@@ -86,7 +75,7 @@ def _cmd_eval(args) -> int:
         "r": lambda: comb.r_value(x),
         "rint": lambda: comb.r_integral(x),
     }[fn]()
-    print(_fmt(value))
+    print(fmt17(value))
     return 0
 
 
@@ -98,6 +87,10 @@ def _claim_params(args, claim_id: str) -> Optional[dict]:
             params["limit"] = int(args.max)
         elif "n_grid" in defaults:
             params["n_grid"] = [n for n in defaults["n_grid"] if n <= args.max]
+            if not params["n_grid"]:
+                raise ValueError(
+                    f"--max {args.max:g} leaves {claim_id} no N to check; its smallest is {defaults['n_grid'][0]}"
+                )
         elif "x_hi" in defaults:
             params["x_hi"] = args.max
         elif "x_max" in defaults:
@@ -105,6 +98,8 @@ def _claim_params(args, claim_id: str) -> Optional[dict]:
     if args.s is not None and "s_grid" in defaults:
         params["s_grid"] = [float(t) for t in args.s.split(",")]
     if args.points is not None and "points" in defaults:
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         params["points"] = args.points
     return params or None
 
@@ -121,8 +116,8 @@ def _cmd_check(args) -> int:
     results = [verify.run_claim(cid, _claim_params(args, cid)) for cid in ids]
     for r in results:
         print(
-            f"{r.id} {r.verdict} max_abs_residual={_fmt(r.max_abs_residual)} "
-            f"tolerance={_fmt(r.tolerance)} at={_fmt(r.arg_extremum)}"
+            f"{r.id} {r.verdict} max_abs_residual={fmt17(r.max_abs_residual)} "
+            f"tolerance={fmt17(r.tolerance)} at={fmt17(r.arg_extremum)}"
         )
     if args.format:
         verify.emit_report(results, args.format, args.out)
@@ -132,29 +127,19 @@ def _cmd_check(args) -> int:
 def _cmd_scan(args) -> int:
     mode = args.mode.replace("-", "_") if args.mode else None
     rows_to_stdout = args.format == "csv" and args.out == "-"
-    try:
-        if args.format != "csv":
-            sink_ctx = contextlib.nullcontext()
-        elif rows_to_stdout:
-            sink_ctx = contextlib.nullcontext(sys.stdout)
-        else:
-            sink_ctx = open(args.out, "w", encoding="utf-8", newline="\n")
-        with sink_ctx as sink:
-            report = verify.scan_bound(
-                args.bound, args.lo, args.hi, mode,
-                points=args.points, convention=args.convention, row_sink=sink, keep_rows=False,
-            )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with verify.open_text(args.out) if args.format == "csv" else contextlib.nullcontext() as sink:
+        report = verify.scan_bound(
+            args.bound, args.lo, args.hi, mode,
+            points=args.points, convention=args.convention, row_sink=sink, keep_rows=False,
+        )
     print(
         f"{report.bound_id} {'pass' if report.passed else 'fail'} "
         f"rows={report.n_rows} failures={report.n_failures} "
-        f"min_margin={_fmt(report.min_margin)} at={_fmt(report.argmin_x)}",
+        f"min_margin={fmt17(report.min_margin)} at={fmt17(report.argmin_x)}",
         file=sys.stderr if rows_to_stdout else sys.stdout,
     )
     if args.format == "json":
-        _write_text(verify.render_json([report]), args.out)
+        verify.emit_report([report], "json", args.out)
     return 0 if report.passed else 1
 
 
@@ -165,10 +150,10 @@ def _cmd_laplace(args) -> int:
         br = laplace.laplace_pair(args.pair, s, limit=args.limit, x_max=args.x_max)
         contained = br.contains() if br.closed_form is not None else True
         ok &= contained
-        closed = _fmt(br.closed_form) if br.closed_form is not None else "none"
+        closed = fmt17(br.closed_form) if br.closed_form is not None else "none"
         print(
-            f"{br.pair_id} s={_fmt(s)} bracket=[{_fmt(br.numeric_lo)}, {_fmt(br.numeric_hi)}] "
-            f"closed_form={closed} width={_fmt(br.width)} "
+            f"{br.pair_id} s={fmt17(s)} bracket=[{fmt17(br.numeric_lo)}, {fmt17(br.numeric_hi)}] "
+            f"closed_form={closed} width={fmt17(br.width)} "
             f"{'contained' if contained else 'ESCAPED'}"
         )
     return 0 if ok else 1
@@ -192,7 +177,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
             return _cmd_scan(args)
         if args.command == "laplace":
             return _cmd_laplace(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     parser.print_usage(sys.stderr)

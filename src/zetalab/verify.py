@@ -14,11 +14,12 @@ step-minus-smooth difference sit against the jumps.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +37,17 @@ Row = Tuple[float, float, float, float, bool]
 
 def fmt17(v: float) -> str:
     return format(float(v), ".17g")
+
+
+_CSV_HEADER = "x,lhs,rhs,margin,pass\n"
+
+
+def _csv_lines(rows: Iterable[Row]) -> str:
+    """One CSV line per row, values at 17 significant digits so they round-trip."""
+    return "".join(
+        f"{fmt17(x)},{fmt17(a)},{fmt17(b)},{fmt17(m)},{'true' if p else 'false'}\n"
+        for x, a, b, m, p in rows
+    )
 
 
 @dataclass(frozen=True)
@@ -90,38 +102,22 @@ class _RowCollector:
         self.min_margin = math.inf
         self.argmin_x = math.nan
         if sink is not None:
-            sink.write("x,lhs,rhs,margin,pass\n")
+            sink.write(_CSV_HEADER)
 
-    def add_block(self, xs, lhs, rhs) -> None:
-        margin = rhs - lhs
-        ok = margin > 0
-        self.n_rows += len(xs)
-        self.n_failures += int(np.count_nonzero(~ok))
-        if len(xs):
-            i = int(np.argmin(margin))
-            if margin[i] < self.min_margin:
-                self.min_margin = float(margin[i])
-                self.argmin_x = float(xs[i])
-        if self.sink is not None:
-            out = []
-            for x, a, b, m, p in zip(xs, lhs, rhs, margin, ok):
-                out.append(
-                    f"{fmt17(x)},{fmt17(a)},{fmt17(b)},{fmt17(m)},{'true' if p else 'false'}\n"
-                )
-            self.sink.write("".join(out))
-        if self.keep:
-            self.rows.extend(
-                (float(x), float(a), float(b), float(m), bool(p))
-                for x, a, b, m, p in zip(xs, lhs, rhs, margin, ok)
-            )
+    @property
+    def wants_rows(self) -> bool:
+        return self.sink is not None or self.keep
 
-    def add_margins(self, families: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
-        """Summary of one block given as margin families (ascending xs, margins); no rows formed.
+    def add_margins(self, families: Sequence[Tuple[np.ndarray, np.ndarray]], passing: int = 0) -> None:
+        """Summary of one block given as margin families (ascending xs, margins).
 
-        Counts, failures and the minimum are those ``add_block`` gives on the
-        block's rows in any order that is ascending in x: a tie in the minimum
-        goes to the smallest x, the first of the tied rows in that order.
+        The one place rows are counted and the minimum is taken.  ``passing``
+        counts further rows that pass with a margin above some counted row's.
+        A tie in the minimum goes to the smallest x, then to the earlier
+        family, and across blocks to the earlier block: the first tied row in
+        row order.
         """
+        self.n_rows += passing
         best = None
         for xs, m in families:
             self.n_rows += len(m)
@@ -133,6 +129,17 @@ class _RowCollector:
         if best is not None and best[0] < self.min_margin:
             self.min_margin, self.argmin_x = float(best[0]), float(best[1])
 
+    def add_rows(self, xs, lhs, rhs, margin) -> None:
+        """Write and keep, as asked, rows whose margins ``add_margins`` has summarised."""
+        ok = margin > 0
+        if self.sink is not None:
+            self.sink.write(_csv_lines(zip(xs, lhs, rhs, margin, ok)))
+        if self.keep:
+            self.rows.extend(
+                (float(x), float(a), float(b), float(m), bool(p))
+                for x, a, b, m, p in zip(xs, lhs, rhs, margin, ok)
+            )
+
 
 # ---------------------------------------------------------------------------
 # bound scanners
@@ -140,6 +147,14 @@ class _RowCollector:
 
 @dataclass(frozen=True)
 class _BoundDef:
+    """One bound: the step minus its smooth side S(x) against c sqrt(x)/log x.
+
+    S(x) is x when li_shift is None (B3), else li(x) - li_shift, with li from
+    ``analytic.li_vec`` looked up per call.  Summary-only scans of an li bound decide most rows
+    from li intervals (``_emit_decided_rows``).  conventions names the
+    alternative li shifts that scan_bound's `convention` picks from.
+    """
+
     bound_id: str
     statement: str
     step: str  # pi | psi | j
@@ -147,29 +162,15 @@ class _BoundDef:
     default_lo: float
     default_hi: float
     default_mode: str
-    # smooth(xs) receives a float array
-    smooth: Callable[[np.ndarray], np.ndarray]
+    li_shift: Optional[float]
     # the bounds are c sqrt(x)/log x, or c sqrt(x) when per_log is false
     upper: float
     lower: Optional[float] = None
     per_log: bool = True
-    # named alternatives to `smooth`, chosen by scan_bound's `convention`
-    conventions: Dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
-
-
-def _li_arr(xs: np.ndarray) -> np.ndarray:
-    return analytic.li_vec(xs)  # looked up per call, so a patched li_vec is used
+    conventions: Dict[str, float] = field(default_factory=dict)
 
 
 _LI_AT_2 = analytic.li_pv(2.0)
-
-
-def _li_offset_arr(xs: np.ndarray) -> np.ndarray:
-    return analytic.li_vec(xs) - _LI_AT_2
-
-
-# li-based smooth sides, each with the constant it subtracts from li_vec
-_LI_SHIFTS = {_li_arr: 0.0, _li_offset_arr: _LI_AT_2}
 
 _E12 = math.exp(12.0)
 
@@ -189,7 +190,7 @@ _register_bound(
         default_lo=_E12,
         default_hi=1e8,
         default_mode="every_jump",
-        smooth=_li_arr,
+        li_shift=0.0,
         upper=3.0,
     )
 )
@@ -202,7 +203,7 @@ _register_bound(
         default_lo=2.0,
         default_hi=1e7,
         default_mode="every_integer",
-        smooth=_li_arr,
+        li_shift=0.0,
         upper=2.0,
         lower=-5.0,
     )
@@ -216,7 +217,7 @@ _register_bound(
         default_lo=1.0,
         default_hi=1e7,
         default_mode="every_integer",
-        smooth=lambda xs: xs,
+        li_shift=None,
         upper=2.0,
         per_log=False,
     )
@@ -230,9 +231,9 @@ _register_bound(
         default_lo=2.0,
         default_hi=1e7,
         default_mode="every_integer",
-        smooth=_li_offset_arr,
+        li_shift=_LI_AT_2,
         upper=0.7,
-        conventions={"offset": _li_offset_arr, "li": _li_arr},
+        conventions={"offset": _LI_AT_2, "li": 0.0},
     )
 )
 
@@ -255,44 +256,40 @@ def _emit_bound_rows(
     right: np.ndarray,
     left: Optional[np.ndarray],
     jump_mask: Optional[np.ndarray],
-    smooth: np.ndarray,
 ) -> None:
-    """Rows for one block of ascending abscissae.
+    """Rows for one block of abscissae, ascending in x.
 
     Each margin family is formed once: value (right-limit) rows at every x,
     left-limit rows at the jumps only, and for a two-sided bound a lower row
     (lhs = lower bound, rhs = value) and an upper row (lhs = value, rhs =
-    upper bound) per evaluation.  A collector with no sink and no kept rows
-    takes the families' margins directly and no row is formed.  Otherwise the
-    rows are interleaved in ascending-x order; at a jump the left-limit rows
-    precede the value rows for the same x, and a lower row its upper row.
+    upper bound) per evaluation.  The collector summarises the families'
+    margins, rhs - lhs.  If it wants no rows, the margins are formed in place
+    and no row is formed.  Otherwise one stable sort on the abscissa's index
+    puts the rows in order, and the collector writes or keeps them: at an
+    abscissa the left-limit rows come before the value rows, and a lower row
+    before its upper row.  The index, not x, orders a log grid that repeats x.
     """
     up, lo = _bound_sides(bdef, np.sqrt(xs), np.log(xs) if bdef.per_log else None)
+    smooth = xs if bdef.li_shift is None else analytic.li_vec(xs) - bdef.li_shift
     evals = [(slice(None), right)]  # (selection of xs, step values), in row order at an x
-    if jump_mask is not None and left is not None and jump_mask.any():
+    if jump_mask is not None and jump_mask.any():
         j = np.flatnonzero(jump_mask)
         evals.insert(0, (j, left[j]))
-    fams = []  # (x, lhs, rhs) per family
+    fams, at = [], []  # (x, lhs, rhs) per family, and the selection of xs it sits at
     for sel, v in evals:
         d = v - smooth[sel]
-        if lo is None:
-            fams.append((xs[sel], np.abs(d, out=d), up[sel]))
-        else:
-            fams += [(xs[sel], lo[sel], d), (xs[sel], d, up[sel])]
-    if col.sink is None and not col.keep:
+        sides = [(np.abs(d, out=d), up[sel])] if lo is None else [(lo[sel], d), (d, up[sel])]
+        fams += [(xs[sel], a, b) for a, b in sides]
+        at += [sel] * len(sides)
+    if not col.wants_rows:
         # each lhs is a temporary that no later family reads, so its margin overwrites it
         col.add_margins([(x, np.subtract(b, a, out=a)) for x, a, b in fams])
         return
-
-    per = len(fams) // len(evals)
-    ends = np.cumsum(per * (1 + jump_mask) if len(evals) == 2 else np.full(len(xs), per))
-    X, A, B = (np.empty(int(ends[-1])) for _ in range(3))
-    pos_r = ends - per  # first value-row slot per x; left rows sit just before
-    starts = [pos_r[j] - per, pos_r] if len(evals) == 2 else [pos_r]
-    for k, (x, a, b) in enumerate(fams):
-        pos = starts[k // per] + k % per
-        X[pos], A[pos], B[pos] = x, a, b
-    col.add_block(X, A, B)
+    order = np.argsort(np.concatenate([np.arange(xs.size)[sel] for sel in at]), kind="stable")
+    X, A, B = (np.concatenate(c)[order] for c in zip(*fams))
+    M = B - A
+    col.add_margins([(X, M)])
+    col.add_rows(X, A, B, M)
 
 
 _LI_BLOCK = 1 << 10  # integers per li interval block
@@ -338,12 +335,10 @@ def _emit_decided_rows(
     right: np.ndarray,
     left: np.ndarray,
     jump_mask: np.ndarray,
-    smooth,
-    shift: float,
 ) -> None:
     """Summary-only rows of one segment, with li exact only where the summary can depend on it.
 
-    The smooth side is S = li - shift.  ``_li_bounds`` puts li(x), and so S,
+    The smooth side is S = li - li_shift.  ``_li_bounds`` puts li(x), and so S,
     in an interval of width w from one li_vec call per segment on the block
     starts.  Every margin is rhs - lhs with lhs or rhs equal to v - S or
     |v - S| (v the right or left limit), so it moves by at most |dS| when S
@@ -372,8 +367,8 @@ def _emit_decided_rows(
         x, v, jm = xs[c], right[c], jump_mask[c]
         log_x = np.log(x)
         s_lo, s_hi = _li_bounds(x, log_x, *grid)
-        s_lo -= shift
-        s_hi -= shift
+        s_lo -= bdef.li_shift
+        s_hi -= bdef.li_shift
         up, lo = _bound_sides(bdef, np.sqrt(x), log_x)
         m_lo = _margin_floor(v, s_lo, s_hi, up, lo)
         j = np.flatnonzero(jm)
@@ -388,11 +383,10 @@ def _emit_decided_rows(
         m_lo -= slack
         sel.append(c0 + np.flatnonzero(m_lo <= max(0.0, cut)))
     sel = np.concatenate(sel)
-    xs_s = xs[sel]
-    if xs_s.size:
-        _emit_bound_rows(bdef, col, xs_s, right[sel], left[sel], jump_mask[sel], smooth(xs_s))
+    if sel.size:
+        _emit_bound_rows(bdef, col, xs[sel], right[sel], left[sel], jump_mask[sel])
     skipped = xs.size - sel.size + int(np.count_nonzero(jump_mask)) - int(np.count_nonzero(jump_mask[sel]))
-    col.n_rows += (1 if bdef.lower is None else 2) * skipped
+    col.add_margins([], passing=(1 if bdef.lower is None else 2) * skipped)
 
 
 def _margin_floor(v, s_lo, s_hi, up, lo) -> np.ndarray:
@@ -402,9 +396,7 @@ def _margin_floor(v, s_lo, s_hi, up, lo) -> np.ndarray:
     return np.minimum(v - s_hi - lo, up - (v - s_lo))  # v - S - lo and up - (v - S)
 
 
-def _scan_stream(
-    bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, smooth, col: _RowCollector
-) -> None:
+def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _RowCollector) -> None:
     """every_integer / every_jump engine: one sweep of sieve segments.
 
     every_integer forms the step's values at all integers of a segment;
@@ -421,8 +413,7 @@ def _scan_stream(
     base = "psi" if bdef.step == "psi" else "pi"
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
-    shift = _LI_SHIFTS.get(smooth)
-    decide = shift is not None and col.sink is None and not col.keep
+    emit = _emit_bound_rows if bdef.li_shift is None or col.wants_rows else _emit_decided_rows
     for seg, before in arith.step_segments(base, hi_i, lo=lo_i):
         a = max(lo_i, seg.lo)
         wts = (seg.lam if base == "psi" else seg.is_prime)[a - seg.lo :]
@@ -453,21 +444,16 @@ def _scan_stream(
             right = right.astype(np.float64, copy=False)
             if bdef.step == "j":
                 right += arith.j_higher_terms(xs, hi_i)
-            if decide:
-                _emit_decided_rows(bdef, col, xs, right, right - wts, jump_mask, smooth, shift)
-            else:
-                _emit_bound_rows(bdef, col, xs, right, right - wts, jump_mask, smooth(xs))
+            emit(bdef, col, xs, right, right - wts, jump_mask)
 
 
-def _scan_log_grid(
-    bdef: _BoundDef, lo: float, hi: float, points: int, smooth, col: _RowCollector
-) -> None:
+def _scan_log_grid(bdef: _BoundDef, lo: float, hi: float, points: int, col: _RowCollector) -> None:
     lo = max(lo, float(bdef.min_x))
     if lo > hi:
         return
     xs = np.geomspace(lo, hi, points)
     step_vals = arith.step_at(bdef.step, np.floor(xs).astype(np.int64))
-    _emit_bound_rows(bdef, col, xs, step_vals, None, None, smooth(xs))
+    _emit_bound_rows(bdef, col, xs, step_vals, None, None)
 
 
 def scan_bound(
@@ -494,22 +480,25 @@ def scan_bound(
     lo = bdef.default_lo if lo is None else lo
     hi = bdef.default_hi if hi is None else hi
     mode = bdef.default_mode if mode is None else mode
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"scan range must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise ValueError("inverted scan range")
     if mode == "log_grid" and points < 1:
         raise ValueError("log_grid needs points >= 1")
-    if convention is not None and convention not in bdef.conventions:
-        known = ", ".join(bdef.conventions) or "none; only B4 takes one"
-        raise ValueError(f"unknown convention {convention!r} for {bound_id}; known: {known}")
-    smooth = bdef.conventions.get(convention, bdef.smooth)
+    if convention is not None:
+        if convention not in bdef.conventions:
+            known = ", ".join(bdef.conventions) or "none; only B4 takes one"
+            raise ValueError(f"unknown convention {convention!r} for {bound_id}; known: {known}")
+        bdef = replace(bdef, li_shift=bdef.conventions[convention])
     if keep_rows is None:
         keep_rows = (hi - lo) <= 50_000 or mode == "log_grid"
     col = _RowCollector(row_sink, keep_rows)
 
     if mode in ("every_integer", "every_jump"):
-        _scan_stream(bdef, lo, hi, mode == "every_jump", smooth, col)
+        _scan_stream(bdef, lo, hi, mode == "every_jump", col)
     elif mode == "log_grid":
-        _scan_log_grid(bdef, lo, hi, points, smooth, col)
+        _scan_log_grid(bdef, lo, hi, points, col)
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
     params = {"lo": lo, "hi": hi, "mode": mode, "min_margin": col.min_margin}
@@ -978,7 +967,7 @@ def render_json(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
 
 
 def render_csv(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
-    chunks = ["x,lhs,rhs,margin,pass\n"]
+    chunks = [_CSV_HEADER]
     def sort_key(r):
         return r.id if isinstance(r, ClaimResult) else r.bound_id
     for r in sorted(results, key=sort_key):
@@ -988,11 +977,7 @@ def render_csv(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
                 f"result {sort_key(r)} holds no rows (streamed or summary-only); "
                 "emit it as json or rerun with row retention"
             )
-        for x, lhs, rhs, margin, ok in rows:
-            chunks.append(
-                f"{fmt17(x)},{fmt17(lhs)},{fmt17(rhs)},{fmt17(margin)},"
-                f"{'true' if ok else 'false'}\n"
-            )
+        chunks.append(_csv_lines(rows))
     return "".join(chunks)
 
 
@@ -1010,10 +995,17 @@ def emit_report(
         text = render_json(results)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    with open_text(destination) as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def open_text(destination: Union[str, IO[str]]) -> Iterator[IO[str]]:
+    """A text stream as it is given, stdout for '-', else the named file written with LF endings."""
     if hasattr(destination, "write"):
-        destination.write(text)
+        yield destination
     elif destination == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh

@@ -116,3 +116,39 @@ def test_eval_outside_the_series_domain_exits_2(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "pi", "inf"],
+        ["eval", "j", "inf"],
+        ["eval", "psi", "inf"],
+        ["eval", "r", "inf"],
+        ["eval", "r", "800"],
+        ["eval", "rint", "800"],
+        ["eval", "zeta", "inf"],
+        ["scan", "B2", "--to", "inf"],
+        ["scan", "B2", "--to", "inf", "--mode", "log-grid", "--points", "3"],
+        ["check", "C9", "--max", "inf"],
+        ["laplace", "zeta1", "--limit", "inf"],
+    ],
+)
+def test_infinite_and_overflowing_arguments_are_usage_errors(argv, capsys):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check", "C1", "--max", "1"], "--max"),
+        (["check", "C14", "--points", "0"], "--points"),
+        (["check", "M1", "--points", "0"], "--points"),
+    ],
+)
+def test_check_overrides_that_leave_nothing_to_check_are_usage_errors(argv, option, capsys):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(option)

@@ -300,10 +300,10 @@ def test_summary_scan_is_the_kept_rows_scan(monkeypatch, bound_id, convention, m
 def test_summary_scans_form_no_rows(monkeypatch, mode):
     from zetalab import verify
 
-    def no_rows(self, xs, lhs, rhs):
+    def no_rows(self, xs, lhs, rhs, margin):
         raise AssertionError("a summary-only scan formed rows")
 
-    monkeypatch.setattr(verify._RowCollector, "add_block", no_rows)
+    monkeypatch.setattr(verify._RowCollector, "add_rows", no_rows)
     for bound_id, convention in (("B1", None), ("B2", None), ("B3", None), ("B4", None), ("B4", "li")):
         rep = scan_bound(bound_id, 2, 1.1e6, mode, points=2000, convention=convention, keep_rows=False)
         assert rep.n_rows > 0 and rep.rows is None, bound_id
@@ -311,9 +311,21 @@ def test_summary_scans_form_no_rows(monkeypatch, mode):
 
 
 def _interleaved(families):
-    """The rows of margin families in ascending-x order, families in slot order at an x."""
-    rows = sorted((x, k, m) for k, (xs, ms) in enumerate(families) for x, m in zip(xs, ms))
-    return np.array([r[0] for r in rows]), np.array([r[2] for r in rows])
+    """The rows (x, family, margin) of margin families in row order: ascending x, then family."""
+    return sorted((x, k, m) for k, (xs, ms) in enumerate(families) for x, m in zip(xs.tolist(), ms.tolist()))
+
+
+def _row_order_summary(blocks):
+    """n_rows, n_failures and the first minimum in row order, one row at a time."""
+    n_rows = n_failures = 0
+    min_margin, argmin_x = math.inf, math.nan
+    for fams in blocks:
+        for x, _, m in _interleaved(fams):
+            n_rows += 1
+            n_failures += not m > 0
+            if m < min_margin:  # strict: the first of tied rows stays, and -0.0 ties 0.0
+                min_margin, argmin_x = m, x
+    return n_rows, n_failures, min_margin.hex(), argmin_x.hex()
 
 
 def _collector_summary(col):
@@ -338,22 +350,38 @@ def test_margin_families_summarise_as_their_interleaved_rows():
         xs = np.sort(rng.choice(np.arange(2.0, 40.0), 12, replace=False))
         jumps = np.sort(rng.choice(xs, 5, replace=False))
         blocks.append([(x, rng.integers(-2, 3, x.size) / 2.0) for x in (jumps, jumps, xs, xs)])
-    running_m, running_i = _RowCollector(None, False), _RowCollector(None, False)
-    for fams in blocks:
-        by_margins, by_rows = _RowCollector(None, False), _RowCollector(None, False)
-        x, m = _interleaved(fams)
-        by_margins.add_margins(fams)
-        by_rows.add_block(x, np.zeros_like(m), m)
-        assert _collector_summary(by_margins) == _collector_summary(by_rows), fams
-        running_m.add_margins(fams)
-        running_i.add_block(x, np.zeros_like(m), m)
-        assert _collector_summary(running_m) == _collector_summary(running_i)
+    running, running_rows = _RowCollector(None, False), _RowCollector(None, False)
+    for i, fams in enumerate(blocks):
+        by_families, by_rows = _RowCollector(None, False), _RowCollector(None, False)
+        rows = _interleaved(fams)
+        one_family = (np.array([r[0] for r in rows]), np.array([r[2] for r in rows]))
+        by_families.add_margins(fams)
+        by_rows.add_margins([one_family])  # the rows of a sink or kept-rows scan, in row order
+        assert _collector_summary(by_families) == _row_order_summary([fams]), fams
+        assert _collector_summary(by_rows) == _row_order_summary([fams]), fams
+        if i:  # from the second block on, so that minima tie across blocks too
+            running.add_margins(fams)
+            running_rows.add_margins([one_family])
+            assert _collector_summary(running) == _row_order_summary(blocks[1 : i + 1])
+            assert _collector_summary(running_rows) == _row_order_summary(blocks[1 : i + 1])
     first = _RowCollector(None, False)
     first.add_margins(blocks[0])
     assert (first.n_failures, first.min_margin, first.argmin_x) == (5, -2.0, 5.0)
     second = _RowCollector(None, False)
     second.add_margins(blocks[1])
     assert second.min_margin.hex() == "0x0.0p+0" and second.argmin_x == 6.0
+
+
+def test_log_grid_that_repeats_x_keeps_rows_in_index_order():
+    # lo == hi repeats x = 100 three times: each abscissa's lower row precedes its upper row
+    lower = "100,-10.857362047581296,-5.1261415840796438,5.7312204635016517,true\n"
+    upper = "100,-5.1261415840796438,4.3429448190325175,9.4690864031121613,true\n"
+    want = "x,lhs,rhs,margin,pass\n" + (lower + upper) * 3
+    sink = io.StringIO()
+    rep = scan_bound("B2", 100, 100, "log_grid", points=3, row_sink=sink, keep_rows=True)
+    assert sink.getvalue() == want
+    assert render_csv([rep]) == want
+    assert (rep.n_rows, rep.n_failures, rep.argmin_x) == (6, 0, 100.0)
 
 
 def test_summary_b4_scan_evaluates_li_at_under_one_percent_of_abscissae(monkeypatch):
