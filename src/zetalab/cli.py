@@ -83,18 +83,25 @@ def _claim_params(args, claim_id: str) -> Optional[dict]:
     params = {}
     defaults = verify.CLAIMS[claim_id].defaults
     if args.max is not None:
+        # the claim's smallest abscissa: the first prime for a limit, the grid's start otherwise
         if "limit" in defaults:
             params["limit"] = int(args.max)
+            least, name = 2, "x"
         elif "n_grid" in defaults:
             params["n_grid"] = [n for n in defaults["n_grid"] if n <= args.max]
-            if not params["n_grid"]:
-                raise ValueError(
-                    f"--max {args.max:g} leaves {claim_id} no N to check; its smallest is {defaults['n_grid'][0]}"
-                )
+            least, name = defaults["n_grid"][0], "N"
         elif "x_hi" in defaults:
             params["x_hi"] = args.max
+            least, name = defaults["x_lo"], "x"
         elif "x_max" in defaults:
             params["x_max"] = int(args.max)
+            least, name = verify.M1_X_MIN, "x"
+        else:
+            least = None
+        if least is not None and args.max < least:
+            raise ValueError(
+                f"--max {args.max:g} leaves {claim_id} no {name} to check; its smallest is {least:g}"
+            )
     if args.s is not None and "s_grid" in defaults:
         params["s_grid"] = [float(t) for t in args.s.split(",")]
     if args.points is not None and "points" in defaults:

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +32,7 @@ N_DECADES = (2, 10, 100, 1000, 10000)
 S_GRID = (1.5, 2.0, 3.0, 5.0, 10.0)
 C_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 DEFAULT_COMB_LIMIT = 1e6
+M1_X_MIN = 10  # M1 samples x on a log grid from here
 
 Row = Tuple[float, float, float, float, bool]
 
@@ -150,8 +152,8 @@ class _BoundDef:
     """One bound: the step minus its smooth side S(x) against c sqrt(x)/log x.
 
     S(x) is x when li_shift is None (B3), else li(x) - li_shift, with li from
-    ``analytic.li_vec`` looked up per call.  Summary-only scans of an li bound decide most rows
-    from li intervals (``_emit_decided_rows``).  conventions names the
+    ``analytic.li_vec`` looked up per call.  Summary-only scans decide most
+    rows from block floors (``_emit_decided_rows``).  conventions names the
     alternative li shifts that scan_bound's `convention` picks from.
     """
 
@@ -293,13 +295,16 @@ def _emit_bound_rows(
 
 
 _LI_BLOCK = 1 << 10  # integers per li interval block
-_DECIDE_CHUNK = 1 << 15  # abscissae per interval pass, so its work arrays stay in L2
+_BLOCK = 64  # abscissae per block of the block pass
 _SLACK = 1e-12  # relative and absolute rounding slack of a margin interval
+# c sqrt(x)/log x increases past e**2 (and c sqrt(x) everywhere), so a block
+# that starts at 8 or later has its tightest bound sides at its start
+_MONOTONE_FROM = 8.0
 
 
-def _li_grid(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Block starts a = xs[0] + k * _LI_BLOCK up to max(xs), and li_vec at them."""
-    a = xs[0] + _LI_BLOCK * np.arange((xs[-1] - xs[0]) // _LI_BLOCK + 1)
+def _li_grid(lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Block starts a = lo + k * _LI_BLOCK up to hi, and li_vec at them."""
+    a = lo + _LI_BLOCK * np.arange((hi - lo) // _LI_BLOCK + 1)
     return a, analytic.li_vec(a)
 
 
@@ -328,123 +333,206 @@ def _slack(magnitude: np.ndarray) -> np.ndarray:
     return _SLACK * magnitude + _SLACK
 
 
-def _emit_decided_rows(
-    bdef: _BoundDef,
-    col: _RowCollector,
-    xs: np.ndarray,
-    right: np.ndarray,
-    left: np.ndarray,
-    jump_mask: np.ndarray,
-) -> None:
-    """Summary-only rows of one segment, with li exact only where the summary can depend on it.
+def _margin_floor(vmin, vmax, s_lo, s_hi, up, lo) -> np.ndarray:
+    """Lowest margin of the rows with step values in [vmin, vmax] and smooth sides in [s_lo, s_hi]."""
+    if lo is None:  # up - |v - S|
+        return up - np.maximum(vmax - s_lo, s_hi - vmin)
+    return np.minimum(vmin - s_hi - lo, up - (vmax - s_lo))  # v - S - lo and up - (v - S)
 
-    The smooth side is S = li - li_shift.  ``_li_bounds`` puts li(x), and so S,
-    in an interval of width w from one li_vec call per segment on the block
-    starts.  Every margin is rhs - lhs with lhs or rhs equal to v - S or
-    |v - S| (v the right or left limit), so it moves by at most |dS| when S
-    does: over the interval it lies in [m_lo, m_lo + w].  That interval is
-    widened by the slack 1e-12 (|S| + |v| + |bounds|) + 1e-12 on each side.
-    The slack covers li_vec's error (under 1e-14 relative, against li(x) and
-    li(a)), the rounding of the interval ends, and the few float operations
-    that form a margin, so the computed margin of every row lies inside.
 
-    An abscissa goes down the exact path (li_vec on the abscissae, then
-    ``_emit_bound_rows``) when the lowest widened m_lo of its rows is <= 0
-    (a row may fail) or <= both the running minimum and the lowest widened
-    m_lo + w of the rows in its chunk and the segment's earlier chunks (a row
-    may be, or tie with, the minimum).  Every other row passes and has a margin above some other
-    row's, so it is only counted.  li_vec is pointwise, so the exact rows
-    have the bits of a full scan, and the collector takes the first of ties
-    in ascending x: n_failures, min_margin and argmin_x are those of a full
-    scan.  Each chunk takes log x and sqrt x once, for the li interval and
-    the bounds alike.
+def _block_floors(
+    bdef: _BoundDef, grid: Optional[Tuple[np.ndarray, np.ndarray]], first: tuple, last: tuple
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Widened floor of every margin in each block [x0, x1], and a ceiling of one real row's margin.
+
+    ``first`` and ``last`` are the rows (x, right, left, jump mask) at the
+    blocks' first and last abscissae.  A block's step values, right and left
+    limits alike, lie in [vmin, vmax]: the left limit at x0 and the value at
+    x1, since pi, psi and J do not decrease.  Its smooth side S lies in
+    [S_lo(x0), S_hi(x1)], li bounds from ``_li_bounds`` on ``grid`` less
+    li_shift, as li increases; for B3, S = x is exact.  The bound sides are
+    taken at x0, where they are tightest on a block that starts at 8 or
+    later; a longer block that starts below 8 gets the floor -inf.  Every
+    margin moves by at most |dS| when S does, so a row's margin lies in
+    [m_lo, m_lo + w] over an S interval of width w.  The floor is widened by
+    the slack 1e-12 (|S| + vmax + |bounds|) + 1e-12, at the block's largest
+    magnitudes: it covers li_vec's error (under 1e-14 relative, against li(x)
+    and li(a)), the rounding of the interval ends, and the few float
+    operations that form a margin.  The ceiling is the floor of the rows at
+    x0 (left limit vmin, value v0) plus w at x0 and the slack, so the lower
+    of those two rows has a computed margin at or below it.  One-row blocks
+    pass the same rows as first and last; their floor is that of the rows at x0.
     """
-    grid = _li_grid(xs)
-    sel = []
+    def sides_at(x):
+        log_x = np.log(x) if bdef.per_log or grid is not None else None
+        if grid is None:
+            s_lo = s_hi = x
+        else:
+            s_lo, s_hi = _li_bounds(x, log_x, *grid)
+            s_lo -= bdef.li_shift
+            s_hi -= bdef.li_shift
+        return (s_lo, s_hi, *_bound_sides(bdef, np.sqrt(x), log_x))
+
+    x0, v0, vmin, _ = first
+    x1, vmax, _, _ = last
+    one_row = last is first
+    s_lo0, s_hi0, up0, lo0 = sides_at(x0)
+    _, s_hi1, up1, lo1 = (s_lo0, s_hi0, up0, lo0) if one_row else sides_at(x1)
+    at_x0 = _margin_floor(vmin, v0, s_lo0, s_hi0, up0, lo0)
+    floor = at_x0 if one_row else _margin_floor(vmin, vmax, s_lo0, s_hi1, up0, lo0)
+    mag = np.maximum(np.abs(s_lo0), np.abs(s_hi1)) + vmax + up1  # |vmin| <= vmax: step values >= 0
+    if lo1 is not None:
+        mag += np.abs(lo1)
+    slack = _slack(mag)
+    floor = floor - slack
+    if not one_row:
+        floor[x0 < _MONOTONE_FROM] = -np.inf
+    return floor, at_x0 + (s_hi0 - s_lo0) + slack
+
+
+def _emit_decided_rows(bdef: _BoundDef, col: _RowCollector, n: int, n_jumps: int, rows) -> None:
+    """Summary of one segment, with exact margins only where the summary can depend on them.
+
+    The segment holds n abscissae, n_jumps of them jumps.  ``rows(idx)``
+    gives the abscissae, right limits, left limits and jump mask at
+    ascending indices idx.  A block pass reads them at the two ends of every
+    block of _BLOCK abscissae only and takes ``_block_floors``.  A block is
+    skipped when its widened floor is strictly above max(0, cut), where cut
+    is the lowest of the running minimum and the ceilings so far, each at or
+    above a real row's margin.  The rows of every other block go
+    to the row pass: the same floors on one-row blocks, and the same skip
+    test.  The rows left go down the exact path: li_vec on their abscissae
+    (x itself for B3), then ``_emit_bound_rows``.  A skipped row passes and
+    its margin is above some real row's, which is never skipped, so it is
+    neither a failure nor the first of the tied minima, and is only counted.
+    li_vec is pointwise, so the exact rows have the bits of a full scan, and
+    the collector takes the first of ties in ascending x: n_failures,
+    min_margin and argmin_x are those of a full scan.
+    """
+    starts = np.arange(0, n, _BLOCK)
+    ends = np.minimum(starts + _BLOCK, n) - 1
+    first, last = rows(starts), rows(ends)
+    grid = None if bdef.li_shift is None else _li_grid(first[0][0], last[0][-1])
     cut = col.min_margin
-    for c0 in range(0, xs.size, _DECIDE_CHUNK):
-        c = slice(c0, c0 + _DECIDE_CHUNK)
-        x, v, jm = xs[c], right[c], jump_mask[c]
-        log_x = np.log(x)
-        s_lo, s_hi = _li_bounds(x, log_x, *grid)
-        s_lo -= bdef.li_shift
-        s_hi -= bdef.li_shift
-        up, lo = _bound_sides(bdef, np.sqrt(x), log_x)
-        m_lo = _margin_floor(v, s_lo, s_hi, up, lo)
-        j = np.flatnonzero(jm)
-        if j.size:
-            m_left = _margin_floor(left[c0 + j], s_lo[j], s_hi[j], up[j], None if lo is None else lo[j])
-            m_lo[j] = np.minimum(m_lo[j], m_left)
-        mag = np.abs(s_hi) + v + up  # |left| <= right: both are step values >= 0
-        if lo is not None:
-            mag += np.abs(lo)
-        slack = _slack(mag)
-        cut = min(cut, float(np.min(m_lo + (s_hi - s_lo) + slack)))
-        m_lo -= slack
-        sel.append(c0 + np.flatnonzero(m_lo <= max(0.0, cut)))
-    sel = np.concatenate(sel)
-    if sel.size:
-        _emit_bound_rows(bdef, col, xs[sel], right[sel], left[sel], jump_mask[sel])
-    skipped = xs.size - sel.size + int(np.count_nonzero(jump_mask)) - int(np.count_nonzero(jump_mask[sel]))
+
+    def undecided(first, last):
+        nonlocal cut
+        floor, ceiling = _block_floors(bdef, grid, first, last)
+        cut = min(cut, float(np.min(ceiling)))
+        return ~(floor > max(0.0, cut))
+
+    open_blocks = np.flatnonzero(undecided(first, last))
+    n_exact = jumps_exact = 0
+    if open_blocks.size:
+        sel = (starts[open_blocks, None] + np.arange(_BLOCK)).ravel()
+        one = rows(sel[sel < n])
+        keep = undecided(one, one)
+        if keep.any():
+            xs, right, left, jump_mask = (c[keep] for c in one)
+            _emit_bound_rows(bdef, col, xs, right, left, jump_mask)
+            n_exact, jumps_exact = xs.size, int(np.count_nonzero(jump_mask))
+    skipped = n - n_exact + n_jumps - jumps_exact
     col.add_margins([], passing=(1 if bdef.lower is None else 2) * skipped)
 
 
-def _margin_floor(v, s_lo, s_hi, up, lo) -> np.ndarray:
-    """Lowest margin of the rows at step value v over smooth sides S in [s_lo, s_hi]."""
-    if lo is None:  # up - |v - S|
-        return up - np.maximum(s_hi - v, v - s_lo)
-    return np.minimum(v - s_hi - lo, up - (v - s_lo))  # v - S - lo and up - (v - S)
+def _dense_rows(
+    step: str, seg, before, a: int, hp, hi_i: int, nonzero, idx: Optional[np.ndarray] = None
+) -> tuple:
+    """Abscissae, right and left limits and jump mask of an every-integer segment from a on.
+
+    ``hp`` holds J's k >= 2 jump offsets from a and their weights.  With no
+    idx every abscissa is read, and the base step by its running sum over
+    the whole segment.  With ascending indices idx the arrays are formed
+    there only: the base step by ``arith.segment_values`` at those offsets,
+    over the segment's jump offsets ``nonzero``, and every other entry by the
+    same elementwise operations.  So each entry has the bits of the dense
+    one; J's k >= 2 terms are copies of the same table entries.
+    """
+    base = "psi" if step == "psi" else "pi"
+    off = a - seg.lo
+    if idx is None:
+        right = arith.segment_values(base, seg, before)[off:]
+        xs = np.arange(a, seg.hi + 1, dtype=np.float64)
+        at = slice(off, None)
+    else:
+        at = idx + off
+        right = arith.segment_values(base, seg, before, at, nonzero=nonzero)
+        xs = idx + float(a)
+    right = right.astype(np.float64, copy=False)
+    w = seg.lam[at] if base == "psi" else seg.is_prime[at].astype(np.float64)
+    if step == "j":
+        # k >= 2 powers are never prime, so each lands on a zero weight
+        hp_offs, hp_w = hp
+        if idx is None:
+            w[hp_offs] += hp_w
+        else:
+            p = np.searchsorted(idx, hp_offs)
+            found = p < idx.size
+            found[found] = idx[p[found]] == hp_offs[found]
+            w[p[found]] += hp_w[found]
+        right += arith.j_higher_terms(xs, hi_i)
+    return xs, right, right - w, w > 0
+
+
+def _take(cols: tuple, idx: Optional[np.ndarray] = None) -> tuple:
+    return cols if idx is None else tuple(c[idx] for c in cols)
 
 
 def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _RowCollector) -> None:
     """every_integer / every_jump engine: one sweep of sieve segments.
 
-    every_integer forms the step's values at all integers of a segment;
+    every_integer takes the step's values at all integers of a segment;
     every_jump finds the jump offsets first and forms values, weights and
-    J's k >= 2 terms at those offsets only.  A scan with no sink that keeps
-    no rows forms no rows: ``_emit_bound_rows`` hands its margins straight to
-    the summary, and with an li smooth side li is exact only at the abscissae
-    ``_emit_decided_rows`` cannot decide from li intervals.
+    J's k >= 2 terms at those offsets only.  A scan with a sink or kept rows
+    forms every row (``_emit_bound_rows``).  Any other scan forms no rows
+    and takes ``_emit_decided_rows``: margins are exact only where block and
+    row floors cannot decide them, and an every-integer segment reads its
+    step values and forms its per-abscissa arrays only at block ends and in
+    undecided blocks.
     """
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
     if hi_i < lo_i:
         return
     base = "psi" if bdef.step == "psi" else "pi"
+    hp = None
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
-    emit = _emit_bound_rows if bdef.li_shift is None or col.wants_rows else _emit_decided_rows
     for seg, before in arith.step_segments(base, hi_i, lo=lo_i):
         a = max(lo_i, seg.lo)
-        wts = (seg.lam if base == "psi" else seg.is_prime)[a - seg.lo :]
+        off = a - seg.lo
+        flags = seg.lam if base == "psi" else seg.is_prime
         if bdef.step == "j":
-            # k >= 2 powers are never prime, so each lands on a zero weight
             i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
-            hp_offs, hp_w = hp_vals[i0:i1] - a, hp_wts[i0:i1]
+            hp = hp_vals[i0:i1] - a, hp_wts[i0:i1]
+        # the segment's jump offsets, unless every row is formed from its running sum
+        nz = None if col.wants_rows and not jumps_only else np.flatnonzero(flags)
         if jumps_only:
-            nz = np.flatnonzero(seg.lam if base == "psi" else seg.is_prime)
-            offs = nz[np.searchsorted(nz, a - seg.lo) :] - (a - seg.lo)
-            wts = wts[offs] if base == "psi" else np.ones(offs.size)
-            if bdef.step == "j":
-                offs = np.concatenate((offs, hp_offs))
+            offs = nz[np.searchsorted(nz, off) :] - off
+            wts = flags[offs + off] if base == "psi" else np.ones(offs.size)
+            if hp is not None:
+                offs = np.concatenate((offs, hp[0]))
                 order = np.argsort(offs, kind="stable")
-                offs, wts = offs[order], np.concatenate((wts, hp_w))[order]
-            right = arith.segment_values(base, seg, before, offs + (a - seg.lo), nonzero=nz)
-            jump_mask = np.ones(offs.size, dtype=bool)
-            xs = offs + float(a)
-        else:
-            right = arith.segment_values(base, seg, before)[a - seg.lo :]
-            if base == "pi":
-                wts = wts.astype(np.float64)
-            if bdef.step == "j":
-                wts[hp_offs] += hp_w
-            jump_mask = wts > 0
-            xs = np.arange(a, seg.hi + 1, dtype=np.float64)
-        if len(xs):
+                offs, wts = offs[order], np.concatenate((wts, hp[1]))[order]
+            right = arith.segment_values(base, seg, before, offs + off, nonzero=nz)
             right = right.astype(np.float64, copy=False)
-            if bdef.step == "j":
+            xs = offs + float(a)
+            if hp is not None:
                 right += arith.j_higher_terms(xs, hi_i)
-            emit(bdef, col, xs, right, right - wts, jump_mask)
+            rows = partial(_take, (xs, right, right - wts, np.ones(offs.size, dtype=bool)))
+            n = n_jumps = offs.size
+        else:
+            rows = partial(_dense_rows, bdef.step, seg, before, a, hp, hi_i, nz)
+            n = seg.hi + 1 - a
+            n_jumps = None
+            if nz is not None:
+                n_jumps = nz.size - int(np.searchsorted(nz, off)) + (0 if hp is None else hp[0].size)
+        if not n:
+            continue
+        if col.wants_rows:
+            _emit_bound_rows(bdef, col, *rows())
+        else:
+            _emit_decided_rows(bdef, col, n, n_jumps, rows)
 
 
 def _scan_log_grid(bdef: _BoundDef, lo: float, hi: float, points: int, col: _RowCollector) -> None:
@@ -809,7 +897,7 @@ def _run_c15(params: dict) -> ClaimResult:
 
 def _run_m1(params: dict) -> ClaimResult:
     x_max = int(params["x_max"])
-    samples = np.unique(np.geomspace(10, x_max, int(params["points"])).astype(np.int64))
+    samples = np.unique(np.geomspace(M1_X_MIN, x_max, int(params["points"])).astype(np.int64))
     psi_at = np.zeros(samples.size)
     nlam_at = np.zeros(samples.size)
     nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments

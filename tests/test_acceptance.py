@@ -12,6 +12,7 @@ at 30 digits.  See test_verify.py for the row-level check of the same scan.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+import zetalab
 from zetalab.analytic import li_pv
 from zetalab.arith import psi_value
 from zetalab.cli import dispatch
@@ -225,9 +227,12 @@ def test_criterion_8_performance_floor():
 
 def test_criterion_9_byte_identical_reports(tmp_path):
     cmd = [sys.executable, "-m", "zetalab", "check", "--all", "--format", "json", "--out"]
+    # the package's own source tree first, so an uninstalled checkout runs too
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for p in (p1, p2):
-        proc = subprocess.run(cmd + [str(p)], capture_output=True, text=True)
+        proc = subprocess.run(cmd + [str(p)], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     identical = p1.read_bytes() == p2.read_bytes()
     _verdict("criterion 9", identical, f"{len(p1.read_bytes())} bytes, byte-identical={identical}")

@@ -146,6 +146,12 @@ def test_infinite_and_overflowing_arguments_are_usage_errors(argv, capsys):
         (["check", "C1", "--max", "1"], "--max"),
         (["check", "C14", "--points", "0"], "--points"),
         (["check", "M1", "--points", "0"], "--points"),
+        # below the first abscissa: no argmax of an empty array, no reversed range that passes
+        (["check", "C9", "--max", "1"], "--max"),
+        (["check", "C10", "--max", "1"], "--max"),
+        (["check", "C14", "--max", "50"], "--max"),
+        (["check", "C13", "--max", "0.0001"], "--max"),
+        (["check", "M1", "--max", "5"], "--max"),
     ],
 )
 def test_check_overrides_that_leave_nothing_to_check_are_usage_errors(argv, option, capsys):

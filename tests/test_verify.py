@@ -285,6 +285,9 @@ def test_summary_scan_is_the_kept_rows_scan(monkeypatch, bound_id, convention, m
     rng = np.random.default_rng([ord(c) for c in bound_id + str(convention) + mode])
     ranges = [(2, 70_000)]  # B4's failure clusters and the small-x rows
     ranges += [(rng.uniform(seg0 - 150_000, seg0), rng.uniform(seg0, seg0 + 150_000)) for _ in range(2)]
+    # a start below 8, where blocks go to the row pass, and a segment whose
+    # last 64-abscissa block holds one integer
+    ranges += [(rng.uniform(2, 8), 20_000), (seg0 + 17, seg0 + 17 + 64 * 300)]
     points = _counting_li(monkeypatch)
     for lo, hi in ranges:
         kept = scan_bound(bound_id, lo, hi, mode, points=3000, convention=convention, keep_rows=True)
@@ -391,6 +394,98 @@ def test_summary_b4_scan_evaluates_li_at_under_one_percent_of_abscissae(monkeypa
     assert points[0] < 0.01 * (2e6 - 1)
 
 
+def _rows_by_abscissa(monkeypatch, bound_id, convention, mode, lo, hi):
+    """The bound, row-former arrays (x, right, left, jump mask) and each x's lowest margin of a kept-rows scan."""
+    from zetalab import verify
+
+    seen = []
+    real = verify._emit_bound_rows
+
+    def capture(bdef, col, *cols):
+        seen.append((bdef, cols))
+        return real(bdef, col, *cols)
+
+    monkeypatch.setattr(verify, "_emit_bound_rows", capture)
+    rep = scan_bound(bound_id, lo, hi, mode, convention=convention, keep_rows=True)
+    monkeypatch.setattr(verify, "_emit_bound_rows", real)
+    cols = tuple(np.concatenate(c) for c in zip(*(c for _, c in seen)))
+    rows = np.array(rep.rows)
+    starts = np.flatnonzero(np.diff(rows[:, 0], prepend=-1.0))
+    assert np.array_equal(rows[starts, 0], cols[0])
+    return seen[0][0], cols, np.minimum.reduceat(rows[:, 3], starts)
+
+
+@pytest.mark.parametrize("mode", ["every_integer", "every_jump"])
+@pytest.mark.parametrize(
+    "bound_id,convention", [("B1", None), ("B2", None), ("B3", None), ("B4", None), ("B4", "li")]
+)
+def test_block_floors_bound_every_margin_of_their_blocks(monkeypatch, bound_id, convention, mode):
+    # every block of 64 consecutive abscissae and every single abscissa, in a
+    # range from 2 (blocks that start below 8) and one across the 2**20
+    # segment edge, with its gaps between primes of more than 64 integers
+    from zetalab import verify
+
+    seg0 = 1 << 20
+    for lo, hi in ((2, 3000), (seg0 - 20_000, seg0 + 20_000)):
+        bdef, cols, lowest = _rows_by_abscissa(monkeypatch, bound_id, convention, mode, lo, hi)
+        grid = None if bdef.li_shift is None else verify._li_grid(cols[0][0], cols[0][-1])
+        for size in (64, 1):
+            i0 = np.arange(cols[0].size - size + 1)
+            first = tuple(c[i0] for c in cols)
+            last = first if size == 1 else tuple(c[i0 + size - 1] for c in cols)
+            floor, ceiling = verify._block_floors(bdef, grid, first, last)
+            in_block = np.lib.stride_tricks.sliding_window_view(lowest, size).min(axis=1)
+            bad = np.flatnonzero(in_block < floor)
+            assert not bad.size, (lo, size, first[0][bad[:5]], in_block[bad[:5]] - floor[bad[:5]])
+            bad = np.flatnonzero(lowest[i0] > ceiling)
+            assert not bad.size, (lo, size, first[0][bad[:5]], lowest[i0][bad[:5]] - ceiling[bad[:5]])
+            if size > 1:
+                assert np.all(np.isneginf(floor[first[0] < 8])), lo
+                assert np.all(np.isfinite(floor[first[0] >= 8])), lo
+
+
+def _row_pass_share(monkeypatch, bound_id, lo, hi):
+    """The scan's summary, and the share of its abscissae that reach the row pass."""
+    from zetalab import verify
+
+    rows = [0]
+    real = verify._block_floors
+
+    def counting(bdef, grid, first, last):
+        if last is first:
+            rows[0] += first[0].size
+        return real(bdef, grid, first, last)
+
+    monkeypatch.setattr(verify, "_block_floors", counting)
+    rep = scan_bound(bound_id, lo, hi, keep_rows=False)
+    return rep, rows[0] / (hi - lo + 1)
+
+
+@pytest.mark.parametrize("bound_id", ["B2", "B4"])
+def test_summary_scans_send_few_abscissae_to_the_row_pass(monkeypatch, bound_id):
+    rep, share = _row_pass_share(monkeypatch, bound_id, 2, 2_000_000)
+    assert rep.n_rows > 0
+    assert share < 0.03, share
+
+
+@pytest.mark.parametrize("bound_id", ["B2", "B3"])
+def test_a_floor_equal_to_the_cut_is_decided_exactly(monkeypatch, bound_id):
+    # raise every floor to its own ceiling: then the lowest floor equals the
+    # cut, and only a block or row that is not skipped on that tie reaches
+    # the exact path and the minimum
+    from zetalab import verify
+
+    real = verify._block_floors
+
+    def tight(bdef, grid, first, last):
+        _, ceiling = real(bdef, grid, first, last)
+        return ceiling, ceiling
+
+    monkeypatch.setattr(verify, "_block_floors", tight)
+    rep = scan_bound(bound_id, 2, 200_000, keep_rows=False)
+    assert rep.passed and math.isfinite(rep.min_margin), rep
+
+
 def test_li_interval_holds_on_a_million_rows():
     from zetalab import analytic, verify
 
@@ -398,7 +493,7 @@ def test_li_interval_holds_on_a_million_rows():
     starts = np.concatenate([[2.0], np.exp(rng.uniform(math.log(2.0), math.log(1e12), 15))])
     for a0 in np.floor(starts):
         xs = np.sort(rng.integers(a0, a0 + (1 << 20), 1 << 16)).astype(np.float64)
-        lo, hi = verify._li_bounds(xs, np.log(xs), *verify._li_grid(xs))
+        lo, hi = verify._li_bounds(xs, np.log(xs), *verify._li_grid(xs[0], xs[-1]))
         li = analytic.li_vec(xs)
         slack = verify._slack(np.abs(hi))
         assert np.all(lo - slack <= li), a0
