@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,8 +115,7 @@ def li_series_terms(log_x: float) -> float:
 
     Domain: |log x| <= LI_SERIES_LOG_MAX, which the callers check.  Past it a
     term exceeds ~1.3e300, the Dekker split of the next product overflows to
-    NaN, and the stopping test below never holds.  ``lie`` memoises what it
-    asks of this series; ``li_pv`` does not.
+    NaN, and the stopping test below never holds.
 
     The term recursion runs in double-double: sixty plain-float multiplies
     drift by ~1e-7 absolute near log x = 20, which would drown the constant
@@ -271,15 +269,12 @@ def li_pv(x: float) -> float:
     return EULER_GAMMA + math.log(abs(lx)) + li_series_terms(lx)
 
 
-@lru_cache(maxsize=1024)
 def lie(x: float) -> float:
     """li evaluated at e**x: gamma + log x + sum_k x**k / (k * k!).
 
-    Domain: 0 < x <= LI_SERIES_LOG_MAX; any other x raises ValueError (never
-    cached).  Values are memoised (the 1024 most recent x) because scipy's
-    quad asks for the same nodes again and again: the five s of C6's grid
-    integrate over one interval with one set of breakpoints, and their 3717
-    integrand calls hold 777 distinct x.
+    Domain: 0 < x <= LI_SERIES_LOG_MAX; any other x raises ValueError.
+    Nothing is memoised here: the lie transform caches its node values per
+    interval (``laplace._lie_panels``).
     """
     if not 0.0 < x <= LI_SERIES_LOG_MAX:
         raise ValueError(f"lie requires 0 < x <= {LI_SERIES_LOG_MAX!r}, got x={x!r}")

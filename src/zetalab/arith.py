@@ -40,7 +40,8 @@ def step_segments(
     That value, ``before``, is the step at seg.lo - 1.  step "pi" gives
     ``before`` as an int prime count; "psi" gives the
     Kahan-compensated total of the earlier segments' Lambda, and its segments
-    carry ``lam``.  No running sum is formed here: ``segment_values`` forms
+    carry ``lam`` and the offsets ``lam_nonzero`` that the carry and the
+    readers share.  No running sum is formed here: ``segment_values`` forms
     the right-limit values a reader asks for.  Every segment, reached or not,
     adds only its total to the carry.
     """
@@ -54,12 +55,12 @@ def step_segments(
         if step == "pi":
             pi_run += int(np.count_nonzero(seg.is_prime))
         else:
-            psi_run.add(_lam_total(seg.lam))
+            psi_run.add(_lam_total(seg))
 
 
-def _lam_total(lam: np.ndarray) -> float:
+def _lam_total(seg: SieveSegment) -> float:
     """Correctly rounded sum of a segment's Lambda; its zeros cannot change an fsum."""
-    return math.fsum(lam[np.flatnonzero(lam)].tolist())
+    return math.fsum(seg.lam[seg.lam_nonzero].tolist())
 
 
 # Up to this many offsets, a sparse pi read counts primes slice by slice rather
@@ -83,10 +84,11 @@ def segment_values(
     running sum over its integers: pi counts the primes at or below each
     offset, slice by slice for a few offsets and by a binary search over the
     prime offsets for many; psi runs the same sequential sum over the nonzero
-    Lambda only.  Adding 0.0 leaves a running float sum unchanged, so each
-    value has the bits of the dense sum at that offset.  A reader that has
-    already listed the segment's jump offsets (``np.flatnonzero`` of its
-    is_prime or lam) passes them as ``nonzero``, so they are not listed again.
+    Lambda only (``seg.lam_nonzero``).  Adding 0.0 leaves a running float
+    sum unchanged, so each value has the bits of the dense sum at that
+    offset.  A pi reader that has already listed the segment's prime offsets
+    (``np.flatnonzero(seg.is_prime)``) passes them as ``nonzero``, so they
+    are not listed again.
     """
     if offs is None:
         if step == "pi":
@@ -106,10 +108,7 @@ def segment_values(
             nonzero = np.flatnonzero(seg.is_prime)
         return np.searchsorted(nonzero, offs, "right") + before
     top = int(offs[-1]) + 1 if offs.size else 0
-    if nonzero is None:
-        nz = np.flatnonzero(seg.lam[:top])
-    else:
-        nz = nonzero[: np.searchsorted(nonzero, top)]
+    nz = seg.lam_nonzero[: np.searchsorted(seg.lam_nonzero, top)]
     run = np.zeros(nz.size + 1)
     np.cumsum(seg.lam[nz], out=run[1:])
     vals = run[np.searchsorted(nz, offs, "right")]
@@ -221,7 +220,7 @@ def psi_value(x: float) -> float:
         return 0.0
     acc = KahanSum()
     for seg in iter_segments(0, int(math.floor(x)), want_lam=True):
-        acc.add(_lam_total(seg.lam))
+        acc.add(_lam_total(seg))
     return acc.value
 
 

@@ -85,6 +85,11 @@ def _claim_params(args, claim_id: str) -> Optional[dict]:
     if args.max is not None:
         # the claim's smallest abscissa: the first prime for a limit, the grid's start otherwise
         if "limit" in defaults:
+            if args.max > verify.LIMIT_CEILING:
+                raise ValueError(
+                    f"--max {args.max:g} is above {claim_id}'s ceiling {verify.LIMIT_CEILING:g}: "
+                    "its arrays span the whole range"
+                )
             params["limit"] = int(args.max)
             least, name = 2, "x"
         elif "n_grid" in defaults:

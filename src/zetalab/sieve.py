@@ -26,13 +26,15 @@ SIEVE_CEILING = 1 << 40
 class SieveSegment:
     """Primality and Lambda over the inclusive integer range [lo, hi].
 
-    ``lam`` is None unless the caller asked ``iter_segments`` for it.
+    ``lam`` is None unless the caller asked ``iter_segments`` for it;
+    ``lam_nonzero`` then lists the offsets of its nonzero entries, ascending.
     """
 
     lo: int
     hi: int
     is_prime: np.ndarray
     lam: Optional[np.ndarray]
+    lam_nonzero: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -89,11 +91,15 @@ def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lam_block(lo: int, hi: int, powers: Tuple[np.ndarray, ...], is_prime: np.ndarray) -> np.ndarray:
-    """von Mangoldt Lambda on [lo, hi]: log p at every prime power p**k.
+def _lam_block(
+    lo: int, hi: int, powers: Tuple[np.ndarray, ...], is_prime: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """von Mangoldt Lambda on [lo, hi]: log p at every prime power p**k, and its nonzero offsets.
 
     ``powers`` is the ``higher_prime_powers`` table of the whole sweep; its
-    entries inside [lo, hi] get math.log(p).
+    entries inside [lo, hi] get math.log(p).  The nonzero offsets are the
+    primes' with the few k >= 2 powers merged in (no power is prime), so
+    Lambda's 8 bytes per integer are never scanned for them.
     """
     size = hi - lo + 1
     lam = np.zeros(size, dtype=np.float64)
@@ -102,8 +108,9 @@ def _lam_block(lo: int, hi: int, powers: Tuple[np.ndarray, ...], is_prime: np.nd
         lam[idx] = np.log(idx + float(lo))
     values, primes, _k = powers
     i0, i1 = np.searchsorted(values, [lo, hi + 1])
-    lam[values[i0:i1] - lo] = [math.log(p) for p in primes[i0:i1].tolist()]
-    return lam
+    at = values[i0:i1] - lo
+    lam[at] = [math.log(p) for p in primes[i0:i1].tolist()]
+    return lam, np.insert(idx, np.searchsorted(idx, at), at)
 
 
 def iter_segments(lo: int, hi: int, *, want_lam: bool = False) -> Iterator[SieveSegment]:
@@ -116,10 +123,12 @@ def iter_segments(lo: int, hi: int, *, want_lam: bool = False) -> Iterator[Sieve
         b = min(a + DEFAULT_SEGMENT - 1, hi)
         isp = _primality_block(a, b, primes)
         isp.setflags(write=False)
-        lam = _lam_block(a, b, powers, isp) if want_lam else None
-        if lam is not None:
+        lam = nonzero = None
+        if want_lam:
+            lam, nonzero = _lam_block(a, b, powers, isp)
             lam.setflags(write=False)
-        yield SieveSegment(a, b, isp, lam)
+            nonzero.setflags(write=False)
+        yield SieveSegment(a, b, isp, lam, nonzero)
         a = b + 1
 
 

@@ -32,6 +32,9 @@ N_DECADES = (2, 10, 100, 1000, 10000)
 S_GRID = (1.5, 2.0, 3.0, 5.0, 10.0)
 C_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 DEFAULT_COMB_LIMIT = 1e6
+# the largest limit of a claim whose arrays span the whole range (the combs, C9
+# and C10); C9 holds about 83 bytes per integer, so some 8.3 GB here
+LIMIT_CEILING = 10 ** 8
 M1_X_MIN = 10  # M1 samples x on a log grid from here
 
 Row = Tuple[float, float, float, float, bool]
@@ -501,15 +504,18 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
     for seg, before in arith.step_segments(base, hi_i, lo=lo_i):
         a = max(lo_i, seg.lo)
         off = a - seg.lo
-        flags = seg.lam if base == "psi" else seg.is_prime
         if bdef.step == "j":
             i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
             hp = hp_vals[i0:i1] - a, hp_wts[i0:i1]
-        # the segment's jump offsets, unless every row is formed from its running sum
-        nz = None if col.wants_rows and not jumps_only else np.flatnonzero(flags)
+        # the segment's jump offsets; pi's are listed unless every row is formed
+        # from its running sum
+        if base == "psi":
+            nz = seg.lam_nonzero
+        else:
+            nz = None if col.wants_rows and not jumps_only else np.flatnonzero(seg.is_prime)
         if jumps_only:
             offs = nz[np.searchsorted(nz, off) :] - off
-            wts = flags[offs + off] if base == "psi" else np.ones(offs.size)
+            wts = seg.lam[offs + off] if base == "psi" else np.ones(offs.size)
             if hp is not None:
                 offs = np.concatenate((offs, hp[0]))
                 order = np.argsort(offs, kind="stable")

@@ -98,7 +98,7 @@ def test_fused_li_series_has_the_bits_of_the_double_double_composition(monkeypat
         return fused(log_x)
 
     monkeypatch.setattr(analytic, "li_series_terms", record)
-    analytic.lie.cache_clear()
+    laplace._lie_panels.cache_clear()
     verify.run_all()
     monkeypatch.undo()
     assert len(seen) > 1000  # C6's quadrature nodes and C14's li_pv arguments
@@ -126,29 +126,33 @@ def test_lie_and_li_against_30_digit_mpmath():
                 assert abs(li_pv(y) - exact) <= 3e-16 * max(1, abs(exact)), y
 
 
-def test_lie_memo_evaluates_each_c6_node_once(monkeypatch):
-    evaluations, calls = [0], [0]
-    series, cached = analytic.li_series_terms, laplace.lie
+def test_c6_runs_the_series_once_per_distinct_node(monkeypatch):
+    evaluations = [0]
+    series = analytic.li_series_terms
 
     def count_series(log_x):
         evaluations[0] += 1
         return series(log_x)
 
-    def count_calls(x):
-        calls[0] += 1
-        return cached(x)
-
     monkeypatch.setattr(analytic, "li_series_terms", count_series)
-    monkeypatch.setattr(laplace, "lie", count_calls)
-    analytic.lie.cache_clear()
+    laplace._lie_panels.cache_clear()
     assert verify.run_claim("C6").passed
-    # five s values over one interval with one set of breakpoints: quad asks
-    # for 777 distinct nodes in 3717 integrand calls
-    assert (calls[0], evaluations[0]) == (3717, 777)
+    nodes = laplace._lie_panels(40.0)[2]
+    assert evaluations[0] == np.unique(nodes).size == nodes.size == 864
+    # the nodes do not depend on s, so a second C6 reads the cached values
+    assert verify.run_claim("C6").passed
+    assert evaluations[0] == 864
+
+    def fail(log_x):
+        raise ValueError("no series today")
+
+    monkeypatch.setattr(analytic, "li_series_terms", fail)
     for _ in range(2):  # a raise is never cached
-        with pytest.raises(ValueError):
-            lie(0.0)
-    assert evaluations[0] == 777
+        with pytest.raises(ValueError, match="no series today"):
+            laplace.laplace_quadrature("lie", 3.0, 44.0)
+    monkeypatch.setattr(analytic, "li_series_terms", count_series)
+    assert laplace.laplace_quadrature("lie", 3.0, 44.0).contains()
+    assert evaluations[0] == 2 * 864
 
 
 def test_series_outside_its_domain_raises(monkeypatch):

@@ -158,3 +158,17 @@ def test_check_overrides_that_leave_nothing_to_check_are_usage_errors(argv, opti
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(option)
+
+
+@pytest.mark.parametrize("claim", ["C9", "C5", "C10"])
+def test_claim_limits_whose_arrays_cannot_be_held_are_usage_errors(claim, capsys):
+    # C9 used to ask numpy for 7.28 TiB and exit 1 with a traceback
+    assert dispatch(["check", claim, "--max", "1e12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("--max 1e+12 is above") and "Traceback" not in err
+
+
+def test_laplace_lie_past_the_series_domain_exits_2(capsys):
+    assert dispatch(["laplace", "lie", "--x-max", "700"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("x_max must be at most 695.2588015446954")

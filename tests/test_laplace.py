@@ -1,10 +1,13 @@
 """Transform brackets, the error-transform expansion, and the kernel gap."""
 
 import math
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
+from zetalab import laplace
 from zetalab.analytic import R_of_s, zeta_prime_real, zeta_real
 from zetalab.comb import ArithmeticKind, CombKind, build_comb
 from zetalab.laplace import (
@@ -106,6 +109,116 @@ def test_lie_bracket_at_two_contains_zero_tightly():
     assert br.width < 1e-6
 
 
+# ---------------------------------------------------------------------------
+# the stated error of the lie transform, part by part, against 30-digit oracles
+
+LIE_EDGES = (40.0, 44.0)
+U = 2.0**-53
+
+
+def _lie_s_values():
+    rng = np.random.default_rng(20261018)
+    return S_GRID + sorted(rng.uniform(1.2, 20.0, 10).tolist())
+
+
+@lru_cache(maxsize=None)
+def _ei_transform(s: float, edge: float) -> float:
+    """The integral of Ei(x) e**-sx over [0, edge]: -log(s-1)/s less the part past edge."""
+    with mpmath.workdps(30):
+        past = mpmath.quad(lambda t: mpmath.ei(t) * mpmath.exp(-s * t), [edge, 2 * edge, mpmath.inf])
+        return -mpmath.log(s - 1) / s - past
+
+
+@lru_cache(maxsize=None)
+def _ei_at_nodes(edge: float):
+    with mpmath.workdps(30):
+        return [mpmath.ei(x) for x in laplace._lie_panels(edge)[2].tolist()]
+
+
+@pytest.mark.parametrize("edge", LIE_EDGES)
+def test_lie_transform_error_contains_the_30_digit_integral(edge):
+    for s in _lie_s_values():
+        value, parts = laplace._lie_transform(s, edge)
+        err = sum(parts)
+        exact = _ei_transform(s, edge)
+        assert value - err <= exact <= value + err, (s, edge, float(exact - value), parts)
+        assert err <= 1e-13, (s, edge, parts)  # a vacuously wide bound fails
+        try:
+            br = laplace_quadrature("lie", s, edge)
+        except ValueError as exc:  # the tail past edge is too large at this s
+            assert "tail bound" in str(exc) and s < 1.5
+            continue
+        tail_hi = br.numeric_hi - (value + err)
+        assert 0.0 <= tail_hi <= 1e-8
+        assert br.numeric_lo <= exact <= br.numeric_hi - tail_hi
+
+
+def test_lie_first_panel_bound_covers_the_left_out_integral():
+    for edge in LIE_EDGES:
+        mid, half = laplace._lie_panels(edge)[:2]
+        a0 = math.ldexp(edge, -mid.size)
+        assert a0 <= 1e-20 and mid[0] - half[0] == pytest.approx(a0, rel=1e-15)
+        with mpmath.workdps(30):
+            for s in S_GRID:
+                left_out = mpmath.quad(lambda t: abs(mpmath.ei(t)) * mpmath.exp(-s * t), [0, a0])
+                assert laplace._lie_transform(s, edge)[1].first >= left_out
+
+
+def test_lie_contract_part_covers_lie_error_at_every_node():
+    for edge in LIE_EDGES:
+        _mid, _half, x, w, values = laplace._lie_panels(edge)
+        exact = _ei_at_nodes(edge)
+        miss = [abs(v - e) for v, e in zip(values.tolist(), exact)]
+        for xi, m, e in zip(x.tolist(), miss, exact):
+            assert m <= 3e-16 * max(1, abs(e)), xi
+        for s in S_GRID:
+            actual = sum(wi * math.exp(-s * xi) * float(m) for wi, xi, m in zip(w, x, miss))
+            assert laplace._lie_transform(s, edge)[1].contract >= actual > 0
+
+
+def _gauss_legendre_40_digits(n: int):
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for t in np.polynomial.legendre.leggauss(n)[0].tolist():
+            r = mpmath.findroot(lambda z: mpmath.legendre(n, z), mpmath.mpf(t))
+            dp = mpmath.diff(lambda z: mpmath.legendre(n, z), r)
+            nodes.append(r)
+            weights.append(2 / ((1 - r**2) * dp**2))
+        return nodes, weights
+
+
+def test_tabulated_gauss_rule_and_exp_are_as_accurate_as_the_rounding_part_assumes():
+    t, w = laplace._gauss_nodes(laplace._LIE_ORDER)
+    nodes, weights = _gauss_legendre_40_digits(laplace._LIE_ORDER)
+    with mpmath.workdps(40):
+        assert max(abs(a - b) for a, b in zip(t.tolist(), nodes)) <= U
+        assert max(abs((a - b) / b) for a, b in zip(w.tolist(), weights)) <= laplace._GL_WEIGHT_REL
+        for edge in LIE_EDGES:
+            x = laplace._lie_panels(edge)[2]
+            for s in S_GRID:
+                y = -s * x
+                got = np.exp(y).tolist()
+                worst = max(abs(g / mpmath.exp(v) - 1) for g, v in zip(got, y.tolist()))
+                assert worst <= 4 * U, (edge, s)
+
+
+def test_lie_panel_remainder_bounds_the_40_digit_gauss_error():
+    # the panels past x = 1/8 carry nearly all of the truncation error; each
+    # one's bound must cover its Gauss rule's error in 40-digit arithmetic
+    edge, s = 40.0, 1.5
+    mid, half = laplace._lie_panels(edge)[:2]
+    nodes, weights = _gauss_legendre_40_digits(laplace._LIE_ORDER)
+    errors = []
+    with mpmath.workdps(40):
+        f = lambda z: mpmath.ei(z) * mpmath.exp(-s * z)  # noqa: E731
+        for i in np.flatnonzero(mid - half >= 0.125).tolist():
+            m, h = mpmath.mpf(float(mid[i])), mpmath.mpf(float(half[i]))
+            rule = h * mpmath.fsum(wk * f(m + h * tk) for tk, wk in zip(nodes, weights))
+            errors.append(abs(rule - mpmath.quad(f, [m - h, m + h])))
+            assert laplace._lie_remainder(mid[i : i + 1], half[i : i + 1], s) >= errors[-1], i
+    assert laplace._lie_transform(s, edge)[1].remainder >= sum(errors) > 0
+
+
 def test_quadrature_domain_errors():
     with pytest.raises(ValueError):
         laplace_quadrature("r", 1.0)
@@ -113,6 +226,9 @@ def test_quadrature_domain_errors():
         laplace_quadrature("r", 1.5, 2.0)  # tail bound unreachable
     with pytest.raises(ValueError):
         laplace_quadrature("nope", 2.0)
+    for x_max in (2.0, math.nan, 700.0, math.inf):  # lie's series ends at log x = 695.25...
+        with pytest.raises(ValueError, match="x_max"):
+            laplace_quadrature("lie", 2.0, x_max)
 
 
 def test_er_closed_values():

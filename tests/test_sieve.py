@@ -100,6 +100,12 @@ def test_segmentation_is_invisible(monkeypatch):
     assert len(parts) == 9
     assert np.array_equal(np.concatenate([p.is_prime for p in parts]), whole.is_prime)
     assert np.allclose(np.concatenate([p.lam for p in parts]), whole.lam)
+    # each segment lists its nonzero Lambda: primes and k >= 2 powers, merged
+    for p in parts:
+        assert np.array_equal(p.lam_nonzero, np.flatnonzero(p.lam))
+    (seg,) = iter_segments(2**40 - 1000, 2**40, want_lam=True)
+    assert np.array_equal(seg.lam_nonzero, np.flatnonzero(seg.lam))
+    assert 2**40 - seg.lo in seg.lam_nonzero.tolist()  # 2**40 itself
 
 
 def test_range_validation():
@@ -115,6 +121,8 @@ def test_segments_are_immutable():
         seg.is_prime[0] = True
     with pytest.raises(ValueError):
         seg.lam[0] = 1.0
+    with pytest.raises(ValueError):
+        seg.lam_nonzero[0] = 1
 
 
 def test_mobius_values():
