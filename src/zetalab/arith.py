@@ -4,9 +4,10 @@ pi and psi are step functions summed segment by segment over one sieve
 sweep (``step_segments``), so memory stays bounded.  The sweep hands each
 segment over with the step's value just left of it; ``segment_values`` then
 forms right-limit values either at every offset (dense readers: every-integer
-scans, ``pi_table``) or at sorted offsets only (sparse readers: ``step_at``
-for log grids, every-jump scans), where the cost follows the segment's jumps
-and the requested points, not its length, and the bits are the dense ones.
+scans that keep their rows, ``pi_table``) or at sorted offsets only (sparse
+readers: ``step_at`` for log grids, every-jump and summary-only scans),
+where the cost follows the segment's jumps and the requested points, not its
+length, and the bits are the dense ones.
 The weighted prime-power count J is pi plus the k >= 2 jumps at exact integer
 k-th roots, added at the requested points only; float powers are never used
 to decide whether a lattice point is a perfect power.

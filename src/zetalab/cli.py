@@ -156,6 +156,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_laplace(args) -> int:
+    if args.limit > verify.LIMIT_CEILING:
+        raise ValueError(
+            f"--limit {args.limit:g} is above the ceiling {verify.LIMIT_CEILING:g}: "
+            "a comb's arrays span the whole range"
+        )
     grid = [float(t) for t in args.s.split(",")]
     ok = True
     for s in grid:

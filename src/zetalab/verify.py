@@ -438,16 +438,18 @@ def _emit_decided_rows(bdef: _BoundDef, col: _RowCollector, n: int, n_jumps: int
     col.add_margins([], passing=(1 if bdef.lower is None else 2) * skipped)
 
 
-def _dense_rows(
+def _segment_rows(
     step: str, seg, before, a: int, hp, hi_i: int, nonzero, idx: Optional[np.ndarray] = None
 ) -> tuple:
-    """Abscissae, right and left limits and jump mask of an every-integer segment from a on.
+    """Abscissae, right and left limits and jump mask of a segment from a on, at offsets idx.
 
-    ``hp`` holds J's k >= 2 jump offsets from a and their weights.  With no
-    idx every abscissa is read, and the base step by its running sum over
-    the whole segment.  With ascending indices idx the arrays are formed
-    there only: the base step by ``arith.segment_values`` at those offsets,
-    over the segment's jump offsets ``nonzero``, and every other entry by the
+    The one reader of both sweep modes: every-integer scans pass offsets of
+    every integer from a, every-jump scans offsets of the jumps only.  ``hp``
+    holds J's k >= 2 jump offsets from a and their weights.  With no idx
+    every integer is read, and the base step by its running sum over the
+    whole segment.  With ascending offsets idx the arrays are formed there
+    only: the base step by ``arith.segment_values`` at those offsets, over
+    the segment's jump offsets ``nonzero``, and every other entry by the
     same elementwise operations.  So each entry has the bits of the dense
     one; J's k >= 2 terms are copies of the same table entries.
     """
@@ -477,21 +479,17 @@ def _dense_rows(
     return xs, right, right - w, w > 0
 
 
-def _take(cols: tuple, idx: Optional[np.ndarray] = None) -> tuple:
-    return cols if idx is None else tuple(c[idx] for c in cols)
-
-
 def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _RowCollector) -> None:
     """every_integer / every_jump engine: one sweep of sieve segments.
 
-    every_integer takes the step's values at all integers of a segment;
-    every_jump finds the jump offsets first and forms values, weights and
-    J's k >= 2 terms at those offsets only.  A scan with a sink or kept rows
-    forms every row (``_emit_bound_rows``).  Any other scan forms no rows
-    and takes ``_emit_decided_rows``: margins are exact only where block and
-    row floors cannot decide them, and an every-integer segment reads its
-    step values and forms its per-abscissa arrays only at block ends and in
-    undecided blocks.
+    Both modes read a segment through ``_segment_rows``: every_integer at
+    every integer, every_jump at the list of its jump offsets (the primes,
+    or the nonzero Lambda for psi, merged with J's k >= 2 powers).  A scan
+    with a sink or kept rows forms every row (``_emit_bound_rows``).  Any
+    other scan forms no rows and takes ``_emit_decided_rows``: margins are
+    exact only where block and row floors cannot decide them, and step
+    values, J's k >= 2 terms and the per-abscissa arrays are read only at
+    block ends and in undecided blocks.
     """
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
@@ -513,22 +511,15 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
             nz = seg.lam_nonzero
         else:
             nz = None if col.wants_rows and not jumps_only else np.flatnonzero(seg.is_prime)
+        read = partial(_segment_rows, bdef.step, seg, before, a, hp, hi_i, nz)
         if jumps_only:
             offs = nz[np.searchsorted(nz, off) :] - off
-            wts = seg.lam[offs + off] if base == "psi" else np.ones(offs.size)
             if hp is not None:
-                offs = np.concatenate((offs, hp[0]))
-                order = np.argsort(offs, kind="stable")
-                offs, wts = offs[order], np.concatenate((wts, hp[1]))[order]
-            right = arith.segment_values(base, seg, before, offs + off, nonzero=nz)
-            right = right.astype(np.float64, copy=False)
-            xs = offs + float(a)
-            if hp is not None:
-                right += arith.j_higher_terms(xs, hi_i)
-            rows = partial(_take, (xs, right, right - wts, np.ones(offs.size, dtype=bool)))
+                offs = np.sort(np.concatenate((offs, hp[0])))
+            rows = lambda idx=None: read(offs if idx is None else offs[idx])
             n = n_jumps = offs.size
         else:
-            rows = partial(_dense_rows, bdef.step, seg, before, a, hp, hi_i, nz)
+            rows = read
             n = seg.hi + 1 - a
             n_jumps = None
             if nz is not None:
@@ -787,21 +778,24 @@ def _run_c8(params: dict) -> ClaimResult:
     return _result_from_rows("C8", "identity", params, rows, tols, extra_fail=not ok_all)
 
 
-def _run_c9(params: dict) -> ClaimResult:
-    limit = int(params["limit"])
-    residuals = arith.pi_from_j_residuals(limit)
+def _worst_residual(claim_id: str, params: dict, residuals: np.ndarray, tol: float) -> ClaimResult:
+    """Verdict on residuals indexed by x - 2: the largest, and the x where it sits."""
     i = int(np.argmax(residuals))
     worst = float(residuals[i])
     return ClaimResult(
-        id="C9",
+        id=claim_id,
         kind="identity",
         params=params,
         max_abs_residual=worst,
-        tolerance=1e-9,
-        verdict="pass" if worst <= 1e-9 else "fail",
+        tolerance=tol,
+        verdict="pass" if worst <= tol else "fail",
         arg_extremum=float(i + 2),
         rows=None,
     )
+
+
+def _run_c9(params: dict) -> ClaimResult:
+    return _worst_residual("C9", params, arith.pi_from_j_residuals(int(params["limit"])), 1e-9)
 
 
 def _run_c10(params: dict) -> ClaimResult:
@@ -814,25 +808,10 @@ def _run_c10(params: dict) -> ClaimResult:
     cum_log[1:] = np.cumsum(np.log(np.arange(1.0, limit + 1)))
     xs = np.arange(2, limit + 1, dtype=np.int64)
     lhs = np.zeros(xs.size)
-    for k in range(1, limit + 1):
-        idx = xs // k
-        live = idx >= 2
-        if not live.any():
-            break
-        lhs[live] += cum_lam[idx[live]]
-    rel = np.abs(lhs - cum_log[xs]) / xs
-    i = int(np.argmax(rel))
-    worst = float(rel[i])
-    return ClaimResult(
-        id="C10",
-        kind="identity",
-        params=params,
-        max_abs_residual=worst,
-        tolerance=1e-6,
-        verdict="pass" if worst <= 1e-6 else "fail",
-        arg_extremum=float(xs[i]),
-        rows=None,
-    )
+    # x // k >= 2 exactly when x >= 2k, the suffix from index 2k - 2
+    for k in range(1, limit // 2 + 1):
+        lhs[2 * k - 2 :] += cum_lam[xs[2 * k - 2 :] // k]
+    return _worst_residual("C10", params, np.abs(lhs - cum_log[xs]) / xs, 1e-6)
 
 
 def _run_c11(params: dict) -> ClaimResult:

@@ -168,6 +168,17 @@ def test_claim_limits_whose_arrays_cannot_be_held_are_usage_errors(claim, capsys
     assert out == "" and err.startswith("--max 1e+12 is above") and "Traceback" not in err
 
 
+def test_laplace_limits_whose_arrays_cannot_be_held_are_usage_errors(monkeypatch, capsys):
+    # used to ask numpy for 7.28 TiB and exit 1 with a traceback
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("laplace_pair was called")
+
+    monkeypatch.setattr(zetalab.laplace, "laplace_pair", no_bracket)
+    assert dispatch(["laplace", "zeta1", "--limit", "1e12", "--s", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("--limit 1e+12 is above") and "Traceback" not in err
+
+
 def test_laplace_lie_past_the_series_domain_exits_2(capsys):
     assert dispatch(["laplace", "lie", "--x-max", "700"]) == 2
     out, err = capsys.readouterr()

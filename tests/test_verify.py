@@ -246,14 +246,26 @@ def test_every_jump_scan_asks_j_only_at_its_jumps(monkeypatch):
     asked = []
     real = arith.j_higher_terms
 
-    def counting(xs, limit):
-        asked.append(len(xs))
+    def recording(xs, limit):
+        asked.append(np.array(xs))
         return real(xs, limit)
 
-    monkeypatch.setattr(arith, "j_higher_terms", counting)
-    rep = scan_bound("B1", 2, 3e6, "every_jump")
-    # one-sided bound: a left-limit row and a value row per jump
-    assert rep.n_rows > 0 and sum(asked) == rep.n_rows // 2
+    monkeypatch.setattr(arith, "j_higher_terms", recording)
+    kept = scan_bound("B1", 2, 3e6, "every_jump", keep_rows=True)
+    at_kept = np.concatenate(asked)
+    # a scan that keeps its rows asks at every jump exactly once; one-sided
+    # bound: a left-limit row and a value row per jump
+    assert kept.n_rows > 0 and at_kept.size == kept.n_rows // 2
+    assert np.unique(at_kept).size == at_kept.size
+    assert set(at_kept.tolist()) == {r[0] for r in kept.rows}
+    asked.clear()
+    summary = scan_bound("B1", 2, 3e6, "every_jump", keep_rows=False)
+    at_summary = np.concatenate(asked)
+    # a summary-only scan asks at jumps only, and at few of them: block ends
+    # and undecided rows
+    assert _summary(summary) == _summary(kept)
+    assert np.isin(at_summary, at_kept).all()
+    assert 0 < at_summary.size < at_kept.size // 10
 
 
 def _summary(rep: ScanReport):
