@@ -19,7 +19,7 @@ from .analytic import (
     zeta_prime_real,
     zeta_real,
 )
-from .arith import JValue, j_value, pi_count, pi_from_j, psi_value
+from .arith import JValue, j_value, pi_count, psi_value
 from .comb import (
     ArithmeticKind,
     CombKind,
@@ -85,7 +85,6 @@ __all__ = [
     "lie",
     "mobius",
     "pi_count",
-    "pi_from_j",
     "psi_value",
     "r_integral",
     "r_integral_model",

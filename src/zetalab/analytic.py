@@ -3,13 +3,17 @@
 zeta and its derivative are evaluated from the original Dirichlet series,
 accelerated by Euler-Maclaurin (direct sum to a cutoff, then integral plus
 half-term plus Bernoulli corrections).  The logarithmic integral li and its
-log-contracted companion lie come from their classical power series.
+log-contracted companion lie come from their classical power series: the
+scalar ``li_pv`` and ``lie`` run it in the ``compensated`` double-double
+arithmetic (3e-16), the vectorised ``li_vec`` in float64 (1e-14 relative),
+for the scans and the claims whose margins leave that room.
 
 The Stirling and harmonic comparisons pit a directly computed sum against a
-closed asymptotic model.  Both endpoints of the Stirling pair are computed in
-double-double arithmetic so the stored 64-bit values are correctly rounded;
-at N ~ 1e4 the true gap between the sides is a fraction of one ulp, so
-anything sloppier dissolves the signal into representation noise.
+closed asymptotic model.  Both endpoints of the Stirling pair, and the
+harmonic numbers, are computed in double-double arithmetic so the stored
+64-bit values are correctly rounded; at N ~ 1e4 the true gap between the
+Stirling sides is a fraction of one ulp, so anything sloppier dissolves the
+signal into representation noise.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 
 from .compensated import (
     LOG_2PI_DD,
-    SPLITTER,
     dd_add,
     dd_div,
     dd_log,
+    dd_mul,
     dd_mul_d,
 )
 
@@ -122,142 +126,25 @@ def li_series_terms(log_x: float) -> float:
     that separates lie from the growth integral.  Truncation waits for a term
     below 1e-17 of the sum, under the 64-bit representability floor, so the
     geometric tail left behind is ulp-sized.
-
-    Step k is ``term = dd_mul(term, dd_div((log_x, 0), (k, 0)))``, then
-    ``contrib = dd_div(term, (k, 0))`` and ``acc = dd_add(acc, contrib)``, with
-    the ``compensated`` helpers inlined into one loop over local floats: the
-    same IEEE operations in the same order, so the same bits.  The only ones
-    left out add or multiply a zero (the low part of (k, 0), the zero low part
-    of (log_x, 0) and of the third quotient, and k's Dekker split, which is
-    exact for k < 2**26): they can change the sign of a zero but no other value.
     """
-    x = log_x
-    abs_x = abs(x)
-    th, tl = 1.0, 0.0  # term
-    ah, al = 0.0, 0.0  # acc
+    term = (1.0, 0.0)
+    acc = (0.0, 0.0)
     k = 0
     while True:
         k += 1
-        kf = float(k)
-        # q = (x, 0) / (k, 0): the quotient q1, corrected twice by the remainder
-        q1 = x / kf
-        p = kf * q1
-        t = SPLITTER * q1
-        bh = t - (t - q1)
-        e = (kf * bh - p) + kf * (q1 - bh)
-        m0 = p + e
-        m1 = e - (m0 - p)
-        s1 = x - m0
-        bb = s1 - x
-        s2 = ((x - (s1 - bb)) + (-m0 - bb)) - m1
-        u = s1 + s2
-        s2 = s2 - (u - s1)
-        r0 = u + s2
-        r1 = s2 - (r0 - u)
-        q2 = r0 / kf
-        p = kf * q2
-        t = SPLITTER * q2
-        bh = t - (t - q2)
-        e = (kf * bh - p) + kf * (q2 - bh)
-        m0 = p + e
-        m1 = e - (m0 - p)
-        s1 = r0 - m0
-        bb = s1 - r0
-        s2 = (r0 - (s1 - bb)) + (-m0 - bb)
-        t1 = r1 - m1
-        bb = t1 - r1
-        t2 = (r1 - (t1 - bb)) + (-m1 - bb)
-        s2 += t1
-        u = s1 + s2
-        s2 = s2 - (u - s1) + t2
-        q3 = (u + s2) / kf
-        s = q1 + q2
-        e = q2 - (s - q1)
-        s1 = s + q3
-        bb = s1 - s
-        s2 = ((s - (s1 - bb)) + (q3 - bb)) + e
-        u = s1 + s2
-        s2 = s2 - (u - s1)
-        qh = u + s2
-        ql = s2 - (qh - u)
-        # term = term * q
-        p = th * qh
-        t = SPLITTER * th
-        xh = t - (t - th)
-        xl = th - xh
-        t = SPLITTER * qh
-        bh = t - (t - qh)
-        bl = qh - bh
-        e = ((xh * bh - p) + xh * bl + xl * bh) + xl * bl
-        e += th * ql + tl * qh
-        th = p + e
-        tl = e - (th - p)
-        # contrib = term / (k, 0), as q above with the low part tl
-        q1 = th / kf
-        p = kf * q1
-        t = SPLITTER * q1
-        bh = t - (t - q1)
-        e = (kf * bh - p) + kf * (q1 - bh)
-        m0 = p + e
-        m1 = e - (m0 - p)
-        s1 = th - m0
-        bb = s1 - th
-        s2 = (th - (s1 - bb)) + (-m0 - bb)
-        t1 = tl - m1
-        bb = t1 - tl
-        t2 = (tl - (t1 - bb)) + (-m1 - bb)
-        s2 += t1
-        u = s1 + s2
-        s2 = s2 - (u - s1) + t2
-        r0 = u + s2
-        r1 = s2 - (r0 - u)
-        q2 = r0 / kf
-        p = kf * q2
-        t = SPLITTER * q2
-        bh = t - (t - q2)
-        e = (kf * bh - p) + kf * (q2 - bh)
-        m0 = p + e
-        m1 = e - (m0 - p)
-        s1 = r0 - m0
-        bb = s1 - r0
-        s2 = (r0 - (s1 - bb)) + (-m0 - bb)
-        t1 = r1 - m1
-        bb = t1 - r1
-        t2 = (r1 - (t1 - bb)) + (-m1 - bb)
-        s2 += t1
-        u = s1 + s2
-        s2 = s2 - (u - s1) + t2
-        q3 = (u + s2) / kf
-        s = q1 + q2
-        e = q2 - (s - q1)
-        s1 = s + q3
-        bb = s1 - s
-        s2 = ((s - (s1 - bb)) + (q3 - bb)) + e
-        u = s1 + s2
-        s2 = s2 - (u - s1)
-        ch = u + s2
-        cl = s2 - (ch - u)
-        # acc = acc + contrib
-        s1 = ah + ch
-        bb = s1 - ah
-        s2 = (ah - (s1 - bb)) + (ch - bb)
-        t1 = al + cl
-        bb = t1 - al
-        t2 = (al - (t1 - bb)) + (cl - bb)
-        s2 += t1
-        u = s1 + s2
-        s2 = s2 - (u - s1) + t2
-        ah = u + s2
-        al = s2 - (ah - u)
-        if k > abs_x and abs(ch) < 1e-17 * max(1.0, abs(ah)):
-            return ah
+        term = dd_mul(term, dd_div((log_x, 0.0), (float(k), 0.0)))
+        contrib = dd_div(term, (float(k), 0.0))
+        acc = dd_add(acc, contrib)
+        if k > abs(log_x) and abs(contrib[0]) < 1e-17 * max(1.0, abs(acc[0])):
+            return acc[0]
 
 
 def li_pv(x: float) -> float:
     """Principal-value logarithmic integral, from the classical series.
 
-    li(x) = gamma + log|log x| + sum_k (log x)**k / (k * k!), valid for
-    1 < x <= e**LI_SERIES_LOG_MAX (about 8.85e301); any other x raises.
+    li(x) = lie(log x) = gamma + log log x + sum_k (log x)**k / (k * k!),
+    valid for 1 < x <= e**LI_SERIES_LOG_MAX (about 8.85e301); any other x
+    raises.
     """
     if not x > 1.0:
         raise ValueError("li_pv requires x > 1")
@@ -266,7 +153,7 @@ def li_pv(x: float) -> float:
         raise ValueError(
             f"li_pv requires log x <= {LI_SERIES_LOG_MAX!r} (x <= ~8.85e301), got x={x!r}"
         )
-    return EULER_GAMMA + math.log(abs(lx)) + li_series_terms(lx)
+    return lie(lx)
 
 
 def lie(x: float) -> float:
@@ -367,17 +254,15 @@ def stirling_model(N: int) -> ModelPair:
     return ModelPair.of(_dd_log_factorial(N)[0], model[0], 1.0 / (100.0 * N ** 3))
 
 
-_HARMONIC: np.ndarray = np.zeros(1, dtype=np.longdouble)
+_DD_HARMONIC = [(0.0, 0.0)]  # index n -> dd H_n
 
 
 def _harmonic_number(n: int) -> float:
-    global _HARMONIC
-    if n >= _HARMONIC.size:
-        size = max(n + 1, 2 * _HARMONIC.size, 1024)
-        fresh = np.zeros(size, dtype=np.longdouble)
-        fresh[1:] = np.cumsum(1.0 / np.arange(1, size, dtype=np.longdouble))
-        _HARMONIC = fresh
-    return float(_HARMONIC[n])
+    acc = _DD_HARMONIC[-1]
+    for m in range(len(_DD_HARMONIC), n + 1):
+        acc = dd_add(acc, dd_div((1.0, 0.0), (float(m), 0.0)))
+        _DD_HARMONIC.append(acc)
+    return _DD_HARMONIC[n][0]
 
 
 def harmonic_model(N: int) -> ModelPair:

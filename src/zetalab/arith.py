@@ -193,24 +193,6 @@ def j_value(x: float) -> JValue:
     return JValue(x=x, counts_per_k=counts, value=value)
 
 
-def pi_from_j(x: float) -> float:
-    """Recover pi(x) from J by Mobius inversion: sum_n mu(n)/n * J(x**(1/n))."""
-    if x < 2:
-        raise ValueError("x must be >= 2")
-    n = int(math.floor(x))
-    total = KahanSum()
-    m = 1
-    while True:
-        r = integer_kth_root(n, m)
-        if r < 2:
-            break
-        mu = mobius(m)
-        if mu:
-            total.add(mu / m * j_value(float(r)).value)
-        m += 1
-    return total.value
-
-
 def psi_value(x: float) -> float:
     """Chebyshev psi(x) as the compensated sum of exact per-segment Lambda totals.
 
@@ -258,10 +240,11 @@ def j_higher_terms(xs: np.ndarray, limit: int) -> np.ndarray:
 
 
 def pi_from_j_residuals(limit: int) -> np.ndarray:
-    """|pi_from_j(x) - pi(x)| for every integer x in [2, limit], vectorised.
+    """|sum_m mu(m)/m J(x**(1/m)) - pi(x)| for every integer x in [2, limit], vectorised.
 
-    Mirrors pi_from_j term by term: roots by exact integer arithmetic, J from
-    per-k prime counts, Mobius weights in float.
+    The Mobius inversion of J = sum_k pi(x**(1/k))/k: roots by exact integer
+    arithmetic, each J(r) = sum_k pi(r**(1/k))/k from a pi table, Mobius
+    weights in float.
     """
     xs = np.arange(2, limit + 1, dtype=np.int64)
     ptab = pi_table(limit)

@@ -303,17 +303,14 @@ def laplace_quadrature(
     """
     _require_s(s)
     if fn_id == "r":
-        want = math.log(1.0 / (1e-12 * s)) / s if s > 1 else _R_PANEL_CAP
-        edge = min(x_max if x_max is not None else _R_PANEL_CAP, _R_PANEL_CAP, max(want, 1.0))
         cap = min(x_max, _R_PANEL_CAP) if x_max is not None else _R_PANEL_CAP
+        # below cap the tail is at most 1e-12, so only the cap can fail the test
+        edge = min(cap, max(math.log(1.0 / (1e-12 * s)) / s, 1.0))
         tail_hi = math.exp(-s * edge) / s  # 0 <= r < 1
         if tail_hi > _TAIL_TOL:
-            edge = cap
-            tail_hi = math.exp(-s * edge) / s
-            if tail_hi > _TAIL_TOL:
-                raise ValueError(
-                    f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
-                )
+            raise ValueError(
+                f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
+            )
         value, err = _laplace_r_numeric(s, edge)
         err += 1e-15 * (1.0 + abs(value))
         return TransformBracket(

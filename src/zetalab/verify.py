@@ -856,15 +856,17 @@ def _run_c13(params: dict) -> ClaimResult:
 
 
 def _run_c14(params: dict) -> ClaimResult:
+    # li_vec's 1e-14 relative error is far inside the closest margin (12.9%
+    # of li at x = 1e8, 1.82 absolute at x = 100), so no verdict can flip
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
+    root = np.sqrt(xs)
+    li = analytic.li_vec(root)
+    lo = 2.0 * root / np.log(xs)
+    hi = 4.0 * root / np.log(xs)
     rows: List[Row] = []
-    for x in xs:
-        x = float(x)
-        v = analytic.li_pv(math.sqrt(x))
-        lo = 2.0 * math.sqrt(x) / math.log(x)
-        hi = 4.0 * math.sqrt(x) / math.log(x)
-        rows.append((x, lo, v, v - lo, lo < v))
-        rows.append((x, v, hi, hi - v, v < hi))
+    for x, v, a, b in zip(xs.tolist(), li.tolist(), lo.tolist(), hi.tolist()):
+        rows.append((x, a, v, v - a, a < v))
+        rows.append((x, v, b, b - v, v < b))
     return _margin_verdict("C14", "bound_scan", params, rows)
 
 

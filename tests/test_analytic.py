@@ -1,5 +1,6 @@
 """Series-defined quantities against quadrature and brute-series oracles."""
 
+import hashlib
 import math
 import struct
 
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
-from zetalab import analytic, compensated, laplace, verify
+from zetalab import analytic, laplace, verify
 from zetalab.analytic import (
     EULER_GAMMA,
     R_of_s,
@@ -74,40 +75,42 @@ def test_lie_is_li_of_exp():
         lie(0.0)
 
 
-def _dd_li_series_terms(log_x: float) -> float:
-    """The series as a composition of the compensated helpers, the reference for the fused loop."""
-    dd_add, dd_div, dd_mul = compensated.dd_add, compensated.dd_div, compensated.dd_mul
-    term = (1.0, 0.0)
-    acc = (0.0, 0.0)
-    k = 0
-    while True:
-        k += 1
-        term = dd_mul(term, dd_div((log_x, 0.0), (float(k), 0.0)))
-        contrib = dd_div(term, (float(k), 0.0))
-        acc = dd_add(acc, contrib)
-        if abs(contrib[0]) < 1e-17 * max(1.0, abs(acc[0])) and k > abs(log_x):
-            return acc[0]
+# sha256 of li_series_terms' bytes over the points of _series_pin_points, as
+# captured before the series became a composition of the compensated helpers
+SERIES_PIN = "e11dd3f29b348f195790a61a9c5dfbf100fcf5ca2ba82d93f8aeae94bf55c440"
 
 
-def test_fused_li_series_has_the_bits_of_the_double_double_composition(monkeypatch):
-    seen = []
-    fused = analytic.li_series_terms
-
-    def record(log_x):
-        seen.append(log_x)
-        return fused(log_x)
-
-    monkeypatch.setattr(analytic, "li_series_terms", record)
-    laplace._lie_panels.cache_clear()
-    verify.run_all()
-    monkeypatch.undo()
-    assert len(seen) > 1000  # C6's quadrature nodes and C14's li_pv arguments
+def _series_pin_points():
     edge = analytic.LI_SERIES_LOG_MAX
     rng = np.random.default_rng(20260918)
     spread = np.exp(rng.uniform(math.log(1e-12), math.log(edge), 20000)).tolist()
-    for lx in seen + spread + [1e-12, 1.0, 2.0, 40.0, edge]:
-        want = struct.pack("d", _dd_li_series_terms(lx))
-        assert struct.pack("d", fused(lx)) == want, lx
+    nodes = laplace._lie_panels(40.0)[2].tolist() + laplace._lie_panels(44.0)[2].tolist()
+    return spread + nodes + [1e-12, 1.0, 2.0, 40.0, edge]
+
+
+def test_li_series_keeps_its_pinned_bits():
+    points = _series_pin_points()
+    assert len(points) == 20000 + 2 * 864 + 5
+    packed = b"".join(struct.pack("d", analytic.li_series_terms(v)) for v in points)
+    assert hashlib.sha256(packed).hexdigest() == SERIES_PIN
+    assert li_pv(2.0).hex() == "0x1.0b8fda7e91807p+0"
+
+
+def test_c14_reads_li_vec_not_the_series(monkeypatch):
+    def fail(log_x):
+        raise AssertionError("C14 ran the scalar series")
+
+    monkeypatch.setattr(analytic, "li_series_terms", fail)
+    params = verify.CLAIMS["C14"].defaults
+    r = verify.run_claim("C14")
+    assert r.passed
+    monkeypatch.undo()
+    xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
+    li = np.array([row[2] for row in r.rows[0::2]])  # rhs of each lower-side row
+    assert np.array_equal(np.array([row[0] for row in r.rows[0::2]]), xs)
+    assert np.array_equal(li, li_vec(np.sqrt(xs)))
+    scalar = np.array([li_pv(math.sqrt(x)) for x in xs.tolist()])
+    assert np.all(np.abs(li - scalar) <= 1e-14 * scalar)
 
 
 def test_lie_and_li_against_30_digit_mpmath():
@@ -365,6 +368,17 @@ def test_harmonic_model():
         assert abs(p.residual) <= p.tolerance, n
     with pytest.raises(ValueError):
         harmonic_model(1)
+
+
+def test_harmonic_numbers_are_correctly_rounded():
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(0)
+        for n in range(1, 10_001):
+            exact += mpmath.mpf(1) / n
+            assert analytic._harmonic_number(n) == float(exact), n
+        # the first n at which an 80-bit running sum rounds the wrong way
+        for n in (213, 254, 652, 1221):
+            assert analytic._harmonic_number(n) == float(mpmath.harmonic(n)), n
 
 
 def test_li_sqrt_bracket_from_100():

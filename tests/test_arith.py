@@ -9,7 +9,6 @@ from zetalab.arith import (
     higher_power_jumps,
     j_value,
     pi_count,
-    pi_from_j,
     pi_from_j_residuals,
     pi_table,
     psi_value,
@@ -64,14 +63,6 @@ def test_j_value_matches_direct_prime_power_sum():
         values.append((n, direct))
     for n, expect in values[:: 97]:
         assert j_value(n).value == pytest.approx(expect, abs=1e-12), n
-
-
-def test_pi_from_j_examples():
-    assert pi_from_j(20) == pytest.approx(8.0, abs=1e-12)
-    assert pi_from_j(100) == pytest.approx(25.0, abs=1e-12)
-    assert pi_from_j(3) == pytest.approx(2.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        pi_from_j(1.5)
 
 
 def test_mobius_roundtrip_vectorised():
