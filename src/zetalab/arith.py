@@ -26,9 +26,9 @@ from .compensated import KahanSum
 from .sieve import (
     SieveSegment,
     higher_prime_powers,
-    int_kth_root_array,
     integer_kth_root,
     iter_segments,
+    kth_root_runs,
     mobius,
 )
 
@@ -242,27 +242,22 @@ def j_higher_terms(xs: np.ndarray, limit: int) -> np.ndarray:
 def pi_from_j_residuals(limit: int) -> np.ndarray:
     """|sum_m mu(m)/m J(x**(1/m)) - pi(x)| for every integer x in [2, limit], vectorised.
 
-    The Mobius inversion of J = sum_k pi(x**(1/k))/k: roots by exact integer
-    arithmetic, each J(r) = sum_k pi(r**(1/k))/k from a pi table, Mobius
-    weights in float.
+    The Mobius inversion of J = sum_k pi(x**(1/k))/k.  J is tabulated once on
+    0..limit, each J(r) the sequential sum over k of pi(r**(1/k))/k; each m
+    then reads the table at the m-th roots of x.  Every root is exact
+    (``kth_root_runs``), so each value is spread over the run of x that shares
+    it; entries whose root is below 2 add zero and are skipped.
     """
-    xs = np.arange(2, limit + 1, dtype=np.int64)
     ptab = pi_table(limit)
-    recovered = np.zeros(xs.size, dtype=np.float64)
-    m = 1
-    while (1 << m) <= limit:
+    jtab = ptab.astype(np.float64)  # k = 1: pi(r)
+    for k in range(2, limit.bit_length()):  # 2**k <= limit
+        qs, counts = kth_root_runs(limit, k)
+        jtab[1 << k :] += np.repeat(ptab[qs[2:]] / k, counts[2:])
+    recovered = jtab[2:].copy()  # m = 1, over x = 2..limit
+    for m in range(2, limit.bit_length()):
         mu = mobius(m)
         if mu:
-            roots = int_kth_root_array(xs, m)
-            jv = np.zeros(xs.size, dtype=np.float64)
-            k = 1
-            while True:
-                rk = int_kth_root_array(roots, k)
-                live = rk >= 2
-                if not live.any():
-                    break
-                jv[live] += ptab[rk[live]] / k
-                k += 1
-            recovered += (mu / m) * jv
-        m += 1
-    return np.abs(recovered - ptab[xs])
+            qs, counts = kth_root_runs(limit, m)
+            recovered[(1 << m) - 2 :] += np.repeat((mu / m) * jtab[qs[2:]], counts[2:])
+    recovered -= ptab[2:]
+    return np.abs(recovered, out=recovered)

@@ -8,13 +8,14 @@ provably contains the full transform, to be compared against a closed form.
 
 Transforms of the two tabulated continuous functions (the staircase remainder
 and the log-contracted logarithmic integral) are done by Gauss-Legendre
-quadrature: jump-aware batched panels for the remainder, and geometric panels
-with a stated error bound for lie, each with an explicit truncation tail added
-to the bracket.
+quadrature with a stated error bound: one panel per staircase step for the
+remainder, and geometric panels for lie, each with an explicit truncation tail
+added to the bracket.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +32,7 @@ from .analytic import (
     zeta_prime_real,
     zeta_real,
 )
+from .compensated import dd_div, dd_mul, dd_mul_d, dd_sub
 from .comb import ArithmeticKind, CombKind, StepComb, build_comb
 
 #: offset of the rational kernel approximating the remainder transform
@@ -156,49 +158,162 @@ def laplace_comb(c: StepComb, s: float, *, pair_id: Optional[str] = None) -> Tra
 
 _R_PANEL_CAP = 12.5  # numeric window cap: panel count is e**cap
 _TAIL_TOL = 1e-8  # largest analytic tail bound a quadrature bracket may carry
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Gauss points per remainder panel, least first: each panel takes the least
+# order whose remainder is below _R_NEGLIGIBLE of the panel's integral
+_R_ORDERS = (2, 3, 4, 6, 8, 12, 16, 24, 32)
+_R_NEGLIGIBLE = 2.0 ** -56
+_R_CHUNK = 1 << 14  # panels per batch
+# numpy's exp, expm1, log1p and power and math.log are within this many units
+# of roundoff, relative (tests check them)
+_FN_ERR = 2
 
 
-@lru_cache(maxsize=4)
-def _gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _legendre_dd(q: int, x):
+    """P_q(x) and P_q'(x) in double-double, by the three-term recurrence."""
+    one = (1.0, 0.0)
+    p0, p1 = one, x
+    for k in range(2, q + 1):
+        p0, p1 = p1, dd_div(dd_sub(dd_mul_d(dd_mul(x, p1), 2 * k - 1.0), dd_mul_d(p0, k - 1.0)),
+                            (float(k), 0.0))
+    return p1, dd_div(dd_mul_d(dd_sub(dd_mul(x, p1), p0), float(q)), dd_sub(dd_mul(x, x), one))
 
 
-def _laplace_r_numeric(s: float, edge: float):
-    """Integral of r(x) e**-sx over [0, edge] by per-panel Gauss-Legendre.
+@lru_cache(maxsize=len(_R_ORDERS))
+def _gauss_rule(q: int):
+    """q-point Gauss-Legendre nodes and weights on [-1, 1], each correctly rounded.
 
-    Panels are bounded by the staircase jumps, where r is the smooth function
-    e**x - n; two quadrature orders give the error estimate.
+    numpy's nodes, refined by one double-double Newton step (from within an
+    ulp, that reaches about 1e-30), and the weights 2 / ((1 - t**2) P_q'(t)**2)
+    at the refined nodes, so that each weight is within u of the exact one,
+    relative; numpy's ``leggauss`` weights are up to 80 u off at 12 points.
+    The rule is symmetric, so only the nodes t <= 0 are refined.
+    """
+    nodes, weights = [], []
+    for t0 in np.polynomial.legendre.leggauss(q)[0][: (q + 1) // 2].tolist():
+        t = (t0, 0.0)
+        p, dp = _legendre_dd(q, t)
+        t = dd_sub(t, dd_div(p, dp))
+        dp = _legendre_dd(q, t)[1]
+        w = dd_div((2.0, 0.0), dd_mul(dd_sub((1.0, 0.0), dd_mul(t, t)), dd_mul(dp, dp)))
+        nodes.append(t[0])
+        weights.append(w[0])
+    t, w, m = np.array(nodes), np.array(weights), q // 2
+    return np.concatenate((t, -t[:m][::-1])), np.concatenate((w, w[:m][::-1]))
+
+
+def _log_remainder_coeff(q: int, s: float) -> float:
+    """log of (q!)**4 ((s-1)**2q + s**2q) / ((2q+1) ((2q)!)**3).
+
+    A q-point Gauss-Legendre rule on a panel of width h errs by at most
+    h**(2q+1) (q!)**4 / ((2q+1) ((2q)!)**3) max |g**(2q)| (Davis and
+    Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984, section
+    2.7).  For g(y) = expm1(y) e**-sy = e**(1-s)y - e**-sy on y >= 0,
+    |g**(2q)| <= (s-1)**2q + s**2q.
+    """
+    return (math.log(math.factorial(q) ** 4 / ((2 * q + 1) * math.factorial(2 * q) ** 3))
+            + 2 * q * math.log(s) + math.log1p((1.0 - 1.0 / s) ** (2 * q)))
+
+
+class _RError(NamedTuple):
+    """The parts of the stated error of the remainder transform over [0, edge]."""
+
+    remainder: float  # the Gauss remainders of the panels
+    weights: float  # the rounded Gauss weights
+    functions: float  # expm1, exp and power at the nodes, and exp's rounded argument
+    rounding: float  # panel widths, node positions, the products and the sum
+
+
+def _r_order_runs(s: float, n_panels: int):
+    """(q, first, stop): order q serves the panels n in [first, stop), largest n first.
+
+    On panel n, y = x - log n in [0, h] with h = log1p(1/n), the integrand is
+    n**(1-s) g(y), and since expm1 y >= y the panel's integral is at least
+    n**(1-s) min(h, 1/s)**2 / (2e).  The ratio of the remainder bound to that
+    grows with h, so falls with n, and each order serves one run of n.  The
+    panels where no order makes it negligible take the largest.
+    """
+    def negligible(q: int, n: int) -> bool:
+        h = math.log1p(1.0 / n)
+        log_ratio = (_log_remainder_coeff(q, s) + (2 * q + 1) * math.log(h)
+                     - 2.0 * math.log(min(h, 1.0 / s)) + math.log(2.0 * math.e))
+        return log_ratio <= math.log(_R_NEGLIGIBLE)
+
+    runs, stop = [], n_panels + 1
+    for q in _R_ORDERS[:-1]:
+        first = 1 + bisect.bisect_left(range(1, stop), True, key=lambda n: negligible(q, n))
+        if first < stop:
+            runs.append((q, first, stop))
+            stop = first
+    if stop > 1:
+        runs.append((_R_ORDERS[-1], 1, stop))
+    return runs
+
+
+def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _RError]:
+    """The integral of r(x) e**-sx over [0, edge], and the parts of its error bound.
+
+    Each staircase step [log n, log(n+1)) is one panel, integrated in the
+    offset y = x - log n, where r(x) e**-sx = f(y) = n**(1-s) expm1(y) e**-sy
+    has no cancellation and the panel is [0, h], h = log1p(1/n); the last,
+    [log N, edge], is cut at edge.  One Gauss rule per panel, of the order
+    ``_r_order_runs`` picks, with its remainder bound.  Every panel value is
+    positive, so a relative error per panel sums to that multiple of the
+    value.  The panels are added one after another from the smallest, which
+    errs by at most u times the sum of the partial sums (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, section 4.2).
+    Per panel, in units u of roundoff, the other parts allow: 1 for the
+    weights; ``_FN_ERR`` each for expm1, exp and power, and s h for exp's
+    rounded argument; q + 4 for the products and the q-term dot.  Each node
+    is within u (half/2 + 2y) of its place, and |f'(y)| <= n**(1-s) e**-sy
+    max(1, (s-1)/n), which adds 5 u half**2 n**(1-s) max(1, (s-1)/n)
+    sum_k w_k e**-s y_k.  log1p(1/n) is within (``_FN_ERR`` + 1) u h of h, and
+    f(h) <= n**-s e**-sh.  At the cut, (2 ``_FN_ERR`` + 1) u edge N**-s covers
+    log N's rounding and a jump at log(N+1) that e**edge, rounded, may put on
+    the wrong side of edge.  Underflow adds 8 subnormal spacings per node.
     """
     n_panels = int(math.floor(math.exp(edge)))
-    bounds = np.log(np.arange(1, n_panels + 1, dtype=np.float64))
-    bounds = np.append(bounds, edge)
-    total8 = 0.0
-    total16 = 0.0
-    chunk = 1 << 16
-    for start in range(0, n_panels, chunk):
-        stop = min(start + chunk, n_panels)
-        a = bounds[start:stop]
-        b = bounds[start + 1 : stop + 1]
-        n_vals = np.arange(start + 1, stop + 1, dtype=np.float64)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        live = half > 0
-        for order, acc in ((8, "t8"), (16, "t16")):
-            xg, wg = _gauss_nodes(order)
-            xs = mid[live, None] + half[live, None] * xg[None, :]
-            integ = np.exp((1.0 - s) * xs) - n_vals[live, None] * np.exp(-s * xs)
-            vals = (integ * wg[None, :]).sum(axis=1) * half[live]
-            if order == 8:
-                total8 += float(vals.sum())
-            else:
-                total16 += float(vals.sum())
-    return total16, abs(total16 - total8)
+    if math.log(n_panels) >= edge:  # edge is log N: no cut panel, so N - 1 ends the window
+        n_panels -= 1
+    last = edge - math.log(n_panels)  # width of the cut panel [log N, edge], > 0
+    u = _UNIT_ROUNDOFF
+    total = partial = 0.0
+    remainder = weights = functions = rounding = 0.0
+    nodes = 0
+    for q, first, stop in _r_order_runs(s, n_panels):
+        t, w = _gauss_rule(q)
+        rem_coeff = _log_remainder_coeff(q, s)
+        for b in range(stop, first, -_R_CHUNK):
+            n = np.arange(b - 1, max(first, b - _R_CHUNK) - 1, -1, dtype=np.float64)
+            h = np.log1p(1.0 / n)
+            if b > n_panels:
+                h[0] = last
+            half = 0.5 * h
+            y = half[:, None] * (1.0 + t)
+            decay = np.exp(-s * y)
+            f = np.expm1(y) * decay
+            p_s = np.power(n, -s)
+            scale = half * (p_s * n)
+            panel = (f @ w) * scale
+            run = np.cumsum(np.concatenate(([total], panel)))
+            total = float(run[-1])
+            partial += float(np.sum(run[1:]))
+            mass = float(np.sum(panel))
+            remainder += float(np.sum(np.exp(
+                rem_coeff + (2 * q + 1) * np.log(h) + (1.0 - s) * np.log(n))))
+            weights += u * mass
+            functions += u * (3 * _FN_ERR * mass + s * float(h @ panel))
+            slope = 5.0 * half * scale * np.maximum(1.0, (s - 1.0) / n)
+            width = (_FN_ERR + 1) * h * p_s * np.exp(-s * h)
+            rounding += u * ((q + 4) * mass + float(slope @ (decay @ w)) + float(np.sum(width)))
+            nodes += y.size
+    cut = (2 * _FN_ERR + 1) * edge * n_panels ** -s
+    rounding += u * (partial + cut) + 8 * nodes * math.ulp(0.0)
+    return total, _RError(remainder, weights, functions, rounding)
 
 
 _LIE_ORDER = 12  # Gauss points per lie panel
 _LIE_FIRST_END = 1e-20  # the left-out first panel [0, a0] has a0 <= this
-_UNIT_ROUNDOFF = 2.0 ** -53
 # relative error of numpy's leggauss weights at _LIE_ORDER points: measured 80
 # units of roundoff against 40-digit weights (tests check this bound)
 _GL_WEIGHT_REL = 128 * _UNIT_ROUNDOFF
@@ -229,7 +344,7 @@ def _lie_panels(edge: float):
     ends = np.ldexp(edge, np.arange(-m, 1))  # exact: edge times powers of two
     lo, hi = ends[:-1], ends[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t, w = _gauss_nodes(_LIE_ORDER)
+    t, w = np.polynomial.legendre.leggauss(_LIE_ORDER)
     x = (mid[:, None] + half[:, None] * t).ravel()
     out = (mid, half, x, (half[:, None] * w).ravel(), np.array([lie(v) for v in x.tolist()]))
     for arr in out:
@@ -303,6 +418,8 @@ def laplace_quadrature(
     """
     _require_s(s)
     if fn_id == "r":
+        if x_max is not None and not x_max > 0.0:
+            raise ValueError(f"x_max must be positive, got {x_max}")
         cap = min(x_max, _R_PANEL_CAP) if x_max is not None else _R_PANEL_CAP
         # below cap the tail is at most 1e-12, so only the cap can fail the test
         edge = min(cap, max(math.log(1.0 / (1e-12 * s)) / s, 1.0))
@@ -311,8 +428,8 @@ def laplace_quadrature(
             raise ValueError(
                 f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
             )
-        value, err = _laplace_r_numeric(s, edge)
-        err += 1e-15 * (1.0 + abs(value))
+        value, parts = _laplace_r_numeric(s, edge)
+        err = sum(parts)
         return TransformBracket(
             s=s,
             numeric_lo=value - err,

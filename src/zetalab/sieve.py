@@ -230,16 +230,12 @@ def integer_kth_root(n: int, k: int) -> int:
     return r
 
 
-def int_kth_root_array(values: np.ndarray, k: int) -> np.ndarray:
-    """Vectorised floor k-th root for int64 arrays (values <= ~8.6e9 for k >= 2)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return values.astype(np.int64)
-    v = values.astype(np.int64)
-    r = np.floor(np.power(v.astype(np.float64), 1.0 / k)).astype(np.int64)
-    r = np.maximum(r, 0)
-    for _ in range(2):  # float seed is off by at most 1 either way
-        r = np.where((r + 1) ** k <= v, r + 1, r)
-        r = np.where((r > 0) & (r ** k > v), r - 1, r)
-    return r
+def kth_root_runs(limit: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The runs of floor(r**(1/k)) over r = 0..limit, as (q, count) int64 arrays.
+
+    The root is q exactly on [q**k, (q+1)**k), so ``np.repeat(q, count)`` is
+    the root of every r, found by integer powers alone.  (q+1)**k is at most
+    2**k * limit, so for k <= log2(limit) it fits int64 while limit < 3e9.
+    """
+    qs = np.arange(integer_kth_root(limit, k) + 2, dtype=np.int64)
+    return qs[:-1], np.diff(np.minimum(qs ** k, limit + 1))

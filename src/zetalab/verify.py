@@ -33,7 +33,7 @@ S_GRID = (1.5, 2.0, 3.0, 5.0, 10.0)
 C_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 DEFAULT_COMB_LIMIT = 1e6
 # the largest limit of a claim whose arrays span the whole range (the combs, C9
-# and C10); C9 holds about 83 bytes per integer, so some 8.3 GB here
+# and C10); C9 holds about 33 bytes per integer, so some 3.3 GB here
 LIMIT_CEILING = 10 ** 8
 M1_X_MIN = 10  # M1 samples x on a log grid from here
 

@@ -1,5 +1,6 @@
 """Counting functions on the ordinary abscissa."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from zetalab.arith import (
     step_segments,
 )
 from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, iter_segments
+from zetalab.verify import fmt17, run_claim
 
 
 def one_segment(hi: int):
@@ -68,6 +70,30 @@ def test_j_value_matches_direct_prime_power_sum():
 def test_mobius_roundtrip_vectorised():
     residuals = pi_from_j_residuals(20_000)
     assert float(residuals.max()) < 1e-9
+
+
+# sha256 of the residual bytes, from the float-root implementation this one replaced
+C9_RESIDUAL_SHA256 = {
+    100: "2588f9b2fe08c23d65a36e0dd2e68e1b375bdb2142e23478e42c288ad34e44d0",
+    1000: "36ecd3f46b7a9e4274ada5d90c446965bfbdf1bd6d2a6f64bfd53d1de18f0f75",
+    20000: "ee9d9fc63d3d3eb3155c2f0d96749a44d1223c6697f0370e5bc296deb2a2006c",
+    100000: "1e518e8c61965e8bcdc8dd8291fb754d390cac6386db019304dea83cdd1d2cee",
+    1000000: "3a8e4517e017c2b556f47c5d072dba76d64706fd526d3edcca1f2640b3a0eb69",
+}
+
+
+@pytest.mark.parametrize("limit", sorted(C9_RESIDUAL_SHA256))
+def test_pi_from_j_residuals_keep_their_pinned_bits(limit):
+    residuals = pi_from_j_residuals(limit)
+    assert residuals.dtype == np.float64 and residuals.shape == (limit - 1,)
+    assert hashlib.sha256(residuals.tobytes()).hexdigest() == C9_RESIDUAL_SHA256[limit]
+
+
+def test_c9_at_three_million_keeps_its_worst_residual():
+    result = run_claim("C9", {"limit": 3_000_000})
+    assert result.verdict == "pass"
+    assert fmt17(result.max_abs_residual) == "8.7311491370201111e-11"
+    assert result.arg_extremum == 2685619
 
 
 def test_vectorised_j_matches_scalar():

@@ -183,3 +183,10 @@ def test_laplace_lie_past_the_series_domain_exits_2(capsys):
     assert dispatch(["laplace", "lie", "--x-max", "700"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("x_max must be at most 695.2588015446954")
+
+
+def test_laplace_r_with_a_nan_window_is_a_usage_error(capsys):
+    # used to exit 2 with "cannot convert float NaN to integer"
+    assert dispatch(["laplace", "r", "--s", "2", "--x-max", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("x_max must be positive, got nan")

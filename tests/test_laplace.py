@@ -2,6 +2,7 @@
 
 import math
 from functools import lru_cache
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -176,6 +177,7 @@ def test_lie_contract_part_covers_lie_error_at_every_node():
             assert laplace._lie_transform(s, edge)[1].contract >= actual > 0
 
 
+@lru_cache(maxsize=None)
 def _gauss_legendre_40_digits(n: int):
     with mpmath.workdps(40):
         nodes, weights = [], []
@@ -188,7 +190,7 @@ def _gauss_legendre_40_digits(n: int):
 
 
 def test_tabulated_gauss_rule_and_exp_are_as_accurate_as_the_rounding_part_assumes():
-    t, w = laplace._gauss_nodes(laplace._LIE_ORDER)
+    t, w = np.polynomial.legendre.leggauss(laplace._LIE_ORDER)
     nodes, weights = _gauss_legendre_40_digits(laplace._LIE_ORDER)
     with mpmath.workdps(40):
         assert max(abs(a - b) for a, b in zip(t.tolist(), nodes)) <= U
@@ -219,6 +221,151 @@ def test_lie_panel_remainder_bounds_the_40_digit_gauss_error():
     assert laplace._lie_transform(s, edge)[1].remainder >= sum(errors) > 0
 
 
+# ---------------------------------------------------------------------------
+# the stated error of the remainder transform, part by part, against 40-digit oracles
+
+
+def _r_default_edge(s: float) -> float:
+    """The window laplace_quadrature("r") integrates when x_max is not given."""
+    return min(12.5, max(math.log(1.0 / (1e-12 * s)) / s, 1.0))
+
+
+@lru_cache(maxsize=None)
+def _r_transform(s: float, edge: float):
+    """The integral of r(x) e**-sx over [0, edge] at 40 digits.
+
+    Over the full steps n < N = floor(e**edge) the panel integrals telescope
+    to (N**(1-s) - 1)/(1-s) - (zeta(s) - zeta(s, N) - (N-1) N**-s)/s; the
+    cut step [log N, edge] is added in closed form.
+    """
+    with mpmath.workdps(40):
+        s, edge = mpmath.mpf(s), mpmath.mpf(edge)
+        n = int(mpmath.floor(mpmath.exp(edge)))
+        cut = edge - mpmath.log(n)
+        p = mpmath.mpf(n) ** (1 - s)
+        full = (p - 1) / (1 - s) - (mpmath.zeta(s) - mpmath.zeta(s, n) - (n - 1) * p / n) / s
+        return full + p * (mpmath.expm1((1 - s) * cut) / (1 - s) + mpmath.expm1(-s * cut) / s)
+
+
+def _r_panel(s, n: int, q: int):
+    """(q-point Gauss rule, exact integral) of n**(1-s) expm1(y) e**-sy over [0, log1p(1/n)], 40 digits."""
+    nodes, weights = _gauss_legendre_40_digits(q)
+    with mpmath.workdps(40):
+        s, half = mpmath.mpf(s), mpmath.log1p(mpmath.mpf(1) / n) / 2
+        f = lambda y: mpmath.mpf(n) ** (1 - s) * mpmath.expm1(y) * mpmath.exp(-s * y)  # noqa: E731
+        rule = half * mpmath.fsum(w * f(half * (1 + t)) for t, w in zip(nodes, weights))
+        exact = mpmath.mpf(n) ** (1 - s) * (
+            mpmath.expm1((1 - s) * 2 * half) / (1 - s) + mpmath.expm1(-s * 2 * half) / s)
+        return rule, exact
+
+
+def _r_remainder(s: float, n: int, q: int, h: Optional[float] = None) -> float:
+    """The stated Gauss remainder of panel n, of width h (a full step by default)."""
+    h = math.log1p(1.0 / n) if h is None else h
+    return math.exp(laplace._log_remainder_coeff(q, s) + (2 * q + 1) * math.log(h) + (1 - s) * math.log(n))
+
+
+@pytest.mark.parametrize("s", S_GRID)
+def test_remainder_transform_error_contains_the_40_digit_integral(s):
+    # at edge log 3 the window ends on a step, and no empty cut panel may take a log of 0
+    for edge in sorted({1.0, math.log(3.0), _r_default_edge(s), 12.5}):
+        with np.errstate(divide="raise", invalid="raise"):
+            value, parts = laplace._laplace_r_numeric(s, edge)
+        err = sum(parts)
+        exact = _r_transform(s, edge)
+        assert abs(value - exact) <= err, (s, edge, float(exact - value), parts)
+        assert err <= 1e-15, (s, edge, parts)  # the tail past edge is not in it
+        assert parts.remainder <= laplace._R_NEGLIGIBLE * value  # each panel's order makes it negligible
+    br = laplace_quadrature("r", s)
+    assert br.contains(R_of_s(s))
+    value, parts = laplace._laplace_r_numeric(s, _r_default_edge(s))
+    assert br.numeric_lo == value - sum(parts)
+    # at edge 1 the window is the step [0, log 2] and the cut [log 2, 1]
+    expect = sum(_r_remainder(s, n, q, 1.0 - math.log(2.0) if n == 2 else None)
+                 for q, first, stop in laplace._r_order_runs(s, 2) for n in range(first, stop))
+    assert laplace._laplace_r_numeric(s, 1.0)[1].remainder == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s", [50.0, 100.0, 150.0, 1e4])
+def test_remainder_bracket_past_the_s_grid_is_wide_but_contains_the_integral(s):
+    # past s of about 120 no order up to 32 makes the first step's remainder
+    # small; the bracket widens instead of leaving the value out, as the
+    # |GL16 - GL8| estimate did at s = 1e4
+    value, parts = laplace._laplace_r_numeric(s, 1.0)
+    assert abs(value - _r_transform(s, 1.0)) <= sum(parts)
+    assert laplace_quadrature("r", s).contains(R_of_s(s))
+
+
+def test_remainder_bound_covers_the_40_digit_gauss_error():
+    # the widest panels at every order, where the error is far above the
+    # oracle's 40 digits; the bound must hold there, and not be vacuous
+    checked = 0
+    for s in (1.5, 10.0, 50.0):
+        for q in laplace._R_ORDERS:
+            for n in (1, 2, 3, 10):
+                bound = _r_remainder(s, n, q)
+                if bound < 1e-30:
+                    continue
+                rule, exact = _r_panel(s, n, q)
+                assert abs(rule - exact) <= bound, (s, q, n)
+                checked += 1
+    assert checked >= 30
+
+
+def test_remainder_orders_serve_runs_of_panels_and_each_is_the_least_negligible():
+    def negligible(s, q, n):
+        h = math.log1p(1.0 / n)
+        lower = n ** (1 - s) * min(h, 1 / s) ** 2 / (2 * math.e)  # expm1 y >= y
+        return _r_remainder(s, n, q) <= laplace._R_NEGLIGIBLE * lower
+
+    orders = laplace._R_ORDERS
+    for s in S_GRID + [1.2, 12.5, 50.0, 1000.0]:
+        n_panels = int(math.exp(_r_default_edge(s)))
+        runs = laplace._r_order_runs(s, n_panels)
+        assert runs[0][2] == n_panels + 1 and runs[-1][1] == 1
+        assert all(a[1] == b[2] for a, b in zip(runs, runs[1:]))
+        assert [orders.index(q) for q, _, _ in runs] == sorted({orders.index(q) for q, _, _ in runs})
+        for q, first, stop in runs:
+            if q != orders[-1]:  # the largest also takes the panels no order makes negligible
+                assert negligible(s, q, first), (s, q, first)
+            for smaller in orders[: orders.index(q)]:
+                assert not negligible(s, smaller, stop - 1), (s, q, smaller)
+
+
+def test_remainder_gauss_rules_are_correctly_rounded():
+    for q in laplace._R_ORDERS:
+        t, w = laplace._gauss_rule(q)
+        nodes, weights = _gauss_legendre_40_digits(q)
+        assert (t == -t[::-1]).all() and (w == w[::-1]).all()
+        with mpmath.workdps(40):
+            for a, b in zip(t.tolist(), nodes):
+                assert abs(a - b) <= U / 2, q
+            for a, b in zip(w.tolist(), weights):
+                assert abs(a - b) <= U * b, q
+
+
+def test_functions_at_the_remainder_nodes_are_as_accurate_as_stated():
+    rng = np.random.default_rng(20261019)
+    n = np.unique(np.concatenate([np.arange(1, 64), rng.integers(64, 268338, 300)])).astype(np.float64)
+    bound = laplace._FN_ERR * U
+    with mpmath.workdps(40):
+        exact = {v: mpmath.mpf(v) for v in n.tolist()}
+        for got, v in zip(np.log1p(1.0 / n).tolist(), n.tolist()):
+            assert abs(got / mpmath.log1p(1 / exact[v]) - 1) <= bound, v
+        for v in n[1:].tolist():
+            assert abs(math.log(v) / mpmath.log(exact[v]) - 1) <= bound, v
+        for s in S_GRID:
+            for got, v in zip(np.power(n, -s).tolist(), n.tolist()):
+                assert abs(got / exact[v] ** -s - 1) <= bound, (s, v)
+            for q, first, stop in laplace._r_order_runs(s, int(math.exp(_r_default_edge(s)))):
+                t = laplace._gauss_rule(q)[0]
+                for k in sorted({first, stop - 1, (first + stop) // 2}):
+                    y = 0.5 * np.log1p(1.0 / np.array([float(k)])) * (1.0 + t)
+                    for a, b, yi in zip(np.expm1(y).tolist(), np.exp(-s * y).tolist(), y.tolist()):
+                        assert abs(a / mpmath.expm1(yi) - 1) <= bound, (s, k, yi)
+                        assert abs(b / mpmath.exp(mpmath.mpf(-s * yi)) - 1) <= bound, (s, k, yi)
+
+
 def test_quadrature_domain_errors():
     with pytest.raises(ValueError):
         laplace_quadrature("r", 1.0)
@@ -226,6 +373,9 @@ def test_quadrature_domain_errors():
         laplace_quadrature("r", 1.5, 2.0)  # tail bound unreachable
     with pytest.raises(ValueError):
         laplace_quadrature("nope", 2.0)
+    for x_max in (math.nan, 0.0, -1.0):  # used to fail converting e**nan to an int
+        with pytest.raises(ValueError, match="x_max"):
+            laplace_quadrature("r", 2.0, x_max)
     for x_max in (2.0, math.nan, 700.0, math.inf):  # lie's series ends at log x = 695.25...
         with pytest.raises(ValueError, match="x_max"):
             laplace_quadrature("lie", 2.0, x_max)

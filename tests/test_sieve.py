@@ -11,9 +11,9 @@ from zetalab import sieve
 from zetalab.sieve import (
     SIEVE_CEILING,
     base_primes,
-    int_kth_root_array,
     integer_kth_root,
     iter_segments,
+    kth_root_runs,
     mobius,
     prime_power_arrays,
 )
@@ -214,12 +214,21 @@ def test_integer_kth_root_against_bisection(n, k):
     assert integer_kth_root(n, k) == bisect_root(n, k)
 
 
-def test_vectorised_roots_match_scalar():
-    xs = np.array([2, 3, 8, 9, 99, 100, 10**6 - 1, 10**6, 10**9], dtype=np.int64)
-    for k in range(2, 20):
-        vec = int_kth_root_array(xs, k)
-        for x, r in zip(xs, vec):
-            assert r == integer_kth_root(int(x), k), (x, k)
+@pytest.mark.parametrize("limit", [0, 1, 2, 100, 131071, 1_000_000])
+def test_kth_root_runs_are_the_exact_roots_at_every_power(limit):
+    for k in range(1, 18):
+        qs, counts = kth_root_runs(limit, k)
+        assert int(counts.sum()) == limit + 1 and (counts > 0).all()
+        roots = np.repeat(qs, counts)
+        # both sides of every jump m**k of the root that lies in 0..limit
+        for m in range(1, integer_kth_root(limit, k) + 1):
+            for x in (m**k - 1, m**k):
+                assert roots[x] == integer_kth_root(x, k), (limit, k, x)
+    if limit <= 1000:
+        for k in range(1, 18):
+            assert np.repeat(*kth_root_runs(limit, k)).tolist() == [
+                integer_kth_root(x, k) for x in range(limit + 1)
+            ]
 
 
 def test_base_primes_small():
