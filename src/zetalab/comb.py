@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .analytic import log_factorial
 from .sieve import prime_power_arrays
 
 
@@ -131,31 +132,33 @@ def r_value_ordinate(a: float) -> float:
     return a - n
 
 
-_LOGFACT: np.ndarray = np.zeros(1, dtype=np.longdouble)  # _LOGFACT[n] = log n!
+# r_integral's largest stated rounding error, N*x*2**-52 (reached at x ~ 19.2)
+R_INTEGRAL_ERROR_MAX = 1e-6
 
 
-def log_factorial(n: int) -> float:
-    """log(n!) from a cached extended-precision cumulative table."""
-    global _LOGFACT
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >= _LOGFACT.size:
-        new_size = max(n + 1, 2 * _LOGFACT.size, 1024)
-        fresh = np.zeros(new_size, dtype=np.longdouble)
-        fresh[1:] = np.cumsum(np.log(np.arange(1, new_size, dtype=np.longdouble)))
-        _LOGFACT = fresh
-    return float(_LOGFACT[n])
-
-
-def r_integral(x: float) -> float:
+def r_integral(x):
     """Integral of the remainder from 0 to x, in closed piecewise form.
 
-    With N = staircase value at x: (e**x - 1) - (N*x - log N!).
+    With N = staircase value at x: (e**x - 1) - (N*x - log N!).  The two
+    terms cancel to about x/2, so the rounding error is about N*x*2**-52;
+    an x at which that exceeds R_INTEGRAL_ERROR_MAX (x above ~19.2) raises
+    ValueError.  A float x gives a float, an array of x an array, with one
+    log_factorial call for all of them.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    n = zeta1_count(x)
-    return (math.exp(x) - 1.0) - (n * x - log_factorial(n))
+    xs = np.asarray(x, dtype=np.float64)
+    if not np.all((xs >= 0.0) & (xs < math.inf)):
+        raise ValueError(f"r_integral needs finite x >= 0, got {x!r}")
+    flat = xs.ravel().tolist()
+    ns = [zeta1_count(t) for t in flat]
+    for t, n in zip(flat, ns):
+        if n * t * 2.0 ** -52 > R_INTEGRAL_ERROR_MAX:
+            raise ValueError(
+                f"r_integral at x={t!r} has rounding error N*x*2**-52 above "
+                f"{R_INTEGRAL_ERROR_MAX:g}; its domain ends at x ~ 19.2"
+            )
+    log_fact = log_factorial(np.array(ns, dtype=np.int64)).tolist()
+    out = [(math.exp(t) - 1.0) - (n * t - lf) for t, n, lf in zip(flat, ns, log_fact)]
+    return out[0] if xs.ndim == 0 else np.array(out).reshape(xs.shape)
 
 
 def r_integral_model(N: int, c: float) -> float:

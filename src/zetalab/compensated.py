@@ -4,12 +4,13 @@ The double-double routines represent a value as an unevaluated sum ``hi + lo``
 of two floats (roughly 32 significant digits).  They exist for the few places
 where two nearly equal quantities of magnitude ~1e5 must be compared to far
 below one ulp of that magnitude; everything else in the package runs on plain
-64-bit floats.
+64-bit floats.  The helpers are plain IEEE + - * /, so they apply elementwise
+to numpy arrays with the bits of a scalar call.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 
@@ -104,32 +105,44 @@ def dd_div(x, y):
 _ODD_RECIP = [dd_div((1.0, 0.0), (float(2 * j + 1), 0.0)) for j in range(1, 40)]
 
 
-def dd_log(m: float):
-    """log(m) as a double-double, for positive m.
+def dd_log(m):
+    """log(m) as a double-double, for a positive m or an array of them.
 
     Splits m = f * 2**e with f in [sqrt(1/2), sqrt(2)), then evaluates
     2*atanh((f-1)/(f+1)) by series.  Worst-case series argument is ~0.1716,
     so 22 odd terms reach ~1e-33.
+
+    The helpers above are plain IEEE arithmetic, so this one body runs
+    elementwise on arrays with the bits of a scalar call: each element stops
+    adding terms at the term where its own scalar loop would stop.  A scalar
+    m gives a pair of Python floats, an array m a pair of arrays.
     """
-    if m <= 0.0 or not math.isfinite(m):
+    ok = np.asarray(m, dtype=np.float64) > 0.0
+    ok &= np.isfinite(m)
+    if not ok.all():
         raise ValueError("dd_log requires a positive finite argument")
-    f, e = math.frexp(m)  # f in [0.5, 1)
-    if f < 0.7071067811865476:
-        f *= 2.0
-        e -= 1
+    f, e = np.frexp(m)  # f in [0.5, 1)
+    small = f < 0.7071067811865476
+    f = np.where(small, 2.0 * f, f)
+    e = np.where(small, e - 1, e)
     num = (f - 1.0, 0.0)  # exact: f in [0.5, 2), Sterbenz
     den = two_sum(f, 1.0)
     w = dd_div(num, den)
     z = dd_mul(w, w)
     term = w
     acc = w
+    going = np.ones_like(ok)
     for recip in _ODD_RECIP:
         term = dd_mul(term, z)
         contrib = dd_mul(term, recip)
-        acc = dd_add(acc, contrib)
-        if abs(contrib[0]) < 1e-35 * abs(acc[0]):
+        acc = tuple(np.where(going, v, a) for v, a in zip(dd_add(acc, contrib), acc))
+        going &= ~(abs(contrib[0]) < 1e-35 * abs(acc[0]))
+        if not going.any():
             break
     acc = dd_mul_d(acc, 2.0)
-    if e:
-        acc = dd_add(acc, dd_mul_d(LN2_DD, float(e)))
+    acc = tuple(
+        np.where(e != 0, v, a) for v, a in zip(dd_add(acc, dd_mul_d(LN2_DD, e.astype(np.float64))), acc)
+    )
+    if ok.ndim == 0:
+        return float(acc[0]), float(acc[1])
     return acc

@@ -138,10 +138,12 @@ def closed_form_for(kind, s: float) -> Optional[float]:
 def laplace_comb(c: StepComb, s: float, *, pair_id: Optional[str] = None) -> TransformBracket:
     """Bracket for (1/s) sum w_n a_n**-s over the full (infinite) comb."""
     _require_s(s)
-    terms = c.weights * c.values ** -s
+    # one array for all three passes: each fresh comb-sized array page-faults in
+    terms = c.values ** -s
+    terms *= c.weights
     partial = float(np.sum(terms))
     tail_lo, tail_hi = _comb_tail(c, s)
-    slack = 1e-13 * (abs(partial) + 1.0) + 4e-16 * float(np.sum(np.abs(terms)))
+    slack = 1e-13 * (abs(partial) + 1.0) + 4e-16 * float(np.sum(np.abs(terms, out=terms)))
     name = pair_id or (c.kind.value if isinstance(c.kind, CombKind)
                        else f"arith({c.kind.start},{c.kind.stride})")
     return TransformBracket(

@@ -848,9 +848,7 @@ def _run_c12(params: dict) -> ClaimResult:
 def _run_c13(params: dict) -> ClaimResult:
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
     rows: List[Row] = []
-    for x in xs:
-        x = float(x)
-        v = comb.r_integral(x)
+    for x, v in zip(xs.tolist(), comb.r_integral(xs).tolist()):
         rows.append((x, v, x / 2.0, x / 2.0 - v, v < x / 2.0))
     return _margin_verdict("C13", "bound_scan", params, rows)
 

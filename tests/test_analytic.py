@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
-from zetalab import analytic, laplace, verify
+from zetalab import analytic, compensated, laplace, verify
 from zetalab.analytic import (
     EULER_GAMMA,
     R_of_s,
@@ -368,6 +368,8 @@ def test_harmonic_model():
         assert abs(p.residual) <= p.tolerance, n
     with pytest.raises(ValueError):
         harmonic_model(1)
+    with pytest.raises(ValueError):
+        harmonic_model(10_001)  # past the H_n table
 
 
 def test_harmonic_numbers_are_correctly_rounded():
@@ -379,6 +381,85 @@ def test_harmonic_numbers_are_correctly_rounded():
         # the first n at which an 80-bit running sum rounds the wrong way
         for n in (213, 254, 652, 1221):
             assert analytic._harmonic_number(n) == float(mpmath.harmonic(n)), n
+
+
+# sha256 of the (hi, lo) rows 0..10**4 of the double-double log n! and H_n
+# tables, captured from the scalar running sums they replaced
+LOGFACT_TABLE_PIN = "d28f77904c2d201ad223d30378e7c556f6d732a35a2ecfe76367d5acc31094a5"
+HARMONIC_TABLE_PIN = "75454276619728ffab799892b242da48833fbf40a86bc317132155a67fdc5fee"
+
+
+def test_double_double_tables_keep_their_pinned_bits():
+    logfact = analytic._dd_log_factorial_table()
+    harmonic = analytic._dd_harmonic_table()
+    assert logfact.shape == harmonic.shape == (10_001, 2)
+    assert hashlib.sha256(logfact.tobytes()).hexdigest() == LOGFACT_TABLE_PIN
+    assert hashlib.sha256(harmonic.tobytes()).hexdigest() == HARMONIC_TABLE_PIN
+
+
+def test_log_factorial_reads_the_table_to_ten_thousand(monkeypatch):
+    # C1 compares the direct sum with its model, so n <= 10**4 never takes Stirling
+    def fail(n):
+        raise AssertionError("took the Stirling series")
+
+    monkeypatch.setattr(analytic, "_stirling_log_factorial", fail)
+    table = analytic._dd_log_factorial_table()[:, 0]
+    assert np.array_equal(analytic.log_factorial(np.arange(10_001)), table)
+    assert analytic.stirling_model(10_000).exact == table[10_000]
+    with pytest.raises(AssertionError):
+        analytic.log_factorial(10_001)
+
+
+def _scalar_dd_log(m: float):
+    """The scalar dd_log loop the array body replaced, as the bit reference."""
+    f, e = math.frexp(m)
+    if f < 0.7071067811865476:
+        f *= 2.0
+        e -= 1
+    w = compensated.dd_div((f - 1.0, 0.0), compensated.two_sum(f, 1.0))
+    z = compensated.dd_mul(w, w)
+    term = acc = w
+    for recip in compensated._ODD_RECIP:
+        term = compensated.dd_mul(term, z)
+        contrib = compensated.dd_mul(term, recip)
+        acc = compensated.dd_add(acc, contrib)
+        if abs(contrib[0]) < 1e-35 * abs(acc[0]):
+            break
+    acc = compensated.dd_mul_d(acc, 2.0)
+    if e:
+        acc = compensated.dd_add(acc, compensated.dd_mul_d(compensated.LN2_DD, float(e)))
+    return acc
+
+
+def test_array_dd_log_gives_the_scalar_bits():
+    rng = np.random.default_rng(20261019)
+    for m in (np.arange(1.0, 20_001.0), np.exp2(rng.uniform(-60.0, 60.0, 10_000))):
+        hi, lo = compensated.dd_log(m)
+        ref = np.array([_scalar_dd_log(v) for v in m.tolist()])
+        assert np.array_equal(hi, ref[:, 0]) and np.array_equal(lo, ref[:, 1])
+        assert np.array_equal(np.signbit(lo), np.signbit(ref[:, 1]))
+    for v in (2.0, 7.0, 0.1, 1e300):
+        pair = compensated.dd_log(v)
+        assert pair == _scalar_dd_log(v)
+        assert type(pair[0]) is float and type(pair[1]) is float
+    for bad in (0.0, -1.0, math.inf, math.nan, np.array([2.0, 0.0])):
+        with pytest.raises(ValueError):
+            compensated.dd_log(bad)
+
+
+def test_log_factorial_is_correctly_rounded():
+    rng = np.random.default_rng(0)
+    ns = rng.integers(2, 10**6, size=400, endpoint=True).tolist()
+    ns += [201204, 409200, 639332, 10**4, 10**4 + 1, 10**9, 10**15]
+    got = analytic.log_factorial(np.array(ns))
+    with mpmath.workdps(40):
+        want = [float(mpmath.loggamma(n + 1)) for n in ns]
+    assert [n for n, g, w in zip(ns, got.tolist(), want) if g != w] == []
+    assert all(analytic.log_factorial(n) == w for n, w in zip(ns[-7:], want[-7:]))
+    assert type(analytic.log_factorial(10**9)) is float
+    for bad in (-1, 2**53 + 1, 2.0, np.array([3, -2])):
+        with pytest.raises(ValueError):
+            analytic.log_factorial(bad)
 
 
 def test_li_sqrt_bracket_from_100():

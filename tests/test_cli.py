@@ -127,10 +127,12 @@ def test_eval_outside_the_series_domain_exits_2(args, message):
         ["eval", "r", "inf"],
         ["eval", "r", "800"],
         ["eval", "rint", "800"],
+        ["eval", "rint", "40"],  # N*x*2**-52 rounding above 1e-6: x ~ 19.2 is the end
         ["eval", "zeta", "inf"],
         ["scan", "B2", "--to", "inf"],
         ["scan", "B2", "--to", "inf", "--mode", "log-grid", "--points", "3"],
         ["check", "C9", "--max", "inf"],
+        ["check", "C13", "--max", "25"],
         ["laplace", "zeta1", "--limit", "inf"],
     ],
 )

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,21 @@ def test_integral_stays_below_half_x():
 def test_log_factorial():
     assert log_factorial(0) == 0.0
     assert log_factorial(1) == 0.0
-    assert log_factorial(10) == pytest.approx(15.104412573075515, abs=1e-12)
-    brute = math.fsum(math.log(m) for m in range(1, 5001))
-    assert log_factorial(5000) == pytest.approx(brute, abs=1e-9)
+    with mpmath.workdps(40):
+        for n in (10, 457, 5000, 10_000, 10_001, 123_456):
+            assert log_factorial(n) == float(mpmath.loggamma(n + 1)), n
+
+
+def test_remainder_integral_of_an_array_is_pointwise():
+    xs = np.geomspace(1e-3, 19.0, 400)
+    assert np.array_equal(r_integral(xs), np.array([r_integral(x) for x in xs.tolist()]))
+    assert type(r_integral(1.0)) is float
+
+
+@pytest.mark.parametrize("x", [19.3, 40.0, math.inf, math.nan, -1.0])
+def test_remainder_integral_outside_its_domain_raises(x):
+    # at x = 40, (e^x - 1) - (N x - log N!) cancels to 1376 in floats; the true value is 19.92
+    with pytest.raises(ValueError):
+        r_integral(x)
+    with pytest.raises(ValueError):
+        r_integral(np.array([1.0, x]))
