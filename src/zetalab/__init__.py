@@ -19,7 +19,7 @@ from .analytic import (
     zeta_prime_real,
     zeta_real,
 )
-from .arith import JValue, j_value, pi_count, psi_value
+from .arith import j_value, pi_count, psi_value
 from .comb import (
     ArithmeticKind,
     CombKind,
@@ -62,7 +62,6 @@ __all__ = [
     "ClaimResult",
     "CombKind",
     "EULER_GAMMA",
-    "JValue",
     "ModelPair",
     "R_of_s",
     "ScanReport",

@@ -16,7 +16,6 @@ to decide whether a lattice point is a perfect power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -164,22 +163,13 @@ def pi_table(limit: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class JValue:
-    """Weighted prime-power count sum_{p**k <= x} 1/k, with its per-k breakdown."""
-
-    x: float
-    counts_per_k: List[int]  # counts_per_k[k-1] = pi(floor(x)**(1/k)), exact roots
-    value: float
-
-
-def j_value(x: float) -> JValue:
+def j_value(x: float) -> float:
     """J at x from per-exponent prime counts at exact integer roots."""
     if x < 0:
         raise ValueError("x must be >= 0")
     n = int(math.floor(x))
     if n < 2:
-        return JValue(x=x, counts_per_k=[], value=0.0)
+        return 0.0
     counts: List[int] = []
     ptab = pi_table(max(math.isqrt(n), 3))
     k = 1
@@ -189,8 +179,7 @@ def j_value(x: float) -> JValue:
             break
         counts.append(pi_count(r) if k == 1 else int(ptab[r]))
         k += 1
-    value = math.fsum(c / kk for kk, c in enumerate(counts, start=1))
-    return JValue(x=x, counts_per_k=counts, value=value)
+    return math.fsum(c / kk for kk, c in enumerate(counts, start=1))
 
 
 def psi_value(x: float) -> float:

@@ -67,7 +67,7 @@ def _cmd_eval(args) -> int:
         print(arith.pi_count(x))
         return 0
     value = {
-        "j": lambda: arith.j_value(x).value,
+        "j": lambda: arith.j_value(x),
         "psi": lambda: arith.psi_value(x),
         "li": lambda: analytic.li_pv(x),
         "lie": lambda: analytic.lie(x),

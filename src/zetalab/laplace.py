@@ -7,10 +7,10 @@ eventually decreasing).  The resulting TransformBracket is an interval that
 provably contains the full transform, to be compared against a closed form.
 
 Transforms of the two tabulated continuous functions (the staircase remainder
-and the log-contracted logarithmic integral) are done by Gauss-Legendre
-quadrature with a stated error bound: one panel per staircase step for the
-remainder, and geometric panels for lie, each with an explicit truncation tail
-added to the bracket.
+and the log-contracted logarithmic integral) share one Gauss-Legendre panel
+sum, on correctly rounded rules, with a stated error bound: one panel per
+staircase step for the remainder, and geometric panels for lie, each with an
+explicit truncation tail added to the bracket.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class TransformBracket:
 
 
 def _require_s(s: float) -> None:
-    if not s > 1.0:
-        raise ValueError(f"transforms are evaluated for s > 1 only, got {s}")
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"transforms are evaluated for finite s > 1 only, got s={s}")
 
 
 def _power_tail(v0: float, stride: float, s: float):
@@ -204,6 +204,44 @@ def _gauss_rule(q: int):
     return np.concatenate((t, -t[:m][::-1])), np.concatenate((w, w[:m][::-1]))
 
 
+class _QuadError(NamedTuple):
+    """The parts of the stated error of a transform's Gauss panels over [0, edge]."""
+
+    first: float  # the left-out first panel [0, a0]
+    remainder: float  # the Gauss remainders of the panels
+    weights: float  # the rounded Gauss weights
+    functions: float  # the integrand's functions at the nodes, and their rounded arguments
+    rounding: float  # node positions, the products and the panel sum
+
+
+class _PanelSum:
+    """Gauss panels (F @ w) * scale added one after another, and their error.
+
+    A row of F holds the integrand at one panel's q nodes, w is
+    ``_gauss_rule(q)``'s weights and scale the panel's half-width times any
+    factor left out of F.  Relative to |F| @ w |scale|, the weights err by at
+    most u and the q-term dot and four products by (q + 4) u.  Adding the
+    panels in order errs by at most u times the sum of the absolute partial
+    sums (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, section 4.2).
+    """
+
+    def __init__(self):
+        self.value = self.weights = self.rounding = 0.0
+
+    def add(self, f: np.ndarray, w: np.ndarray, scale: np.ndarray):
+        """Add the panels in row order; return them, and the sum of |F| @ w |scale|."""
+        f_w = f @ w
+        panel = f_w * scale
+        run = np.cumsum(np.concatenate(([self.value], panel)))
+        self.value = float(run[-1])
+        mag = f_w if f.min() >= 0.0 else np.abs(f) @ w  # the weights are positive
+        mass = float(np.sum(mag * np.abs(scale)))
+        self.weights += _UNIT_ROUNDOFF * mass
+        self.rounding += _UNIT_ROUNDOFF * ((w.size + 4) * mass + float(np.sum(np.abs(run[1:]))))
+        return panel, mass
+
+
 def _log_remainder_coeff(q: int, s: float) -> float:
     """log of (q!)**4 ((s-1)**2q + s**2q) / ((2q+1) ((2q)!)**3).
 
@@ -215,15 +253,6 @@ def _log_remainder_coeff(q: int, s: float) -> float:
     """
     return (math.log(math.factorial(q) ** 4 / ((2 * q + 1) * math.factorial(2 * q) ** 3))
             + 2 * q * math.log(s) + math.log1p((1.0 - 1.0 / s) ** (2 * q)))
-
-
-class _RError(NamedTuple):
-    """The parts of the stated error of the remainder transform over [0, edge]."""
-
-    remainder: float  # the Gauss remainders of the panels
-    weights: float  # the rounded Gauss weights
-    functions: float  # expm1, exp and power at the nodes, and exp's rounded argument
-    rounding: float  # panel widths, node positions, the products and the sum
 
 
 def _r_order_runs(s: float, n_panels: int):
@@ -252,21 +281,18 @@ def _r_order_runs(s: float, n_panels: int):
     return runs
 
 
-def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _RError]:
+def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _QuadError]:
     """The integral of r(x) e**-sx over [0, edge], and the parts of its error bound.
 
     Each staircase step [log n, log(n+1)) is one panel, integrated in the
     offset y = x - log n, where r(x) e**-sx = f(y) = n**(1-s) expm1(y) e**-sy
     has no cancellation and the panel is [0, h], h = log1p(1/n); the last,
     [log N, edge], is cut at edge.  One Gauss rule per panel, of the order
-    ``_r_order_runs`` picks, with its remainder bound.  Every panel value is
-    positive, so a relative error per panel sums to that multiple of the
-    value.  The panels are added one after another from the smallest, which
-    errs by at most u times the sum of the partial sums (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., 2002, section 4.2).
-    Per panel, in units u of roundoff, the other parts allow: 1 for the
-    weights; ``_FN_ERR`` each for expm1, exp and power, and s h for exp's
-    rounded argument; q + 4 for the products and the q-term dot.  Each node
+    ``_r_order_runs`` picks, with its remainder bound, summed by
+    ``_PanelSum`` from the smallest panel.  Every panel value is positive,
+    so a relative error per panel sums to that multiple of the value.  Per
+    panel, in units u of roundoff, the functions allow ``_FN_ERR`` each for
+    expm1, exp and power, and s h for exp's rounded argument.  Each node
     is within u (half/2 + 2y) of its place, and |f'(y)| <= n**(1-s) e**-sy
     max(1, (s-1)/n), which adds 5 u half**2 n**(1-s) max(1, (s-1)/n)
     sum_k w_k e**-s y_k.  log1p(1/n) is within (``_FN_ERR`` + 1) u h of h, and
@@ -279,8 +305,8 @@ def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _RError]:
         n_panels -= 1
     last = edge - math.log(n_panels)  # width of the cut panel [log N, edge], > 0
     u = _UNIT_ROUNDOFF
-    total = partial = 0.0
-    remainder = weights = functions = rounding = 0.0
+    panels = _PanelSum()
+    remainder = functions = rounding = 0.0
     nodes = 0
     for q, first, stop in _r_order_runs(s, n_panels):
         t, w = _gauss_rule(q)
@@ -293,62 +319,44 @@ def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _RError]:
             half = 0.5 * h
             y = half[:, None] * (1.0 + t)
             decay = np.exp(-s * y)
-            f = np.expm1(y) * decay
             p_s = np.power(n, -s)
             scale = half * (p_s * n)
-            panel = (f @ w) * scale
-            run = np.cumsum(np.concatenate(([total], panel)))
-            total = float(run[-1])
-            partial += float(np.sum(run[1:]))
-            mass = float(np.sum(panel))
+            panel, mass = panels.add(np.expm1(y) * decay, w, scale)
             remainder += float(np.sum(np.exp(
                 rem_coeff + (2 * q + 1) * np.log(h) + (1.0 - s) * np.log(n))))
-            weights += u * mass
             functions += u * (3 * _FN_ERR * mass + s * float(h @ panel))
             slope = 5.0 * half * scale * np.maximum(1.0, (s - 1.0) / n)
             width = (_FN_ERR + 1) * h * p_s * np.exp(-s * h)
-            rounding += u * ((q + 4) * mass + float(slope @ (decay @ w)) + float(np.sum(width)))
+            rounding += u * (float(slope @ (decay @ w)) + float(np.sum(width)))
             nodes += y.size
     cut = (2 * _FN_ERR + 1) * edge * n_panels ** -s
-    rounding += u * (partial + cut) + 8 * nodes * math.ulp(0.0)
-    return total, _RError(remainder, weights, functions, rounding)
+    rounding += u * cut + 8 * nodes * math.ulp(0.0)
+    return panels.value, _QuadError(0.0, remainder, panels.weights, functions,
+                                    panels.rounding + rounding)
 
 
 _LIE_ORDER = 12  # Gauss points per lie panel
 _LIE_FIRST_END = 1e-20  # the left-out first panel [0, a0] has a0 <= this
-# relative error of numpy's leggauss weights at _LIE_ORDER points: measured 80
-# units of roundoff against 40-digit weights (tests check this bound)
-_GL_WEIGHT_REL = 128 * _UNIT_ROUNDOFF
 # lie's tested contract: |lie(x) - Ei(x)| <= 3e-16 max(1, |Ei(x)|)
 _LIE_CONTRACT = 3e-16
 # Bernstein ellipses tried per panel: rho on an even grid inside (1, 3 + sqrt 8)
 _RHO = 1.0 + (2.0 + math.sqrt(8.0)) * np.arange(1, 33) / 33.0
 
 
-class _LieError(NamedTuple):
-    """The parts of the stated error of the lie transform over [0, edge]."""
-
-    first: float  # the left-out panel [0, a0]
-    remainder: float  # the Gauss remainders of the other panels
-    contract: float  # lie's error at the nodes
-    rounding: float  # nodes, weights, exp, products and the sum
-
-
 @lru_cache(maxsize=4)
 def _lie_panels(edge: float):
-    """Panel midpoints and half-widths, Gauss nodes and weights, and lie at the nodes.
+    """Panel midpoints and half-widths, and the Gauss nodes and lie there, a row per panel.
 
-    The panels are [edge/2**(k+1), edge/2**k] for k = 0 .. m-1, with m the
-    least that puts a0 = edge/2**m at or below 1e-20.  The nodes do not depend
-    on s, so every s reads one cached set of lie values.
+    The panels are [edge/2**(k+1), edge/2**k] for k = m-1 .. 0, from the
+    left, with m the least that puts a0 = edge/2**m at or below 1e-20.  The
+    nodes do not depend on s, so every s reads one cached set of lie values.
     """
     m = math.ceil(math.log2(edge / _LIE_FIRST_END))
     ends = np.ldexp(edge, np.arange(-m, 1))  # exact: edge times powers of two
     lo, hi = ends[:-1], ends[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t, w = np.polynomial.legendre.leggauss(_LIE_ORDER)
-    x = (mid[:, None] + half[:, None] * t).ravel()
-    out = (mid, half, x, (half[:, None] * w).ravel(), np.array([lie(v) for v in x.tolist()]))
+    x = mid[:, None] + half[:, None] * _gauss_rule(_LIE_ORDER)[0]
+    out = (mid, half, x, np.array([lie(v) for v in x.ravel().tolist()]).reshape(x.shape))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -380,31 +388,34 @@ def _lie_remainder(mid: np.ndarray, half: np.ndarray, s: float) -> float:
     return float(np.sum(np.exp(log_r.min(axis=1))))
 
 
-def _lie_transform(s: float, edge: float) -> Tuple[float, _LieError]:
+def _lie_transform(s: float, edge: float) -> Tuple[float, _QuadError]:
     """The integral of lie(x) e**-sx over [0, edge], and the parts of its error bound.
 
-    Composite Gauss-Legendre on ``_lie_panels``; [0, a0] is left out.  The
-    rounding part allows, per node and relative to |f| = |w lie e**-sx|:
-    128 ulps for the tabulated weight; 4 for exp (tested); 1 each for the
-    two products, the weight's scaling, the fsum and the bracket's two ends;
-    s x for the rounded argument of exp; and, for the node's position, which
-    is within 4 ulps of x, 5 ulps of x times |f'| <= (e**(1-s)x + s x |f|) / x.
+    ``_lie_panels`` summed by ``_PanelSum``, from the left; [0, a0] is left
+    out.  f = lie e**-sx takes two of the four products a panel allows, and
+    the other two cover the bracket's ends.  Per node, relative to |f|, the
+    functions allow lie's tested contract, ``_FN_ERR`` for exp and s x for
+    its rounded argument; the node, within 4 u x of its place, adds 5 u x |f'|,
+    with x |f'| <= e**(1-s)x + s x |f|.
     """
-    mid, half, x, w, values = _lie_panels(edge)
+    mid, half, x, values = _lie_panels(edge)
     decay = np.exp(-s * x)
-    terms = values * decay * w
-    value = math.fsum(terms.tolist())
+    f = values * decay
+    w = _gauss_rule(_LIE_ORDER)[1]
+    panels = _PanelSum()
+    panels.add(f, w, half)
     a0 = math.ldexp(edge, -mid.size)
-    mag = np.abs(terms)
-    u = _UNIT_ROUNDOFF
-    parts = _LieError(
+    mag = np.abs(f)
+    per_node = (_LIE_CONTRACT * decay * np.maximum(1.0, np.abs(values))  # lie's error
+                + _UNIT_ROUNDOFF * mag * (_FN_ERR + s * x))  # exp's, and its argument's
+    slope = (5.0 * _UNIT_ROUNDOFF) * (np.exp((1.0 - s) * x) + s * x * mag)
+    return panels.value, _QuadError(
         first=a0 * (EULER_GAMMA + 1.0 + abs(math.log(a0)) + a0 * math.exp(a0)),
         remainder=_lie_remainder(mid, half, s),
-        contract=_LIE_CONTRACT * float(np.sum(w * decay * np.maximum(1.0, np.abs(values)))),
-        rounding=float(np.sum(mag * (_GL_WEIGHT_REL + u * (10.0 + 6.0 * s * x))
-                              + (5.0 * u) * w * np.exp((1.0 - s) * x))),
+        weights=panels.weights,
+        functions=float(half @ (per_node @ w)),
+        rounding=panels.rounding + float(half @ (slope @ w)),
     )
-    return value, parts
 
 
 def laplace_quadrature(
@@ -426,43 +437,30 @@ def laplace_quadrature(
         # below cap the tail is at most 1e-12, so only the cap can fail the test
         edge = min(cap, max(math.log(1.0 / (1e-12 * s)) / s, 1.0))
         tail_hi = math.exp(-s * edge) / s  # 0 <= r < 1
-        if tail_hi > _TAIL_TOL:
-            raise ValueError(
-                f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
-            )
-        value, parts = _laplace_r_numeric(s, edge)
-        err = sum(parts)
-        return TransformBracket(
-            s=s,
-            numeric_lo=value - err,
-            numeric_hi=value + err + tail_hi,
-            closed_form=R_of_s(s),
-            pair_id="r",
-        )
-    if fn_id == "lie":
+        transform, closed_form = _laplace_r_numeric, R_of_s(s)
+    elif fn_id == "lie":
         edge = x_max if x_max is not None else 40.0
         if not edge > 2.0:
             raise ValueError("x_max too small for the lie tail bound")
         if not edge <= LI_SERIES_LOG_MAX:
             raise ValueError(f"x_max must be at most {LI_SERIES_LOG_MAX!r}, where lie's series ends")
         # lie(x) <= e**x + x for x >= 2
-        tail_hi = math.exp((1.0 - s) * edge) / (s - 1.0) + (edge / s + 1.0 / s ** 2) * math.exp(
-            -s * edge
-        )
-        if tail_hi > _TAIL_TOL:
-            raise ValueError(
-                f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}"
-            )
-        value, parts = _lie_transform(s, edge)
-        err = sum(parts)
-        return TransformBracket(
-            s=s,
-            numeric_lo=value - err,
-            numeric_hi=value + err + tail_hi,
-            closed_form=-math.log(s - 1.0) / s,
-            pair_id="lie",
-        )
-    raise ValueError(f"unknown quadrature transform {fn_id!r}")
+        tail_hi = (math.exp((1.0 - s) * edge) / (s - 1.0)
+                   + (edge / s + 1.0 / s ** 2) * math.exp(-s * edge))
+        transform, closed_form = _lie_transform, -math.log(s - 1.0) / s
+    else:
+        raise ValueError(f"unknown quadrature transform {fn_id!r}")
+    if tail_hi > _TAIL_TOL:
+        raise ValueError(f"tail bound {tail_hi:.3e} at x_max={edge} exceeds {_TAIL_TOL:g}")
+    value, parts = transform(s, edge)
+    err = sum(parts)
+    return TransformBracket(
+        s=s,
+        numeric_lo=value - err,
+        numeric_hi=value + err + tail_hi,
+        closed_form=closed_form,
+        pair_id=fn_id,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -962,7 +962,8 @@ _register(Claim("C13", "bound_scan", "remainder integral stays below x/2",
                 _run_c13, {"x_lo": 1e-3, "x_hi": math.log(1e6), "points": 1000}))
 _register(Claim("C14", "bound_scan", "li(sqrt x) sits between 2 sqrt(x)/log x and 4 sqrt(x)/log x from x=100",
                 _run_c14, {"x_lo": 100.0, "x_hi": 1e8, "points": 500}))
-_register(Claim("C15", "identity", "zeta(s)/(s(s-1)) equals 1/(s-1)^2 - R(s)/(s-1)",
+_register(Claim("C15", "identity", "rounding of zeta(s)/(s(s-1)) = 1/(s-1)^2 - R(s)/(s-1), an identity "
+                "by algebra since R(s) is 1/(s-1) - zeta(s)/s",
                 _run_c15, {"s_grid": S_GRID}))
 _register(Claim("M1", "report_only", "residual of psi against its mean model, with running mean",
                 _run_m1, {"x_max": 1_000_000, "points": 400}))

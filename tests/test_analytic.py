@@ -84,7 +84,11 @@ def _series_pin_points():
     edge = analytic.LI_SERIES_LOG_MAX
     rng = np.random.default_rng(20260918)
     spread = np.exp(rng.uniform(math.log(1e-12), math.log(edge), 20000)).tolist()
-    nodes = laplace._lie_panels(40.0)[2].tolist() + laplace._lie_panels(44.0)[2].tolist()
+    # lie's 12-point panels at edges 40 and 44, with numpy's tabulated nodes
+    t = np.polynomial.legendre.leggauss(12)[0]
+    nodes = []
+    for mid, half in (laplace._lie_panels(x_max)[:2] for x_max in (40.0, 44.0)):
+        nodes += (mid[:, None] + half[:, None] * t).ravel().tolist()
     return spread + nodes + [1e-12, 1.0, 2.0, 40.0, edge]
 
 

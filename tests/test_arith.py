@@ -44,12 +44,10 @@ def test_pi_count_matches_trial_division():
 
 
 def test_j_value_examples():
-    jv = j_value(20)
-    assert jv.counts_per_k == [8, 2, 1, 1]
-    assert jv.value == pytest.approx(8 + 2 / 2 + 1 / 3 + 1 / 4, abs=1e-14)
-    assert j_value(100).value == pytest.approx(25 + 2 + 2 / 3 + 0.5 + 0.2 + 1 / 6, abs=1e-13)
-    assert j_value(1).value == 0.0
-    assert j_value(0).value == 0.0
+    assert j_value(20) == pytest.approx(8 + 2 / 2 + 1 / 3 + 1 / 4, abs=1e-14)
+    assert j_value(100) == pytest.approx(25 + 2 + 2 / 3 + 0.5 + 0.2 + 1 / 6, abs=1e-13)
+    assert j_value(1) == 0.0
+    assert j_value(0) == 0.0
 
 
 def test_j_value_matches_direct_prime_power_sum():
@@ -64,7 +62,7 @@ def test_j_value_matches_direct_prime_power_sum():
             direct += 1.0 / k
         values.append((n, direct))
     for n, expect in values[:: 97]:
-        assert j_value(n).value == pytest.approx(expect, abs=1e-12), n
+        assert j_value(n) == pytest.approx(expect, abs=1e-12), n
 
 
 def test_mobius_roundtrip_vectorised():
@@ -100,7 +98,7 @@ def test_vectorised_j_matches_scalar():
     xs = np.array([2, 3, 4, 8, 9, 16, 100, 1024, 6859, 59049, 65536], dtype=np.int64)
     vec = step_at("j", xs)
     for x, v in zip(xs, vec):
-        assert v == pytest.approx(j_value(int(x)).value, abs=1e-12)
+        assert v == pytest.approx(j_value(int(x)), abs=1e-12)
 
 
 # both sides of the first segment boundary, and perfect powers with their
@@ -292,8 +290,8 @@ def test_j_minus_pi_gap_is_the_odd_root_tail():
 
     for x in np.geomspace(100, 1e6, 40):
         x = int(x)
-        gap = j_value(x).value - pi_count(x)
-        half = 0.5 * j_value(math.isqrt(x)).value
+        gap = j_value(x) - pi_count(x)
+        half = 0.5 * j_value(math.isqrt(x))
         tail = 0.0
         k = 3
         while 2**k <= x:
@@ -302,7 +300,7 @@ def test_j_minus_pi_gap_is_the_odd_root_tail():
                 tail += pi_count(r) / k
             k += 2
         assert abs((gap - half) - tail) < 1e-9, x
-        envelope = j_value(integer_kth_root(x, 3)).value / 3 + pi_count(integer_kth_root(x, 5)) + 1
+        envelope = j_value(integer_kth_root(x, 3)) / 3 + pi_count(integer_kth_root(x, 5)) + 1
         assert abs(gap - half) < envelope, x
 
 

@@ -1,5 +1,6 @@
 """Command-line dispatch, output formats, and exit codes."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -134,12 +135,34 @@ def test_eval_outside_the_series_domain_exits_2(args, message):
         ["check", "C9", "--max", "inf"],
         ["check", "C13", "--max", "25"],
         ["laplace", "zeta1", "--limit", "inf"],
+        ["laplace", "lie", "--s", "inf"],
+        ["laplace", "r", "--s", "inf"],
+        ["check", "C7", "--s", "inf"],
     ],
 )
 def test_infinite_and_overflowing_arguments_are_usage_errors(argv, capsys):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["laplace", "r", "--s", "1.5,2,3,5,10,50,120,150,1000"],
+         "3246d1a5a24103f2ae104db7fbbd8ad7af948c72779f1a1a85124e03aef4760d"),
+        (["check", "C7", "--format", "csv"],
+         "1d0dae6c123496fb2e1eaf5a81829d332d42fa28a666c5ab5cd651f02638518f"),
+        (["laplace", "lie", "--s", "1.5,2,3,5,10"],
+         "411d96c5acf6790c5e0974fda6f8e26bcb6d66a65c6031e0fd3b2e075a466f55"),
+        (["check", "C6", "--format", "csv"],
+         "d5d6e3ff7b793bc6240db405c9e690c086ab26fb799b5c6f0017fa85f83cab12"),
+    ],
+)
+def test_quadrature_transform_outputs_keep_their_pinned_bytes(argv, sha256, capsys):
+    # the printed r and lie brackets, on C6's and C7's s grid and past it
+    assert dispatch(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.arith import j_value
+from zetalab.arith import j_value, pi_count
 from zetalab.comb import (
     ArithmeticKind,
     CombKind,
@@ -20,6 +20,7 @@ from zetalab.comb import (
     r_value_ordinate,
     zeta1_count,
 )
+from zetalab.sieve import integer_kth_root
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -69,12 +70,12 @@ def test_eval_examples():
 
 def test_jcomb_eval_uses_per_k_counts():
     # per exponent k, the comb holds one weight 1/k for each prime up to the
-    # exact k-th root, as j_value counts them
+    # exact k-th root
     c = build_comb(CombKind.JCOMB, 100_000)
-    want = j_value(100_000)
     counts = [int(np.count_nonzero(c.weights == 1.0 / k)) for k in range(1, 20)]
-    assert counts == want.counts_per_k + [0] * (19 - len(want.counts_per_k))
-    assert math.fsum(c.weights) == want.value
+    assert counts == [pi_count(integer_kth_root(100_000, k)) for k in range(1, 20)]
+    assert counts[:4] == [9592, 65, 14, 7] and counts[16:] == [0, 0, 0]
+    assert math.fsum(c.weights) == j_value(100_000)
 
 
 def test_eta_values_are_zero_or_one():

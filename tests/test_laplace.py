@@ -110,6 +110,24 @@ def test_lie_bracket_at_two_contains_zero_tightly():
     assert br.width < 1e-6
 
 
+def test_lie_brackets_are_a_third_as_wide_as_on_numpys_tabulated_weights():
+    # widths when lie's panels used leggauss(12) with a 128-ulp weight allowance
+    tabulated = {2.0: 2.7509668327200789e-14, 3.0: 1.6042722705833512e-14,
+                 5.0: 1.0658141036401503e-14, 10.0: 7.2719608112947753e-15}
+    for s, width in tabulated.items():
+        assert laplace_quadrature("lie", s).width <= width / 3, s
+    assert laplace_quadrature("lie", 1.5).width <= 4.1223551794367097e-09
+
+
+def test_both_transforms_state_their_error_in_one_tuple():
+    r_parts = laplace._laplace_r_numeric(2.0, 1.0)[1]
+    lie_parts = laplace._lie_transform(2.0, 40.0)[1]
+    assert type(r_parts) is type(lie_parts)
+    assert r_parts._fields == ("first", "remainder", "weights", "functions", "rounding")
+    assert r_parts.first == 0.0 < lie_parts.first  # r has no left-out panel
+    assert all(p > 0 for p in r_parts[1:] + lie_parts[1:])
+
+
 # ---------------------------------------------------------------------------
 # the stated error of the lie transform, part by part, against 30-digit oracles
 
@@ -133,7 +151,7 @@ def _ei_transform(s: float, edge: float) -> float:
 @lru_cache(maxsize=None)
 def _ei_at_nodes(edge: float):
     with mpmath.workdps(30):
-        return [mpmath.ei(x) for x in laplace._lie_panels(edge)[2].tolist()]
+        return [mpmath.ei(x) for x in laplace._lie_panels(edge)[2].ravel().tolist()]
 
 
 @pytest.mark.parametrize("edge", LIE_EDGES)
@@ -167,14 +185,15 @@ def test_lie_first_panel_bound_covers_the_left_out_integral():
 
 def test_lie_contract_part_covers_lie_error_at_every_node():
     for edge in LIE_EDGES:
-        _mid, _half, x, w, values = laplace._lie_panels(edge)
+        _mid, half, x, values = laplace._lie_panels(edge)
+        w = (half[:, None] * laplace._gauss_rule(laplace._LIE_ORDER)[1]).ravel().tolist()
         exact = _ei_at_nodes(edge)
-        miss = [abs(v - e) for v, e in zip(values.tolist(), exact)]
-        for xi, m, e in zip(x.tolist(), miss, exact):
+        miss = [abs(v - e) for v, e in zip(values.ravel().tolist(), exact)]
+        for xi, m, e in zip(x.ravel().tolist(), miss, exact):
             assert m <= 3e-16 * max(1, abs(e)), xi
         for s in S_GRID:
-            actual = sum(wi * math.exp(-s * xi) * float(m) for wi, xi, m in zip(w, x, miss))
-            assert laplace._lie_transform(s, edge)[1].contract >= actual > 0
+            actual = sum(wi * math.exp(-s * xi) * float(m) for wi, xi, m in zip(w, x.ravel(), miss))
+            assert laplace._lie_transform(s, edge)[1].functions >= actual > 0
 
 
 @lru_cache(maxsize=None)
@@ -189,19 +208,30 @@ def _gauss_legendre_40_digits(n: int):
         return nodes, weights
 
 
-def test_tabulated_gauss_rule_and_exp_are_as_accurate_as_the_rounding_part_assumes():
-    t, w = np.polynomial.legendre.leggauss(laplace._LIE_ORDER)
-    nodes, weights = _gauss_legendre_40_digits(laplace._LIE_ORDER)
+def test_lie_weights_and_rounding_parts_cover_the_float_panel_sum():
+    # the transform's own integrand values, summed with 40-digit weights in
+    # 40-digit arithmetic: the rest is the weights' and the arithmetic's error
+    weights = _gauss_legendre_40_digits(laplace._LIE_ORDER)[1]
+    for edge in LIE_EDGES:
+        _mid, half, x, values = laplace._lie_panels(edge)
+        for s in S_GRID:
+            value, parts = laplace._lie_transform(s, edge)
+            f = values * np.exp(-s * x)
+            with mpmath.workdps(40):
+                exact = mpmath.fsum(h * mpmath.fsum(w * v for w, v in zip(weights, row))
+                                    for h, row in zip(half.tolist(), f.tolist()))
+                assert abs(value - exact) <= parts.weights + parts.rounding, (edge, s)
+
+
+def test_exp_at_the_lie_nodes_is_as_accurate_as_the_functions_part_assumes():
     with mpmath.workdps(40):
-        assert max(abs(a - b) for a, b in zip(t.tolist(), nodes)) <= U
-        assert max(abs((a - b) / b) for a, b in zip(w.tolist(), weights)) <= laplace._GL_WEIGHT_REL
         for edge in LIE_EDGES:
-            x = laplace._lie_panels(edge)[2]
+            x = laplace._lie_panels(edge)[2].ravel()
             for s in S_GRID:
                 y = -s * x
                 got = np.exp(y).tolist()
                 worst = max(abs(g / mpmath.exp(v) - 1) for g, v in zip(got, y.tolist()))
-                assert worst <= 4 * U, (edge, s)
+                assert worst <= laplace._FN_ERR * U, (edge, s)
 
 
 def test_lie_panel_remainder_bounds_the_40_digit_gauss_error():
@@ -369,6 +399,12 @@ def test_functions_at_the_remainder_nodes_are_as_accurate_as_stated():
 def test_quadrature_domain_errors():
     with pytest.raises(ValueError):
         laplace_quadrature("r", 1.0)
+    for fn_id in ("r", "lie"):
+        for s in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=f"s={s}"):
+                laplace_quadrature(fn_id, s)
+    with pytest.raises(ValueError, match="s=inf"):
+        laplace_pair("zeta1", math.inf, limit=100.0)
     with pytest.raises(ValueError):
         laplace_quadrature("r", 1.5, 2.0)  # tail bound unreachable
     with pytest.raises(ValueError):
