@@ -32,11 +32,10 @@ from .comb import (
     zeta1_count,
 )
 from .laplace import (
-    ApproxKernel,
     TransformBracket,
+    approx_kernel,
     er_closed,
     er_partial,
-    kernel_residual,
     laplace_comb,
     laplace_pair,
     laplace_quadrature,
@@ -46,9 +45,7 @@ from .verify import (
     Claim,
     ClaimResult,
     ScanReport,
-    bound_ids,
     emit_report,
-    run_all,
     run_claim,
     scan_bound,
 )
@@ -56,7 +53,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxKernel",
     "ArithmeticKind",
     "Claim",
     "ClaimResult",
@@ -68,7 +64,7 @@ __all__ = [
     "SieveSegment",
     "StepComb",
     "TransformBracket",
-    "bound_ids",
+    "approx_kernel",
     "build_comb",
     "emit_report",
     "er_closed",
@@ -76,7 +72,6 @@ __all__ = [
     "harmonic_model",
     "integer_kth_root",
     "j_value",
-    "kernel_residual",
     "laplace_comb",
     "laplace_pair",
     "laplace_quadrature",
@@ -89,7 +84,6 @@ __all__ = [
     "r_integral_model",
     "r_value",
     "r_value_ordinate",
-    "run_all",
     "run_claim",
     "scan_bound",
     "stirling_model",

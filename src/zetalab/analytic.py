@@ -75,6 +75,8 @@ def hurwitz_zeta_real(s: float, q: float = 1.0) -> float:
     poch = s
     tk = t ** (-s - 1.0)
     for j, b in enumerate(_BERNOULLI):
+        if tk == 0.0:  # this term and the later ones are 0; poch may have overflowed
+            break
         fact = math.factorial(2 * j + 2)
         tail += b / fact * poch * tk
         poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
@@ -96,13 +98,18 @@ def zeta_prime_real(s: float) -> float:
     t = float(m)
     logt = math.log(t)
     s1 = s - 1.0
-    # integral of log(u) u**-s from t to infinity, plus half-term
-    tail = t ** -s1 * (s1 * logt + 1.0) / (s1 * s1) + 0.5 * logt * t ** -s
+    # integral of log(u) u**-s from t to infinity, plus half-term; the integral
+    # is 0 once t**-s1 underflows, where s1 log t or s1**2 may overflow
+    head = t ** -s1
+    tail = head * (s1 * logt + 1.0) / (s1 * s1) if head else 0.0
+    tail += 0.5 * logt * t ** -s
     # derivatives of f(u) = log(u) u**-s: f^(m)(u) = (-1)^m u**(-s-m) (A_m log u + B_m)
     a_m, b_m = s, -1.0
     order = 1
     tk = t ** (-s - 1.0)
     for j, b in enumerate(_BERNOULLI):
+        if tk == 0.0:  # this term and the later ones are 0; A and B may overflow
+            break
         fact = math.factorial(2 * j + 2)
         # f^(2j+1)(t) = -t**(-s-2j-1) (A log t + B); E-M adds -B_2k/(2k)! f^(2k-1)
         tail += b / fact * tk * (a_m * logt + b_m)

@@ -39,17 +39,9 @@ from .comb import ArithmeticKind, CombKind, StepComb, build_comb
 KERNEL_OFFSET = 7.0 / 12.0 - EULER_GAMMA
 
 
-@dataclass(frozen=True)
-class ApproxKernel:
-    """Rational kernel 1/(2s) - 1/(6(s+1)) plus a constant offset."""
-
-    offset: float = KERNEL_OFFSET
-
-    def form(self, s: float) -> float:
-        return 1.0 / (2.0 * s) - 1.0 / (6.0 * (s + 1.0))
-
-    def value(self, s: float) -> float:
-        return self.form(s) + self.offset
+def approx_kernel(s: float) -> float:
+    """Rational kernel 1/(2s) - 1/(6(s+1)) plus the offset KERNEL_OFFSET."""
+    return 1.0 / (2.0 * s) - 1.0 / (6.0 * (s + 1.0)) + KERNEL_OFFSET
 
 
 @dataclass(frozen=True)
@@ -464,7 +456,7 @@ def laplace_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# the expansion of the error transform and the kernel comparison
+# the expansion of the error transform
 
 def er_closed(s: float) -> float:
     """(1/s) log((s-1) zeta(s) / s)."""
@@ -492,12 +484,6 @@ def er_partial(s: float, K: int) -> float:
         power *= u
         acc += power / k
     return -acc / s
-
-
-def kernel_residual(s: float) -> float:
-    """R(s) minus the rational kernel with offset; report-only measurement."""
-    _require_s(s)
-    return R_of_s(s) - ApproxKernel().value(s)
 
 
 # ---------------------------------------------------------------------------

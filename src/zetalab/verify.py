@@ -60,7 +60,7 @@ class Claim:
     id: str
     kind: str  # identity | bound_scan | report_only
     statement: str
-    runner: Callable[[dict], "ClaimResult"]
+    runner: Callable[[dict], "Summary"]  # the ClaimResult fields after params
     defaults: dict
 
 
@@ -602,84 +602,57 @@ def scan_bound(
     )
 
 
-def bound_ids() -> Tuple[str, ...]:
-    return tuple(_BOUNDS)
-
-
 # ---------------------------------------------------------------------------
 # identity and report claims
 
+# what a runner returns: max_abs_residual, tolerance, verdict, arg_extremum, rows
+Summary = Tuple[float, float, str, float, Optional[List[Row]]]
 
-def _result_from_rows(
-    claim_id: str,
-    kind: str,
-    params: dict,
-    rows: List[Row],
-    tol_at: List[float],
-    extra_fail: bool = False,
-) -> ClaimResult:
-    residuals = [abs(r[3]) for r in rows]
-    i = int(np.argmax(residuals)) if residuals else 0
-    ok = all(r[4] for r in rows) and not extra_fail
-    return ClaimResult(
-        id=claim_id,
-        kind=kind,
-        params=params,
-        max_abs_residual=residuals[i] if residuals else 0.0,
-        tolerance=tol_at[i] if tol_at else 0.0,
-        verdict="pass" if ok else "fail",
-        arg_extremum=rows[i][0] if rows else math.nan,
-        rows=rows,
+
+def _verdict(
+    xs: Sequence[float], residuals, tolerance, passed: Optional[bool], rows: Optional[List[Row]] = None
+) -> Summary:
+    """The one verdict rule: the largest residual, its tolerance and its x.
+
+    residuals hold one value >= 0 per x, tolerance is one float or one per x,
+    and passed is the verdict (None for a report).  The first of the largest
+    residuals counts, and a NaN counts as the largest (``np.argmax``), so a
+    claim that fails on a NaN names that row.  With no residuals the result
+    is 0 with tolerance 0 at x = NaN.
+    """
+    verdict = "report" if passed is None else "pass" if passed else "fail"
+    r = np.asarray(residuals, dtype=np.float64)
+    if not r.size:
+        return 0.0, 0.0, verdict, math.nan, rows
+    i = int(np.argmax(r))
+    return float(r[i]), float(np.broadcast_to(tolerance, r.shape)[i]), verdict, float(xs[i]), rows
+
+
+def _identity_rule(rows: List[Row], tolerance, passed: bool = True) -> Summary:
+    """Rows compared within a tolerance each: the largest |residual| and that row's tolerance."""
+    return _verdict(
+        [r[0] for r in rows], [abs(r[3]) for r in rows], tolerance, passed and all(r[4] for r in rows), rows
     )
 
 
-def _margin_verdict(
-    claim_id: str, kind: str, params: dict, rows: List[Row], extra_excess: float = 0.0
-) -> ClaimResult:
-    """Verdict for rows that must keep a positive margin.
-
-    max_abs_residual is the deepest escape (0 when nothing escapes), raised to
-    extra_excess if that is larger; a nonzero extra_excess fails the claim.
-    arg_extremum is the row of the deepest escape, or the first row.
-    """
-    excess = [max(0.0, -r[3]) for r in rows]
-    i = int(np.argmax(excess))
-    return ClaimResult(
-        id=claim_id,
-        kind=kind,
-        params=params,
-        max_abs_residual=max(excess + [extra_excess]),
-        tolerance=0.0,
-        verdict="pass" if all(r[4] for r in rows) and extra_excess == 0.0 else "fail",
-        arg_extremum=rows[i][0],
-        rows=rows,
-    )
+def _escapes(rows: List[Row]) -> np.ndarray:
+    """How far each margin sits below 0: -margin, or +0.0 for a margin >= 0; NaN stays NaN."""
+    m = np.array([r[3] for r in rows], dtype=np.float64)
+    return np.where(m >= 0, 0.0, -m)
 
 
-def _report_result(
-    claim_id: str, params: dict, rows: List[Row], measured: Optional[List[Row]] = None
-) -> ClaimResult:
-    """Report-only result over the measured rows (all rows unless given).
+def _margin_rule(rows: List[Row]) -> Summary:
+    """Rows that must keep a positive margin: the deepest escape, or 0 at the first row."""
+    return _verdict([r[0] for r in rows], _escapes(rows), 0.0, all(r[4] for r in rows), rows)
 
-    max_abs_residual is their largest |residual| (0 when there are none) and
-    arg_extremum the first row that reaches it.
-    """
+
+def _report_rule(rows: List[Row], measured: Optional[List[Row]] = None) -> Summary:
+    """Report-only: the largest |residual| over the measured rows (all rows unless given)."""
     measured = rows if measured is None else measured
-    residuals = [abs(r[3]) for r in measured]
-    i = int(np.argmax(residuals)) if residuals else 0
-    return ClaimResult(
-        id=claim_id,
-        kind="report_only",
-        params=params,
-        max_abs_residual=residuals[i] if residuals else 0.0,
-        tolerance=0.0,
-        verdict="report",
-        arg_extremum=measured[i][0] if measured else math.nan,
-        rows=rows,
-    )
+    return _verdict([r[0] for r in measured], [abs(r[3]) for r in measured], 0.0, None, rows)
 
 
-def _model_claim(claim_id: str, model_fn, params: dict) -> ClaimResult:
+def _model_claim(model_fn, params: dict) -> Summary:
     rows: List[Row] = []
     tols: List[float] = []
     for n in params["n_grid"]:
@@ -688,14 +661,14 @@ def _model_claim(claim_id: str, model_fn, params: dict) -> ClaimResult:
             (float(n), pair.exact, pair.model, pair.residual, abs(pair.residual) <= pair.tolerance)
         )
         tols.append(pair.tolerance)
-    return _result_from_rows(claim_id, "identity", params, rows, tols)
+    return _identity_rule(rows, tols)
 
 
-def _run_c1(params: dict) -> ClaimResult:
-    return _model_claim("C1", analytic.stirling_model, params)
+def _run_c1(params: dict) -> Summary:
+    return _model_claim(analytic.stirling_model, params)
 
 
-def _run_c2(params: dict) -> ClaimResult:
+def _run_c2(params: dict) -> Summary:
     rows: List[Row] = []
     tols: List[float] = []
     for n in params["n_grid"]:
@@ -705,62 +678,61 @@ def _run_c2(params: dict) -> ClaimResult:
         tol = 1.0 / n ** 2
         rows.append((float(n), direct, model, direct - model, abs(direct - model) <= tol))
         tols.append(tol)
-    return _result_from_rows("C2", "identity", params, rows, tols)
+    return _identity_rule(rows, tols)
 
 
-def _run_c3(params: dict) -> ClaimResult:
+def _run_c3(params: dict) -> Summary:
     rows: List[Row] = []
     tols: List[float] = []
-    exact_ok = True
+    exact_ok = True  # the remainder at N + c is exactly c
     for n in params["n_grid"]:
         n = int(n)
         for c in params["c_grid"]:
             a = n + c
             rv = comb.r_value_ordinate(a)
-            if rv != c:
-                exact_ok = False
+            exact_ok &= rv == c
             direct = comb.r_integral(math.log(a)) - rv
             model = comb.r_integral_model(n, c)
             tol = 1.0 / n ** 2
             rows.append((a, direct, model, direct - model, abs(direct - model) <= tol))
             tols.append(tol)
-    return _result_from_rows("C3", "identity", params, rows, tols, extra_fail=not exact_ok)
+    return _identity_rule(rows, tols, passed=exact_ok)
 
 
-def _run_c4(params: dict) -> ClaimResult:
-    return _model_claim("C4", analytic.harmonic_model, params)
+def _run_c4(params: dict) -> Summary:
+    return _model_claim(analytic.harmonic_model, params)
 
 
-def _bracket_claim(claim_id: str, pair_id: str, params: dict) -> ClaimResult:
+def _bracket_rows(pair_id: str, params: dict) -> List[Row]:
     rows: List[Row] = []
-    width_excess = 0.0
     for s in params["s_grid"]:
         br = laplace.laplace_pair(pair_id, float(s), limit=params.get("limit", DEFAULT_COMB_LIMIT))
         # row margin: distance from the closed form to the nearer bracket edge
         lo_gap = br.closed_form - br.numeric_lo
         hi_gap = br.numeric_hi - br.closed_form
         rows.append((float(s), br.numeric_lo, br.numeric_hi, min(lo_gap, hi_gap), br.contains()))
-        if claim_id == "C6" and s == 2.0 and br.width >= 1e-6:
-            width_excess = br.width - 1e-6
-    return _margin_verdict(claim_id, "identity", params, rows, width_excess)
+    return rows
 
 
-def _run_c5(params: dict) -> ClaimResult:
-    return _bracket_claim("C5", "zeta1", params)
+def _run_c5(params: dict) -> Summary:
+    return _margin_rule(_bracket_rows("zeta1", params))
 
 
-def _run_c6(params: dict) -> ClaimResult:
-    return _bracket_claim("C6", "lie", params)
+def _run_c6(params: dict) -> Summary:
+    rows = _bracket_rows("lie", params)
+    # the bracket at s = 2 must also be narrower than 1e-6; a wider one fails
+    # C6, and its excess width is that row's residual where above its escape
+    excess = [hi - lo - 1e-6 if s == 2.0 else -1.0 for s, lo, hi, _, _ in rows]
+    passed = all(r[4] for r in rows) and max(excess, default=-1.0) < 0.0
+    return _verdict([r[0] for r in rows], np.maximum(_escapes(rows), excess), 0.0, passed, rows)
 
 
-def _run_c7(params: dict) -> ClaimResult:
-    return _bracket_claim("C7", "r", params)
+def _run_c7(params: dict) -> Summary:
+    return _margin_rule(_bracket_rows("r", params))
 
 
-def _run_c8(params: dict) -> ClaimResult:
+def _run_c8(params: dict) -> Summary:
     rows: List[Row] = []
-    tols: List[float] = []
-    ok_all = True
     for s in params["s_grid"]:
         s = float(s)
         u = laplace.expansion_argument(s)
@@ -771,34 +743,16 @@ def _run_c8(params: dict) -> ClaimResult:
         monotone = all(b <= a for a, b in zip(seq, seq[1:])) and seq[1] < seq[0]
         closed = laplace.er_closed(s)
         diff = seq[-1] - closed
-        good = valid and monotone and abs(diff) <= 1e-12
-        ok_all &= good
-        rows.append((s, seq[-1], closed, diff, good))
-        tols.append(1e-12)
-    return _result_from_rows("C8", "identity", params, rows, tols, extra_fail=not ok_all)
+        rows.append((s, seq[-1], closed, diff, valid and monotone and abs(diff) <= 1e-12))
+    return _identity_rule(rows, 1e-12)
 
 
-def _worst_residual(claim_id: str, params: dict, residuals: np.ndarray, tol: float) -> ClaimResult:
-    """Verdict on residuals indexed by x - 2: the largest, and the x where it sits."""
-    i = int(np.argmax(residuals))
-    worst = float(residuals[i])
-    return ClaimResult(
-        id=claim_id,
-        kind="identity",
-        params=params,
-        max_abs_residual=worst,
-        tolerance=tol,
-        verdict="pass" if worst <= tol else "fail",
-        arg_extremum=float(i + 2),
-        rows=None,
-    )
+def _run_c9(params: dict) -> Summary:
+    residuals = arith.pi_from_j_residuals(int(params["limit"]))  # at x = 2, 3, ...
+    return _verdict(range(2, residuals.size + 2), residuals, 1e-9, bool(residuals.max() <= 1e-9))
 
 
-def _run_c9(params: dict) -> ClaimResult:
-    return _worst_residual("C9", params, arith.pi_from_j_residuals(int(params["limit"])), 1e-9)
-
-
-def _run_c10(params: dict) -> ClaimResult:
+def _run_c10(params: dict) -> Summary:
     limit = int(params["limit"])
     lam = np.zeros(limit + 1)
     for seg in iter_segments(0, limit, want_lam=True):
@@ -811,10 +765,11 @@ def _run_c10(params: dict) -> ClaimResult:
     # x // k >= 2 exactly when x >= 2k, the suffix from index 2k - 2
     for k in range(1, limit // 2 + 1):
         lhs[2 * k - 2 :] += cum_lam[xs[2 * k - 2 :] // k]
-    return _worst_residual("C10", params, np.abs(lhs - cum_log[xs]) / xs, 1e-6)
+    residuals = np.abs(lhs - cum_log[xs]) / xs
+    return _verdict(xs, residuals, 1e-6, bool(residuals.max() <= 1e-6))
 
 
-def _run_c11(params: dict) -> ClaimResult:
+def _run_c11(params: dict) -> Summary:
     rows: List[Row] = []
     for s in params["s_grid"]:
         s = float(s)
@@ -823,10 +778,10 @@ def _run_c11(params: dict) -> ClaimResult:
         lo, hi = br.numeric_lo * s * z, br.numeric_hi * s * z
         target = -analytic.zeta_prime_real(s)
         rows.append((s, lo, hi, min(target - lo, hi - target), lo <= target <= hi))
-    return _margin_verdict("C11", "identity", params, rows)
+    return _margin_rule(rows)
 
 
-def _run_c12(params: dict) -> ClaimResult:
+def _run_c12(params: dict) -> Summary:
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
     half = xs / 2.0
     series = np.zeros_like(xs)
@@ -842,18 +797,18 @@ def _run_c12(params: dict) -> ClaimResult:
         rows.append((float(x), float(a), float(b), float(b - a), a < b))
     for x, a, b in zip(xs, lhs3, rhs3):
         rows.append((float(x), float(a), float(b), float(b - a), a < b))
-    return _margin_verdict("C12", "bound_scan", params, rows)
+    return _margin_rule(rows)
 
 
-def _run_c13(params: dict) -> ClaimResult:
+def _run_c13(params: dict) -> Summary:
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
     rows: List[Row] = []
     for x, v in zip(xs.tolist(), comb.r_integral(xs).tolist()):
         rows.append((x, v, x / 2.0, x / 2.0 - v, v < x / 2.0))
-    return _margin_verdict("C13", "bound_scan", params, rows)
+    return _margin_rule(rows)
 
 
-def _run_c14(params: dict) -> ClaimResult:
+def _run_c14(params: dict) -> Summary:
     # li_vec's 1e-14 relative error is far inside the closest margin (12.9%
     # of li at x = 1e8, 1.82 absolute at x = 100), so no verdict can flip
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
@@ -865,22 +820,20 @@ def _run_c14(params: dict) -> ClaimResult:
     for x, v, a, b in zip(xs.tolist(), li.tolist(), lo.tolist(), hi.tolist()):
         rows.append((x, a, v, v - a, a < v))
         rows.append((x, v, b, b - v, v < b))
-    return _margin_verdict("C14", "bound_scan", params, rows)
+    return _margin_rule(rows)
 
 
-def _run_c15(params: dict) -> ClaimResult:
+def _run_c15(params: dict) -> Summary:
     rows: List[Row] = []
-    tols: List[float] = []
     for s in params["s_grid"]:
         s = float(s)
         lhs = analytic.zeta_real(s) / (s * (s - 1.0))
         rhs = 1.0 / (s - 1.0) ** 2 - analytic.R_of_s(s) / (s - 1.0)
         rows.append((s, lhs, rhs, lhs - rhs, abs(lhs - rhs) <= 1e-12))
-        tols.append(1e-12)
-    return _result_from_rows("C15", "identity", params, rows, tols)
+    return _identity_rule(rows, 1e-12)
 
 
-def _run_m1(params: dict) -> ClaimResult:
+def _run_m1(params: dict) -> Summary:
     x_max = int(params["x_max"])
     samples = np.unique(np.geomspace(M1_X_MIN, x_max, int(params["points"])).astype(np.int64))
     psi_at = np.zeros(samples.size)
@@ -902,19 +855,19 @@ def _run_m1(params: dict) -> ClaimResult:
         # running mean of psi(t) - t over (0, x]: (integral psi - x^2/2)/x
         run_mean = ((x * p - nl) - x * x / 2.0) / x
         rows.append((float(x), run_mean, 0.0, run_mean, True))
-    return _report_result("M1", params, rows, measured=rows[0::2])
+    return _report_rule(rows, measured=rows[0::2])
 
 
-def _run_m2(params: dict) -> ClaimResult:
-    kernel = laplace.ApproxKernel()
+def _run_m2(params: dict) -> Summary:
     rows: List[Row] = []
     for s in params["s_grid"]:
         s = float(s)
-        rows.append((s, analytic.R_of_s(s), kernel.value(s), laplace.kernel_residual(s), True))
-    return _report_result("M2", params, rows)
+        r, kernel = analytic.R_of_s(s), laplace.approx_kernel(s)
+        rows.append((s, r, kernel, r - kernel, True))
+    return _report_rule(rows)
 
 
-def _run_m3(params: dict) -> ClaimResult:
+def _run_m3(params: dict) -> Summary:
     rows: List[Row] = []
     for pid in ("ze2", "ze1.5"):
         for s in params["s_grid"]:
@@ -922,7 +875,7 @@ def _run_m3(params: dict) -> ClaimResult:
             br = laplace.laplace_pair(pid, s, limit=params.get("limit", DEFAULT_COMB_LIMIT))
             mid = 0.5 * (br.numeric_lo + br.numeric_hi)
             rows.append((s, mid, br.closed_form, br.closed_form - mid, True))
-    return _report_result("M3", params, rows)
+    return _report_rule(rows)
 
 
 CLAIMS: Dict[str, Claim] = {}
@@ -981,15 +934,7 @@ def run_claim(claim_id: str, params: Optional[dict] = None) -> ClaimResult:
     merged = dict(claim.defaults)
     if params:
         merged.update(params)
-    return claim.runner(merged)
-
-
-def run_all(params_by_id: Optional[Dict[str, dict]] = None) -> List[ClaimResult]:
-    """Every claim in the catalog, in registry order."""
-    out = []
-    for cid in CLAIMS:
-        out.append(run_claim(cid, (params_by_id or {}).get(cid)))
-    return out
+    return ClaimResult(claim.id, claim.kind, merged, *claim.runner(merged))
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,13 @@ def test_zeta_prime_spot_values():
         zeta_prime_real(1.0)
 
 
+@pytest.mark.parametrize("s", [1e62, 1e100, 1e308])
+def test_zeta_and_zeta_prime_past_the_bernoulli_terms_overflow(s):
+    # the Euler-Maclaurin terms were inf * 0 = NaN from s of about 4e61 on
+    assert zeta_real(s) == 1.0
+    assert math.isfinite(zeta_prime_real(s)) and zeta_prime_real(s) <= 0.0
+
+
 def test_hurwitz_against_scipy():
     from scipy.special import zeta as scipy_zeta
 

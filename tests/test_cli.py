@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import zetalab
@@ -157,12 +158,61 @@ def test_infinite_and_overflowing_arguments_are_usage_errors(argv, capsys):
          "411d96c5acf6790c5e0974fda6f8e26bcb6d66a65c6031e0fd3b2e075a466f55"),
         (["check", "C6", "--format", "csv"],
          "d5d6e3ff7b793bc6240db405c9e690c086ab26fb799b5c6f0017fa85f83cab12"),
+        # every other claim that keeps rows, and the whole catalog's summary: a
+        # verdict rule or a row that moves shows here
+        (["check", "C1", "--format", "csv", "--out", "-"],
+         "db23a1c3537503ae842d7fd3c9bec2429c75f5c46aa2742323b4b0f24c29afbb"),
+        (["check", "C2", "--format", "csv", "--out", "-"],
+         "b25278c580fb13a0d4d36fd6c0a7ae826cfcea888d946de79eb60c9284de3435"),
+        (["check", "C3", "--format", "csv", "--out", "-"],
+         "105d2ac431de5496f65d66497c57adddd724db3dc6c25aed1d18666abba83c08"),
+        (["check", "C4", "--format", "csv", "--out", "-"],
+         "c2065a659c8771aaa470af65e2c70a1a72e1b8f5c701b5372529f60af3cef5d4"),
+        (["check", "C5", "--format", "csv", "--out", "-"],
+         "2b18dbc421e8d3bf6e35c1cd556c658986ec086b2c4713add9a16026cea03895"),
+        (["check", "C8", "--format", "csv", "--out", "-"],
+         "c127b70e87c24af76b5bf9a9d091fec415d7d0ddd1f4495e24f1ffa59b6d1fdc"),
+        (["check", "C11", "--format", "csv", "--out", "-"],
+         "d74dc8482ea7ef9542b247fe3956c759561c6fc5c66c9321765278f9bb94927e"),
+        (["check", "C12", "--format", "csv", "--out", "-"],
+         "548e0fcb70f34434639b8ff33ad3ee6c9175396b8e484c65039853d6c5bf6061"),
+        (["check", "C13", "--format", "csv", "--out", "-"],
+         "fee0c0f1d0ac13f6e7f931ad7d12044af1693f69bf469885d097b53ecf950558"),
+        (["check", "C14", "--format", "csv", "--out", "-"],
+         "68250ffbb2a4678f54e976413887ddaecafcdca10c5b2585e17779149db86e9d"),
+        (["check", "C15", "--format", "csv", "--out", "-"],
+         "b048ff76f5dba04cc3695fe504c83d2aaf3d7404b3caf4798c4109f9a12d5cf9"),
+        (["check", "M1", "--format", "csv", "--out", "-"],
+         "20a9e986ac662d6c6e43789af498d5b8a1a1e154746cc7e5d109eebd1bd18c28"),
+        (["check", "M2", "--format", "csv", "--out", "-"],
+         "781ac7cb730845cf9be942a889d919ec3015151d0a2319cad370e1956f4ba547"),
+        (["check", "M3", "--format", "csv", "--out", "-"],
+         "527b558e132a37fc6c626bd130c4b4cd87ddd6cd2afef95b9c432316f9126231"),
+        (["check", "--all", "--format", "json", "--out", "-"],
+         "08ae910ddfc82bea6a7d330d4fa22a6226284e24876fed12005a69702495383c"),
     ],
 )
 def test_quadrature_transform_outputs_keep_their_pinned_bytes(argv, sha256, capsys):
-    # the printed r and lie brackets, on C6's and C7's s grid and past it
+    # the printed r and lie brackets, on C6's and C7's s grid and past it, and
+    # the claims' summary lines and rows (C12, C14 and M1 rest on numpy's exp
+    # and log, as the r pins do)
     assert dispatch(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_claims_past_where_zeta_used_to_overflow(capsys):
+    assert dispatch(["eval", "zeta", "1e62"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert dispatch(["check", "C5", "--s", "1e62"]) == 0
+    assert capsys.readouterr().out == "C5 pass max_abs_residual=0 tolerance=0 at=1e+62\n"
+
+
+def test_a_claim_that_fails_on_a_nan_margin_names_its_row(capsys):
+    # the series and its bound overflow from about x = 1.2e10, and inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dispatch(["check", "C12", "--max", "1e300"]) == 1
+    head, at = capsys.readouterr().out.split(" at=")
+    assert head == "C12 fail max_abs_residual=nan tolerance=0" and 1e10 < float(at) < 2e10
 
 
 @pytest.mark.parametrize(

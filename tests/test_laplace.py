@@ -13,12 +13,11 @@ from zetalab.analytic import R_of_s, zeta_prime_real, zeta_real
 from zetalab.comb import ArithmeticKind, CombKind, build_comb
 from zetalab.laplace import (
     KERNEL_OFFSET,
-    ApproxKernel,
     TransformBracket,
+    approx_kernel,
     er_closed,
     er_partial,
     expansion_argument,
-    kernel_residual,
     laplace_comb,
     laplace_pair,
     laplace_quadrature,
@@ -449,12 +448,11 @@ def test_expansion_argument_in_unit_interval():
 
 def test_kernel_offset_and_residuals():
     assert KERNEL_OFFSET == pytest.approx(7.0 / 12.0 - 0.5772156649015329, abs=1e-12)
-    kernel = ApproxKernel()
-    assert kernel.form(2.0) == pytest.approx(0.25 - 1.0 / 18.0, abs=1e-16)
+    assert approx_kernel(2.0) - KERNEL_OFFSET == pytest.approx(0.25 - 1.0 / 18.0, abs=1e-16)
     # measured gaps between R(s) and the kernel (report quantities)
-    assert kernel_residual(2.0) == pytest.approx(-0.023029146300358135, abs=1e-10)
-    assert kernel_residual(1.5) == pytest.approx(-0.014367900888792702, abs=1e-10)
-    assert abs(kernel_residual(50.0)) < 0.02
+    assert R_of_s(2.0) - approx_kernel(2.0) == pytest.approx(-0.023029146300358135, abs=1e-10)
+    assert R_of_s(1.5) - approx_kernel(1.5) == pytest.approx(-0.014367900888792702, abs=1e-10)
+    assert abs(R_of_s(50.0) - approx_kernel(50.0)) < 0.02
 
 
 def test_exact_bracket_algebra_identity():

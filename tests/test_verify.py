@@ -6,16 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from zetalab import comb, laplace, verify
 from zetalab.sieve import iter_segments
 from zetalab.verify import (
     CLAIMS,
     ClaimResult,
     ScanReport,
-    bound_ids,
     emit_report,
     render_csv,
     render_json,
-    run_all,
     run_claim,
     scan_bound,
 )
@@ -99,8 +98,7 @@ def test_default_grids_recorded_in_params():
 # bound scans
 
 
-def test_bound_ids():
-    assert set(bound_ids()) == {"B1", "B2", "B3", "B4"}
+def test_unknown_bound_rejected():
     with pytest.raises(ValueError):
         scan_bound("B9", 1, 10)
 
@@ -571,6 +569,42 @@ def test_emit_json_schema():
     assert objs[0]["verdict"] == "pass"
     assert objs[2]["verdict"] == "report"
     assert render_json(results) == text
+
+
+def test_a_nan_margin_fails_and_names_its_row():
+    # margins of inf - inf used to read as no escape: "fail max_abs_residual=0" at the first row
+    rows = [
+        (1.0, 0.0, 1.0, 1.0, True),
+        (2.0, 1.0, 0.5, -0.5, False),
+        (3.0, math.inf, math.inf, math.nan, False),
+        (4.0, 1.0, 0.0, -1.0, False),
+    ]
+    max_abs, tol, verdict, at, kept = verify._margin_rule(rows)
+    assert verdict == "fail" and math.isnan(max_abs) and at == 3.0 and tol == 0.0 and kept is rows
+    result = ClaimResult("C12", "bound_scan", {}, max_abs, tol, verdict, at, rows)
+    assert '"max_abs_residual":null' in render_json([result])
+
+
+def test_a_zero_margin_is_no_escape_and_prints_as_plus_zero():
+    # np.maximum(0.0, -0.0) is -0.0, which would print "-0"
+    rows = [(1.0, 1.0, 1.0, 0.0, False), (2.0, 0.0, -0.0, -0.0, False), (3.0, 0.0, 1.0, 1.0, True)]
+    max_abs, _, verdict, at, _ = verify._margin_rule(rows)
+    assert verdict == "fail" and at == 1.0  # no escape below 0: the first row
+    assert max_abs == 0.0 and math.copysign(1.0, max_abs) == 1.0
+
+
+def test_c6_fails_on_a_wide_bracket_at_s_2_and_c3_on_an_inexact_remainder(monkeypatch):
+    # neither can happen at any s grid or N today, so the gates are driven by hand
+    wide = lambda pair_id, s, limit: laplace.TransformBracket(s, -1e-6, 1e-6, 0.0, pair_id)
+    monkeypatch.setattr(laplace, "laplace_pair", wide)
+    r = run_claim("C6", {"s_grid": (3.0, 2.0)})
+    assert (r.verdict, r.max_abs_residual, r.arg_extremum) == ("fail", 2e-6 - 1e-6, 2.0)
+    assert all(row[4] for row in r.rows)  # every bracket contains its value
+    assert run_claim("C6", {"s_grid": (3.0,)}).verdict == "pass"
+    exact = comb.r_value_ordinate
+    monkeypatch.setattr(comb, "r_value_ordinate", lambda a: exact(a) + 1e-9)
+    r = run_claim("C3", {"n_grid": (10,), "c_grid": (0.5,)})
+    assert r.verdict == "fail" and all(row[4] for row in r.rows)  # within 1/N^2, yet not exact
 
 
 def test_emit_rejects_empty_and_rowless_csv():
