@@ -53,7 +53,7 @@ def step_segments(
         if seg.hi >= lo:
             yield seg, pi_run if step == "pi" else psi_run.value
         if step == "pi":
-            pi_run += int(np.count_nonzero(seg.is_prime))
+            pi_run += seg.n_primes
         else:
             psi_run.add(_lam_total(seg))
 
@@ -63,32 +63,22 @@ def _lam_total(seg: SieveSegment) -> float:
     return math.fsum(seg.lam[seg.lam_nonzero].tolist())
 
 
-# Up to this many offsets, a sparse pi read counts primes slice by slice rather
-# than listing a segment's primes: on a 2-core x86 VM one count_nonzero slice
-# costs about 1.3 us and listing a 2**20 segment's primes about 1.7 ms.
-_FEW_OFFSETS = 1024
-
-
 def segment_values(
     step: str,
     seg: SieveSegment,
     before: Union[int, float],
     offs: Optional[np.ndarray] = None,
-    nonzero: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Right-limit values of pi (int64) or psi (float64) at seg.lo + offs, from ``before``.
 
     Dense readers pass no offs and get every offset: ``before`` plus the
-    running sum of the whole segment.  Sparse readers pass ascending offsets
-    (repeats allowed) and pay for the segment's jumps or the offsets, not a
-    running sum over its integers: pi counts the primes at or below each
-    offset, slice by slice for a few offsets and by a binary search over the
-    prime offsets for many; psi runs the same sequential sum over the nonzero
-    Lambda only (``seg.lam_nonzero``).  Adding 0.0 leaves a running float
-    sum unchanged, so each value has the bits of the dense sum at that
-    offset.  A pi reader that has already listed the segment's prime offsets
-    (``np.flatnonzero(seg.is_prime)``) passes them as ``nonzero``, so they
-    are not listed again.
+    running sum of the whole segment (pi over the full ``seg.is_prime``).
+    Sparse readers pass ascending offsets (repeats allowed) and pay for the
+    segment's jumps or the offsets, not a running sum over its integers: pi
+    reads the segment's packed-bit prime counter (``seg.count_primes``);
+    psi runs the same sequential sum over the nonzero Lambda only
+    (``seg.lam_nonzero``).  Adding 0.0 leaves a running float sum
+    unchanged, so each value has the bits of the dense sum at that offset.
     """
     if offs is None:
         if step == "pi":
@@ -99,14 +89,7 @@ def segment_values(
         return vals
     offs = np.asarray(offs, dtype=np.int64)
     if step == "pi":
-        if nonzero is None and offs.size <= _FEW_OFFSETS:
-            # few offsets: count the primes between consecutive ones instead
-            ends = (offs + 1).tolist()
-            counts = [np.count_nonzero(seg.is_prime[i:j]) for i, j in zip([0] + ends[:-1], ends)]
-            return np.cumsum(counts, dtype=np.int64) + before
-        if nonzero is None:
-            nonzero = np.flatnonzero(seg.is_prime)
-        return np.searchsorted(nonzero, offs, "right") + before
+        return seg.count_primes(offs) + before
     top = int(offs[-1]) + 1 if offs.size else 0
     nz = seg.lam_nonzero[: np.searchsorted(seg.lam_nonzero, top)]
     run = np.zeros(nz.size + 1)
@@ -150,7 +133,7 @@ def pi_count(x: float) -> int:
         return 0
     n = int(math.floor(x))
     ((seg, before),) = step_segments("pi", n, lo=n)
-    return before + int(np.count_nonzero(seg.is_prime))
+    return before + seg.n_primes
 
 
 @lru_cache(maxsize=4)

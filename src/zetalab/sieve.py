@@ -12,8 +12,8 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -26,18 +26,95 @@ SIEVE_CEILING = 1 << 40
 class SieveSegment:
     """Primality and Lambda over the inclusive integer range [lo, hi].
 
-    ``lam`` is None unless the caller asked ``iter_segments`` for it;
-    ``lam_nonzero`` then lists the offsets of its nonzero entries, ascending.
+    ``odd`` is the odd-only primality mask: entry i is whether the odd
+    integer ``first + 2i`` is prime, with ``first = lo | 1``.  The only even
+    prime, 2, is added by the readers below.  Counts, prime lists and
+    lookups at offsets all read ``odd``; the full bool array ``is_prime``
+    is formed only when a dense reader asks for it.  ``lam`` is None unless
+    the caller asked ``iter_segments`` for it; ``lam_nonzero`` then lists
+    the offsets of its nonzero entries, ascending.
     """
 
     lo: int
     hi: int
-    is_prime: np.ndarray
+    odd: np.ndarray
     lam: Optional[np.ndarray]
     lam_nonzero: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
+
+    @property
+    def first(self) -> int:
+        """The odd integer that ``odd[0]`` stands for."""
+        return self.lo | 1
+
+    @property
+    def _two(self) -> int:
+        """Offset of the prime 2 from lo, or -1 if 2 is outside [lo, hi]."""
+        return 2 - self.lo if self.lo <= 2 <= self.hi else -1
+
+    @cached_property
+    def is_prime(self) -> np.ndarray:
+        """Read-only primality of every integer in [lo, hi], formed on first use."""
+        out = np.zeros(len(self), dtype=bool)
+        out[self.first - self.lo :: 2] = self.odd
+        if self._two >= 0:
+            out[self._two] = True
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _counter(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The mask packed into little-endian uint64 words, and the prime count before each word.
+
+        Bit k of word w is ``odd[64 w + k]``.  The words run to bit
+        ``odd.size`` inclusive, so the word that holds bit m exists for
+        every count m of mask entries, a whole mask that ends on a word
+        boundary included.
+        """
+        words = np.zeros(self.odd.size // 64 + 1, dtype="<u8")
+        packed = np.packbits(self.odd, bitorder="little")
+        words.view(np.uint8)[: packed.size] = packed
+        before = np.zeros(words.size, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words[:-1]), out=before[1:])
+        return words, before
+
+    @property
+    def n_primes(self) -> int:
+        """Number of primes in [lo, hi]."""
+        return int(self.count_primes(np.array([len(self) - 1]))[0])
+
+    def count_primes(self, offs: np.ndarray) -> np.ndarray:
+        """Number of primes in [lo, lo + off] for each offset (int64).
+
+        The odd integers up to lo + off are the first m = (off + lo - first)
+        // 2 + 1 mask entries: whole words from the prefix counts, the rest
+        from the popcount of the partial word below bit m % 64, and 1 for
+        the prime 2 once it is passed.
+        """
+        words, before = self._counter
+        m = (offs + (self.lo - self.first)) // 2 + 1
+        w = m >> 6
+        below = np.left_shift(np.uint64(1), (m & 63).astype(np.uint64)) - np.uint64(1)
+        out = before[w] + np.bitwise_count(words[w] & below)
+        if self._two >= 0:
+            out += offs >= self._two
+        return out
+
+    def prime_offsets(self) -> np.ndarray:
+        """Offsets from lo of the primes in [lo, hi], ascending (int64)."""
+        offs = 2 * np.flatnonzero(self.odd) + (self.first - self.lo)
+        return np.insert(offs, 0, self._two) if self._two >= 0 else offs
+
+    def prime_at(self, offs: np.ndarray) -> np.ndarray:
+        """Whether lo + off is prime, for each offset (bool)."""
+        out = np.zeros(offs.shape, dtype=bool)
+        is_odd = (offs + self.lo) & 1 == 1
+        out[is_odd] = self.odd[offs[is_odd] // 2]
+        if self._two >= 0:
+            out[offs == self._two] = True
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -65,45 +142,60 @@ def _check_range(lo: int, hi: int) -> None:
         raise ValueError(f"hi={hi} exceeds sieve ceiling {SIEVE_CEILING}")
 
 
+# The odd integers coprime to 3, 5, 7, 11 and 13 repeat with period 15015
+# in the odd index j of n = 2j + 1.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = 15015
+
+
+@lru_cache(maxsize=1)
+def _wheel() -> np.ndarray:
+    """One period of the wheel: entry j is whether 2j + 1 has no prime factor up to 13."""
+    period = np.ones(_WHEEL, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        period[(p - 1) // 2 :: p] = False
+    period.setflags(write=False)
+    return period
+
+
 def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Boolean primality for [lo, hi] with odd-only composite marking."""
-    size = hi - lo + 1
-    out = np.zeros(size, dtype=bool)
-    first_odd = lo | 1 if lo > 0 else 1
-    if first_odd <= hi:
-        n_odd = (hi - first_odd) // 2 + 1
-        mask = np.ones(n_odd, dtype=bool)
-        # odd base primes with p*p <= hi; each strikes its odd multiples from
-        # max(p*p, the first multiple >= lo), bumped to odd
-        ps = primes[1 : np.searchsorted(primes, math.isqrt(hi), "right")]
-        starts = np.maximum(ps * ps, -(-lo // ps) * ps)
-        starts += ps * (starts % 2 == 0)
-        live = starts <= hi
-        for s, p in zip(((starts[live] - first_odd) // 2).tolist(), ps[live].tolist()):
-            mask[s::p] = False
-        out[first_odd - lo :: 2] = mask
-    if lo <= 2 <= hi:
-        out[2 - lo] = True
-    if lo <= 1 <= hi:
-        out[1 - lo] = False
-    if lo == 0:
-        out[0] = False
-    return out
+    """Odd-only primality mask of [lo, hi]: entry i is whether (lo | 1) + 2i is prime.
+
+    The mask starts from the wheel, rotated to lo and tiled over the range;
+    the wheel primes themselves are marked prime again and 1 is cleared.
+    Then each base prime from 17 on with p*p <= hi strikes its odd multiples
+    from max(p*p, the first multiple >= lo), bumped to odd.
+    """
+    first = lo | 1
+    n_odd = (hi - first) // 2 + 1 if first <= hi else 0
+    mask = np.resize(np.roll(_wheel(), -((first // 2) % _WHEEL)), n_odd)
+    for p in _WHEEL_PRIMES:
+        if first <= p <= hi:
+            mask[(p - first) // 2] = True
+    if first == 1 and n_odd:
+        mask[0] = False
+    ps = primes[len(_WHEEL_PRIMES) + 1 : np.searchsorted(primes, math.isqrt(hi), "right")]
+    starts = np.maximum(ps * ps, -(-lo // ps) * ps)
+    starts += ps * (starts % 2 == 0)
+    live = starts <= hi
+    for s, p in zip(((starts[live] - first) // 2).tolist(), ps[live].tolist()):
+        mask[s::p] = False
+    return mask
 
 
 def _lam_block(
-    lo: int, hi: int, powers: Tuple[np.ndarray, ...], is_prime: np.ndarray
+    lo: int, hi: int, powers: Tuple[np.ndarray, ...], idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """von Mangoldt Lambda on [lo, hi]: log p at every prime power p**k, and its nonzero offsets.
 
     ``powers`` is the ``higher_prime_powers`` table of the whole sweep; its
-    entries inside [lo, hi] get math.log(p).  The nonzero offsets are the
-    primes' with the few k >= 2 powers merged in (no power is prime), so
-    Lambda's 8 bytes per integer are never scanned for them.
+    entries inside [lo, hi] get math.log(p).  ``idx`` lists the primes'
+    offsets, ascending.  The nonzero offsets are the primes' with the few
+    k >= 2 powers merged in (no power is prime), so Lambda's 8 bytes per
+    integer are never scanned for them.
     """
     size = hi - lo + 1
     lam = np.zeros(size, dtype=np.float64)
-    idx = np.flatnonzero(is_prime)
     if idx.size:
         lam[idx] = np.log(idx + float(lo))
     values, primes, _k = powers
@@ -121,14 +213,15 @@ def iter_segments(lo: int, hi: int, *, want_lam: bool = False) -> Iterator[Sieve
     a = lo
     while a <= hi:
         b = min(a + DEFAULT_SEGMENT - 1, hi)
-        isp = _primality_block(a, b, primes)
-        isp.setflags(write=False)
-        lam = nonzero = None
+        odd = _primality_block(a, b, primes)
+        odd.setflags(write=False)
+        seg = SieveSegment(a, b, odd, None)
         if want_lam:
-            lam, nonzero = _lam_block(a, b, powers, isp)
+            lam, nonzero = _lam_block(a, b, powers, seg.prime_offsets())
             lam.setflags(write=False)
             nonzero.setflags(write=False)
-        yield SieveSegment(a, b, isp, lam, nonzero)
+            seg = replace(seg, lam=lam, lam_nonzero=nonzero)
+        yield seg
         a = b + 1
 
 
@@ -192,7 +285,7 @@ def prime_power_arrays(limit: float):
         )
     prime_chunks = []
     for seg in iter_segments(2, n):
-        prime_chunks.append(np.flatnonzero(seg.is_prime).astype(np.int64) + seg.lo)
+        prime_chunks.append(seg.prime_offsets() + seg.lo)
     primes = np.concatenate(prime_chunks)
     hv, hp, hk = higher_prime_powers(n)
     vs = np.concatenate((primes, hv))

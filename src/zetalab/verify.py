@@ -438,9 +438,7 @@ def _emit_decided_rows(bdef: _BoundDef, col: _RowCollector, n: int, n_jumps: int
     col.add_margins([], passing=(1 if bdef.lower is None else 2) * skipped)
 
 
-def _segment_rows(
-    step: str, seg, before, a: int, hp, hi_i: int, nonzero, idx: Optional[np.ndarray] = None
-) -> tuple:
+def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[np.ndarray] = None) -> tuple:
     """Abscissae, right and left limits and jump mask of a segment from a on, at offsets idx.
 
     The one reader of both sweep modes: every-integer scans pass offsets of
@@ -448,10 +446,10 @@ def _segment_rows(
     holds J's k >= 2 jump offsets from a and their weights.  With no idx
     every integer is read, and the base step by its running sum over the
     whole segment.  With ascending offsets idx the arrays are formed there
-    only: the base step by ``arith.segment_values`` at those offsets, over
-    the segment's jump offsets ``nonzero``, and every other entry by the
-    same elementwise operations.  So each entry has the bits of the dense
-    one; J's k >= 2 terms are copies of the same table entries.
+    only: the base step by ``arith.segment_values`` at those offsets, the
+    weight at a prime from the odd mask (``seg.prime_at``), and every other
+    entry by the same elementwise operations.  So each entry has the bits of
+    the dense one; J's k >= 2 terms are copies of the same table entries.
     """
     base = "psi" if step == "psi" else "pi"
     off = a - seg.lo
@@ -459,12 +457,13 @@ def _segment_rows(
         right = arith.segment_values(base, seg, before)[off:]
         xs = np.arange(a, seg.hi + 1, dtype=np.float64)
         at = slice(off, None)
+        w = seg.lam[at] if base == "psi" else seg.is_prime[at].astype(np.float64)
     else:
         at = idx + off
-        right = arith.segment_values(base, seg, before, at, nonzero=nonzero)
+        right = arith.segment_values(base, seg, before, at)
         xs = idx + float(a)
+        w = seg.lam[at] if base == "psi" else seg.prime_at(at).astype(np.float64)
     right = right.astype(np.float64, copy=False)
-    w = seg.lam[at] if base == "psi" else seg.is_prime[at].astype(np.float64)
     if step == "j":
         # k >= 2 powers are never prime, so each lands on a zero weight
         hp_offs, hp_w = hp
@@ -505,14 +504,10 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
         if bdef.step == "j":
             i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
             hp = hp_vals[i0:i1] - a, hp_wts[i0:i1]
-        # the segment's jump offsets; pi's are listed unless every row is formed
-        # from its running sum
-        if base == "psi":
-            nz = seg.lam_nonzero
-        else:
-            nz = None if col.wants_rows and not jumps_only else np.flatnonzero(seg.is_prime)
-        read = partial(_segment_rows, bdef.step, seg, before, a, hp, hi_i, nz)
+        read = partial(_segment_rows, bdef.step, seg, before, a, hp, hi_i)
         if jumps_only:
+            # the segment's jump offsets from a: its nonzero Lambda, or its primes
+            nz = seg.lam_nonzero if base == "psi" else seg.prime_offsets()
             offs = nz[np.searchsorted(nz, off) :] - off
             if hp is not None:
                 offs = np.sort(np.concatenate((offs, hp[0])))
@@ -521,9 +516,11 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
         else:
             rows = read
             n = seg.hi + 1 - a
-            n_jumps = None
-            if nz is not None:
-                n_jumps = nz.size - int(np.searchsorted(nz, off)) + (0 if hp is None else hp[0].size)
+            if base == "psi":
+                n_jumps = seg.lam_nonzero.size - int(np.searchsorted(seg.lam_nonzero, off))
+            else:
+                n_jumps = seg.n_primes - int(seg.count_primes(np.array([off - 1]))[0])
+            n_jumps += 0 if hp is None else hp[0].size
         if not n:
             continue
         if col.wants_rows:

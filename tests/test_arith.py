@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from zetalab import sieve
 from zetalab.arith import (
     higher_power_jumps,
     j_value,
@@ -182,6 +183,25 @@ def test_sparse_segment_values_have_the_dense_bits():
                 assert sparse.dtype == dense.dtype
                 assert np.array_equal(sparse, dense[offs]), (step, seg.lo, offs[:5])
             assert segment_values(step, seg, before, np.array([], dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("size", [7_919, 128])
+def test_prime_counter_is_the_dense_cumsum(monkeypatch, size):
+    # segments of 7919 start at odd and even lo; segments of 128 hold 64 odd
+    # integers each, so a count of a whole segment ends on a word boundary.
+    # The first segment holds the prime 2.
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", size)
+    rng = np.random.default_rng(20)
+    for seg, before in step_segments("pi", 6 * size + 100):
+        dense = segment_values("pi", seg, before)
+        n = len(seg)
+        edges = [0, 0, 1, n - 1, n - 1] + list(range(63, n, 64)) + list(range(64, n, 64))
+        offs = np.sort(np.concatenate((edges, rng.integers(0, n, 300)))).astype(np.int64)
+        assert np.array_equal(segment_values("pi", seg, before, offs), dense[offs]), seg.lo
+        assert np.array_equal(segment_values("pi", seg, before, np.arange(n)), dense), seg.lo
+        assert before + seg.n_primes == dense[-1]
+        # every-jump scans read the primes' offsets from the mask
+        assert np.array_equal(seg.prime_offsets(), np.flatnonzero(seg.is_prime)), seg.lo
 
 
 def test_step_at_sparse_points_match_the_oracle():

@@ -81,6 +81,40 @@ def test_segment_window_above_million():
         assert seg.lam[n - 10**6] == pytest.approx(trial_lambda(n), abs=1e-12)
 
 
+@pytest.mark.parametrize("lo", range(41))
+def test_odd_mask_and_its_readers_match_trial_division(lo):
+    # every lo from 0 to 40 puts the wheel primes 3..13, the prime 2 and 1 at
+    # the ends of the range or inside it
+    for hi in range(lo, lo + 71):
+        (seg,) = iter_segments(lo, hi)
+        want = np.array([trial_is_prime(n) for n in range(lo, hi + 1)])
+        first = lo | 1
+        assert seg.odd.tolist() == [trial_is_prime(n) for n in range(first, hi + 1, 2)], (lo, hi)
+        assert seg.is_prime.tolist() == want.tolist(), (lo, hi)
+        assert seg.n_primes == int(want.sum()), (lo, hi)
+        offs = np.arange(-1, hi - lo + 1)
+        assert seg.count_primes(offs).tolist() == [0] + np.cumsum(want).tolist(), (lo, hi)
+        assert seg.prime_offsets().tolist() == np.flatnonzero(want).tolist(), (lo, hi)
+        assert seg.prime_at(np.arange(hi - lo + 1)).tolist() == want.tolist(), (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (29_900, 30_300),  # odd index 15014 -> 15015: the wheel's first wrap
+        (2 * 15015 * 677 - 101, 2 * 15015 * 677 + 301),  # a wrap far from 0
+        (10**6 - 7, 10**6 + 40_000),  # a mask longer than two wheel periods
+    ],
+)
+def test_odd_mask_across_wheel_periods(lo, hi):
+    (seg,) = iter_segments(lo, hi)
+    primes = base_primes(hi)
+    want = primes[primes >= lo] - lo
+    assert seg.prime_offsets().tolist() == want.tolist()
+    assert np.flatnonzero(seg.is_prime).tolist() == want.tolist()
+    assert seg.n_primes == want.size
+
+
 def test_trivial_segment():
     seg = one_segment(0, 1)
     assert not seg.is_prime.any()
@@ -106,6 +140,14 @@ def test_segmentation_is_invisible(monkeypatch):
     (seg,) = iter_segments(2**40 - 1000, 2**40, want_lam=True)
     assert np.array_equal(seg.lam_nonzero, np.flatnonzero(seg.lam))
     assert 2**40 - seg.lo in seg.lam_nonzero.tolist()  # 2**40 itself
+    # segments longer than the default build their wheel masks just as well
+    lo, hi = 10**6 + 1, 10**6 + (1 << 21) + 1
+    default_parts = list(iter_segments(lo, hi))
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", (1 << 21) + 1)
+    (big,) = iter_segments(lo, hi)
+    assert np.array_equal(np.concatenate([p.is_prime for p in default_parts]), big.is_prime)
+    primes = base_primes(hi)
+    assert np.array_equal(big.prime_offsets() + lo, primes[primes >= lo])
 
 
 def test_range_validation():
@@ -118,7 +160,13 @@ def test_range_validation():
 def test_segments_are_immutable():
     seg = one_segment(0, 100)
     with pytest.raises(ValueError):
+        seg.odd[0] = True
+    # the full array is formed on first use, read-only, and formed once
+    assert seg.is_prime is seg.is_prime
+    with pytest.raises(ValueError):
         seg.is_prime[0] = True
+    with pytest.raises(AttributeError):
+        seg.is_prime = np.zeros(len(seg), dtype=bool)
     with pytest.raises(ValueError):
         seg.lam[0] = 1.0
     with pytest.raises(ValueError):
