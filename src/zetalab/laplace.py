@@ -128,14 +128,23 @@ def closed_form_for(kind, s: float) -> Optional[float]:
 
 
 def laplace_comb(c: StepComb, s: float, *, pair_id: Optional[str] = None) -> TransformBracket:
-    """Bracket for (1/s) sum w_n a_n**-s over the full (infinite) comb."""
+    """Bracket for (1/s) sum w_n a_n**-s over the full (infinite) comb.
+
+    The ZETA1 and arithmetic combs have every weight exactly 1.0, so their
+    terms skip the product by the weights, which would change no bit.  Only
+    ETA has negative weights; every other comb's terms are >= 0, so their sum
+    of |terms| is the same sum over the same array as the partial sum itself,
+    and only ETA pays the pass that forms |terms|.
+    """
     _require_s(s)
-    # one array for all three passes: each fresh comb-sized array page-faults in
+    # one array for every pass: each fresh comb-sized array page-faults in
     terms = c.values ** -s
-    terms *= c.weights
+    if not (c.kind is CombKind.ZETA1 or isinstance(c.kind, ArithmeticKind)):
+        terms *= c.weights
     partial = float(np.sum(terms))
     tail_lo, tail_hi = _comb_tail(c, s)
-    slack = 1e-13 * (abs(partial) + 1.0) + 4e-16 * float(np.sum(np.abs(terms, out=terms)))
+    abs_sum = float(np.sum(np.abs(terms, out=terms))) if c.kind is CombKind.ETA else partial
+    slack = 1e-13 * (abs(partial) + 1.0) + 4e-16 * abs_sum
     name = pair_id or (c.kind.value if isinstance(c.kind, CombKind)
                        else f"arith({c.kind.start},{c.kind.stride})")
     return TransformBracket(

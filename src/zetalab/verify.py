@@ -33,7 +33,9 @@ S_GRID = (1.5, 2.0, 3.0, 5.0, 10.0)
 C_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 DEFAULT_COMB_LIMIT = 1e6
 # the largest limit of a claim whose arrays span the whole range (the combs, C9
-# and C10); C9 holds about 33 bytes per integer, so some 3.3 GB here
+# and C10); C9 holds about 33 bytes per integer, so some 3.3 GB here.  C10's
+# time is quadratic in its limit (about 1 s at 1e5), so it is admitted to this
+# ceiling but not practical there
 LIMIT_CEILING = 10 ** 8
 M1_X_MIN = 10  # M1 samples x on a log grid from here
 
@@ -749,20 +751,35 @@ def _run_c9(params: dict) -> Summary:
     return _verdict(range(2, residuals.size + 2), residuals, 1e-9, bool(residuals.max() <= 1e-9))
 
 
-def _run_c10(params: dict) -> Summary:
-    limit = int(params["limit"])
+def _c10_residuals(limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """x = 2..limit and |sum_k psi(x // k) - log x!| / x, k added in ascending order.
+
+    lhs is indexed by x.  On [m k, (m + 1) k) every x has x // k = m, so each k
+    adds psi(m) to whole rows of length k for m = 2..q - 1, q = limit // k, and
+    psi(q) to the partial row from q k; x < 2 k would add psi(0) = psi(1) = 0.
+    Every x receives the same psi values in the same order as from a per-x
+    gather, so the sums keep their bits.  Still quadratic in limit: some
+    limit**2 / 4 adds.
+    """
     lam = np.zeros(limit + 1)
     for seg in iter_segments(0, limit, want_lam=True):
         lam[seg.lo : seg.hi + 1] = seg.lam
     cum_lam = np.cumsum(lam)
     cum_log = np.zeros(limit + 1)
     cum_log[1:] = np.cumsum(np.log(np.arange(1.0, limit + 1)))
-    xs = np.arange(2, limit + 1, dtype=np.int64)
-    lhs = np.zeros(xs.size)
-    # x // k >= 2 exactly when x >= 2k, the suffix from index 2k - 2
+    lhs = np.zeros(limit + 1)
     for k in range(1, limit // 2 + 1):
-        lhs[2 * k - 2 :] += cum_lam[xs[2 * k - 2 :] // k]
-    residuals = np.abs(lhs - cum_log[xs]) / xs
+        q = limit // k
+        if q > 2:
+            rows = lhs[2 * k : q * k].reshape(q - 2, k)
+            rows += cum_lam[2:q, None]
+        lhs[q * k :] += cum_lam[q]
+    xs = np.arange(2, limit + 1, dtype=np.int64)
+    return xs, np.abs(lhs[2:] - cum_log[2:]) / xs
+
+
+def _run_c10(params: dict) -> Summary:
+    xs, residuals = _c10_residuals(int(params["limit"]))
     return _verdict(xs, residuals, 1e-6, bool(residuals.max() <= 1e-6))
 
 

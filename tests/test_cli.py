@@ -190,6 +190,9 @@ def test_infinite_and_overflowing_arguments_are_usage_errors(argv, capsys):
          "527b558e132a37fc6c626bd130c4b4cd87ddd6cd2afef95b9c432316f9126231"),
         (["check", "--all", "--format", "json", "--out", "-"],
          "08ae910ddfc82bea6a7d330d4fa22a6226284e24876fed12005a69702495383c"),
+        # C10 past its default limit, where the row adds do most of their work
+        (["check", "C10", "--max", "40000", "--format", "json", "--out", "-"],
+         "7b8cce5b64997beb0caf00b684af7c3e96cd78cc16fedf3edbd85e7b8ba8d0b6"),
     ],
 )
 def test_quadrature_transform_outputs_keep_their_pinned_bytes(argv, sha256, capsys):

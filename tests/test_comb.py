@@ -175,3 +175,18 @@ def test_remainder_integral_outside_its_domain_raises(x):
         r_integral(x)
     with pytest.raises(ValueError):
         r_integral(np.array([1.0, x]))
+
+
+@pytest.mark.parametrize(
+    "kind", list(CombKind) + [ArithmeticKind(2.0, 2.0), ArithmeticKind(1.5, 1.0)]
+)
+def test_comb_weights_have_the_signs_the_transform_relies_on(kind):
+    # laplace_comb skips the weight product where every weight is 1.0, and
+    # reads sum |terms| as the partial sum where no weight is negative
+    w = build_comb(kind, 10**5).weights
+    if kind is CombKind.ETA:
+        assert np.any(w < 0)
+        return
+    assert not np.any(w < 0) and not np.any(np.signbit(w))
+    if kind is CombKind.ZETA1 or isinstance(kind, ArithmeticKind):
+        assert np.all(w == 1.0)

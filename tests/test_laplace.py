@@ -39,6 +39,119 @@ def test_comb_brackets_contain_closed_forms(pair_id):
         assert br.contains(), (pair_id, s, br)
 
 
+# float.hex of (numeric_lo, numeric_hi) on S_GRID, captured while laplace_comb
+# still multiplied unit weights and formed |terms| for every comb: leaving
+# those passes out must move no bit
+COMB_BRACKET_BITS = {
+    ("zeta1", 1e5): [
+        ("0x1.bdd86b7d0c0f9p+0", "0x1.bdd86bd797fbcp+0"),
+        ("0x1.a51a6624f9392p-1", "0x1.a51a662567c15p-1"),
+        ("0x1.9a4d55beaada5p-2", "0x1.9a4d55beab807p-2"),
+        ("0x1.a8b9c17aa5b8ap-3", "0x1.a8b9c17aa6706p-3"),
+        ("0x1.9a01e385d59eap-4", "0x1.9a01e385d6533p-4"),
+    ],
+    ("mcomb", 1e5): [
+        ("0x1.4f8d15762810cp+1", "0x1.4f8d177f5fd91p+1"),
+        ("0x1.e006532078746p-2", "0x1.e006532a5cfa9p-2"),
+        ("0x1.0e82241e41059p-4", "0x1.0e82241e427edp-4"),
+        ("0x1.7685b28fe9814p-8", "0x1.7685b28ff5164p-8"),
+        ("0x1.245b596ed5fadp-14", "0x1.245b59703e852p-14"),
+    ],
+    ("jcomb", 1e5): [
+        ("0x1.479b2b3b003cbp-1", "0x1.49c3d1235a187p-1"),
+        ("0x1.fda4f002b1c79p-3", "0x1.fda78f196434ap-3"),
+        ("0x1.f6893686c44f5p-5", "0x1.f6893689117edp-5"),
+        ("0x1.db4bf3daba9a8p-8", "0x1.db4bf3dac645bp-8"),
+        ("0x1.a0f29ec41d015p-14", "0x1.a0f29ec585a72p-14"),
+    ],
+    ("psi", 1e5): [
+        ("0x1.ffa0faa3b4d04p-1", "0x1.0e666f87ae5d5p+0"),
+        ("0x1.23d09e0803970p-2", "0x1.23e104ac212e8p-2"),
+        ("0x1.c21367e32246bp-5", "0x1.c21367fea976cp-5"),
+        ("0x1.692f3cda574b8p-8", "0x1.692f3cda62dd8p-8"),
+        ("0x1.2410fc68c560dp-14", "0x1.2410fc6a2deb0p-14"),
+    ],
+    ("eta", 1e5): [
+        ("0x1.052b9024e52e7p-1", "0x1.052b918f1345dp-1"),
+        ("0x1.a51a6623e63d4p-2", "0x1.a51a66259ed6ep-2"),
+        ("0x1.33ba004f001a0p-2", "0x1.33ba004f00a9dp-2"),
+        ("0x1.8e2e2562fb5a3p-3", "0x1.8e2e2562fc0c3p-3"),
+        ("0x1.9934e29412b3cp-4", "0x1.9934e29413682p-4"),
+    ],
+    ("ze2", 1e5): [
+        ("0x1.3b42a2b582b60p-1", "0x1.3b42a36a995d7p-1"),
+        ("0x1.a51a662453f92p-3", "0x1.a51a66260d00bp-3"),
+        ("0x1.9a4d55bea9d27p-5", "0x1.9a4d55beac887p-5"),
+        ("0x1.a8b9c17aa0448p-8", "0x1.a8b9c17aabe48p-8"),
+        ("0x1.9a01e38521a6dp-14", "0x1.9a01e3868a4b0p-14"),
+    ],
+    ("ze1.5", 1e5): [
+        ("0x1.4c7a4288b0e33p+0", "0x1.4c7a42e33ce2fp+0"),
+        ("0x1.de9e64deb48ebp-2", "0x1.de9e64df914f6p-2"),
+        ("0x1.1ae55b1806bc3p-3", "0x1.1ae55b1807918p-3"),
+        ("0x1.da59d53748b7ap-6", "0x1.da59d5374bf10p-6"),
+        ("0x1.c9735ae9cfb73p-10", "0x1.c9735ae9e6a0dp-10"),
+    ],
+    ("zeta1", 1e6): [
+        ("0x1.bdd86ba8e3485p+0", "0x1.bdd86babc0d1fp+0"),
+        ("0x1.a51a66252fa5dp-1", "0x1.a51a662531548p-1"),
+        ("0x1.9a4d55beaada8p-2", "0x1.9a4d55beab803p-2"),
+        ("0x1.a8b9c17aa5b8bp-3", "0x1.a8b9c17aa6708p-3"),
+        ("0x1.9a01e385d59eap-4", "0x1.9a01e385d6533p-4"),
+    ],
+    ("mcomb", 1e6): [
+        ("0x1.4f8d1670e037bp+1", "0x1.4f8d1684a8025p+1"),
+        ("0x1.e00653255b1a7p-2", "0x1.e00653257a568p-2"),
+        ("0x1.0e82241e410e1p-4", "0x1.0e82241e42761p-4"),
+        ("0x1.7685b28fe9816p-8", "0x1.7685b28ff5166p-8"),
+        ("0x1.245b596ed5facp-14", "0x1.245b59703e851p-14"),
+    ],
+    ("jcomb", 1e6): [
+        ("0x1.47b996fc1853dp-1", "0x1.48685a3a384e1p-1"),
+        ("0x1.fda5215c79436p-3", "0x1.fda564785917fp-3"),
+        ("0x1.f6893686f4bc1p-5", "0x1.f6893686fd60cp-5"),
+        ("0x1.db4bf3daba9a8p-8", "0x1.db4bf3dac645bp-8"),
+        ("0x1.a0f29ec41d015p-14", "0x1.a0f29ec585a72p-14"),
+    ],
+    ("psi", 1e6): [
+        ("0x1.008d5665adab5p+0", "0x1.05f351612af52p+0"),
+        ("0x1.23d1cbd15e451p-2", "0x1.23d3bcf1a3389p-2"),
+        ("0x1.c21367e566230p-5", "0x1.c21367e5bcd14p-5"),
+        ("0x1.692f3cda574b9p-8", "0x1.692f3cda62dd9p-8"),
+        ("0x1.2410fc68c560dp-14", "0x1.2410fc6a2deb0p-14"),
+    ],
+    ("eta", 1e6): [
+        ("0x1.052b912bf0833p-1", "0x1.052b9137650f5p-1"),
+        ("0x1.a51a66252cca1p-2", "0x1.a51a662531fddp-2"),
+        ("0x1.33ba004f001a9p-2", "0x1.33ba004f00a9ap-2"),
+        ("0x1.8e2e2562fb5a3p-3", "0x1.8e2e2562fc0c3p-3"),
+        ("0x1.9934e29412b3cp-4", "0x1.9934e29413682p-4"),
+    ],
+    ("ze2", 1e6): [
+        ("0x1.3b42a30d30ddbp-1", "0x1.3b42a312eb711p-1"),
+        ("0x1.a51a66252dab2p-3", "0x1.a51a6625334f3p-3"),
+        ("0x1.9a4d55bea9d3dp-5", "0x1.9a4d55beac86dp-5"),
+        ("0x1.a8b9c17aa044ap-8", "0x1.a8b9c17aabe4ap-8"),
+        ("0x1.9a01e38521a6dp-14", "0x1.9a01e3868a4b0p-14"),
+    ],
+    ("ze1.5", 1e6): [
+        ("0x1.4c7a42b488323p+0", "0x1.4c7a42b765a2dp+0"),
+        ("0x1.de9e64df2168ap-2", "0x1.de9e64df2475dp-2"),
+        ("0x1.1ae55b1806bc9p-3", "0x1.1ae55b1807913p-3"),
+        ("0x1.da59d53748b78p-6", "0x1.da59d5374bf0ep-6"),
+        ("0x1.c9735ae9cfb73p-10", "0x1.c9735ae9e6a0dp-10"),
+    ],
+}
+
+
+@pytest.mark.parametrize("pair_id, limit", list(COMB_BRACKET_BITS))
+def test_comb_brackets_keep_their_pinned_bits(pair_id, limit):
+    got = [laplace_pair(pair_id, s, limit=limit) for s in S_GRID]
+    assert [(br.numeric_lo.hex(), br.numeric_hi.hex()) for br in got] == COMB_BRACKET_BITS[
+        (pair_id, limit)
+    ]
+
+
 def test_brackets_shrink_with_limit():
     for limit in (1e3, 1e4, 1e5):
         wide = laplace_comb(build_comb(CombKind.ZETA1, limit), 2.0)

@@ -98,6 +98,43 @@ def test_default_grids_recorded_in_params():
 # bound scans
 
 
+def _c10_per_x_gather(limit):
+    """C10's residuals by a gather of psi(x // k) over the suffix x >= 2k for
+    each k: the loop the row adds replaced, kept here for its bits."""
+    lam = np.zeros(limit + 1)
+    for seg in iter_segments(0, limit, want_lam=True):
+        lam[seg.lo : seg.hi + 1] = seg.lam
+    cum_lam = np.cumsum(lam)
+    cum_log = np.zeros(limit + 1)
+    cum_log[1:] = np.cumsum(np.log(np.arange(1.0, limit + 1)))
+    xs = np.arange(2, limit + 1, dtype=np.int64)
+    lhs = np.zeros(xs.size)
+    for k in range(1, limit // 2 + 1):
+        lhs[2 * k - 2 :] += cum_lam[xs[2 * k - 2 :] // k]
+    return xs, np.abs(lhs - cum_log[xs]) / xs
+
+
+def _same_c10_bits(limit):
+    want_xs, want = _c10_per_x_gather(limit)
+    got_xs, got = verify._c10_residuals(limit)
+    return np.array_equal(got_xs, want_xs) and got.tobytes() == want.tobytes()
+
+
+def test_c10_rows_keep_the_per_x_gather_bits_at_small_limits():
+    # every partial last row and every q <= 2 edge case of the row adds
+    assert [n for n in range(2, 301) if not _same_c10_bits(n)] == []
+
+
+@pytest.mark.parametrize(
+    "limit",
+    sorted({2**k + d for k in range(9, 15) for d in (-1, 0, 1)} | {4645, 10000, 10001, 40000}),
+)
+def test_c10_rows_keep_the_per_x_gather_bits(limit):
+    # powers of two up to 2**8 fall in the small limits; 4645 is C10's worst x
+    # at its default limit, and 40000 the limit the CLI pins
+    assert _same_c10_bits(limit)
+
+
 def test_unknown_bound_rejected():
     with pytest.raises(ValueError):
         scan_bound("B9", 1, 10)
