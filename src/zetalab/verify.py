@@ -15,17 +15,18 @@ step-minus-smooth difference sit against the jumps.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache, partial
+from typing import Callable, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import analytic, arith, comb, laplace
-from .compensated import KahanSum
+from .compensated import KahanSum, two_prod
 from .sieve import iter_segments
 
 N_DECADES = (2, 10, 100, 1000, 10000)
@@ -47,14 +48,131 @@ def fmt17(v: float) -> str:
 
 
 _CSV_HEADER = "x,lhs,rhs,margin,pass\n"
+_CSV_CHUNK = 1 << 11  # rows per sink write: the working set of a chunk stays in cache
 
 
-def _csv_lines(rows: Iterable[Row]) -> str:
-    """One CSV line per row, values at 17 significant digits so they round-trip."""
-    return "".join(
-        f"{fmt17(x)},{fmt17(a)},{fmt17(b)},{fmt17(m)},{'true' if p else 'false'}\n"
-        for x, a, b, m, p in rows
-    )
+@lru_cache(maxsize=1)
+def _csv_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The CSV writer's tables; a word is a uint64 that holds 8 little-endian bytes.
+
+    quads[q] is a word of the 4 ASCII digits of q < 10^4 in its low half,
+    zeros[q] the number of those digits that end q (4 for q = 0), and
+    pow10[p] = 10^p exactly, p <= 20.  masks[:, (k + 4) * 17 + t] lays out
+    the 3 words of a field of decimal exponent k whose digits end in t
+    zeros (see ``_fixed_words``): per word, the bytes taken from the digits
+    moved one byte down, the bytes taken in place, and the '.'.
+    """
+    q = np.arange(10_000)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
+    quads = digits.astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+    zeros = sum(q % 10 ** j == 0 for j in range(1, 5)).astype(np.uint8)
+    pow10 = np.array([float(10 ** p) for p in range(21)])  # exact: 10^p is a double for p <= 22
+    k = np.arange(-4, 17)[:, None, None]
+    last = 20 - np.arange(17)[:, None]  # the last digit of "0000" + N that shows
+    b = np.arange(24)
+    moved = (b >= 6 + np.minimum(k, 0)) & (b <= 6 + k)
+    kept = (b >= 8 + k) & (b <= 3 + last)
+    point = (b == 7 + k) & (last >= 5 + k)
+    masks = np.stack(np.broadcast_arrays(moved * 0xFF, kept * 0xFF, point * ord("."))).astype(np.uint8)
+    masks = masks.view("<u8").reshape(3, -1, 3).transpose(0, 2, 1).reshape(9, -1)
+    return quads, zeros, pow10, masks.astype(np.uint64)
+
+
+def _exponent_guess(a: np.ndarray) -> np.ndarray:
+    """floor(log10(a)), which may be one off next to a power of ten: the exact digits correct it."""
+    return np.floor(np.log10(a))
+
+
+def _decade_step(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1, 0 or +1 as hi + lo lies below, in or above [1e16, 1e17)."""
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    return above.astype(np.int64) - below
+
+
+def _fixed_words(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The .17g text of the values of v that %g writes in fixed notation.
+
+    Returns 3 words per value (a leading axis of 3), and a mask of the
+    values whose words hold their text: those whose 17-digit rounding
+    N 10^(k-16) has a decimal exponent k in -4..16.  For them hi + lo =
+    |x| 10^(16-k) exactly (``two_prod``; 10^(16-k) is an exact double), k
+    is corrected on that pair, and N = hi + rint(lo) rounds half to even,
+    as hi >= 2^53 is even.
+
+    Digit i of "0000" + N starts at byte 3 + i.  The integer digits (i = 4
+    to 4 + k, or the one '0' at 4 + k for k < 0) move one byte down, the
+    '.' takes byte 7 + k, and the fraction digits stay where they are, up
+    to the last one that is not 0.  Every other byte is NUL: the zeros
+    before the number, those ending its fraction, and the '.' of a whole
+    number.  Byte 1 takes the sign and byte 0 is left free.
+    """
+    quads, zeros, pow10, masks = _csv_tables()
+    a = np.abs(v)
+    fixed = (a >= 1e-5) & (a < 1e18)  # exponents -5 to 17; NaN is neither
+    np.copyto(a, 1.0, where=~fixed)
+    k = np.clip(_exponent_guess(a), -4, 16).astype(np.intp)
+    hi, lo = two_prod(a, pow10[16 - k])
+    step = _decade_step(hi, lo)
+    if step.any():
+        k += step
+        fixed &= (k >= -4) & (k <= 16)
+        np.clip(k, -4, 16, out=k)
+        hi, lo = two_prod(a, pow10[16 - k])
+        fixed &= _decade_step(hi, lo) == 0
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # N = 10^17 would carry into k + 1.  No double rounds so (the largest
+    # below 10^(k+1) is more than half a 17th digit below it); fmt17 has it.
+    fixed &= n < 10 ** 17
+    # N's digits as 1 + 4 x 4, by // (by a scalar numpy's // is fast, its %
+    # is not); the groups of a value not in fixed notation stay below 10^4
+    first9 = n // 10 ** 8
+    last8 = n - first9 * 10 ** 8
+    head = first9 // 10 ** 8
+    mid8 = first9 - head * 10 ** 8
+    g1, g3 = mid8 // 10 ** 4, last8 // 10 ** 4
+    g2, g4 = mid8 - g1 * 10 ** 4, last8 - g3 * 10 ** 4
+    z1, z2, z3, z4 = (zeros[g] for g in (g1, g2, g3, g4))
+    trailing = np.where(last8, np.where(g4, z4, z3 + 4), np.where(g2, z2, z1 + 4) + 8)
+    words = np.empty((3,) + v.shape, dtype=np.uint64)
+    np.bitwise_or(quads[head] << 32, 0x30000000, out=words[0])
+    np.bitwise_or(quads[g1], quads[g2] << 32, out=words[1])
+    np.bitwise_or(quads[g3], quads[g4] << 32, out=words[2])
+    m = masks[:, (k + 4) * 17 + trailing]
+    out = words >> 8
+    out[:2] |= words[1:] << 56
+    out &= m[:3]
+    words &= m[3:6]
+    out |= words
+    out |= m[6:]
+    out[0] |= (v < 0) * np.uint64(ord("-") << 8)
+    return out, fixed
+
+
+def _write_csv(sink: IO[str], xs, lhs, rhs, margin, ok) -> None:
+    """Write rows as CSV lines whose values read as ``fmt17`` prints them, _CSV_CHUNK rows a write.
+
+    A line is formed as 17 words, NUL where no character goes: four fields
+    of 4 words, each a comma (none before x) and a value's text of at most
+    24 bytes, and ",true\n" or ",false\n".  A value outside %g's fixed
+    notation takes its text from ``fmt17``.  The NULs are squeezed out.
+    """
+    values = np.stack([np.asarray(c, dtype=np.float64) for c in (xs, lhs, rhs, margin)])
+    ok = np.asarray(ok, dtype=bool)
+    ends = np.array([int.from_bytes(b",false\n", "little"), int.from_bytes(b",true\n", "little")], dtype=np.uint64)
+    for start in range(0, len(ok), _CSV_CHUNK):
+        v = values[:, start : start + _CSV_CHUNK]
+        words, fixed = _fixed_words(v)
+        words[0, 1:] |= np.uint64(ord(","))
+        line = np.zeros((v.shape[1], 17), dtype="<u8")
+        line[:, :16].reshape(-1, 4, 4)[:, :, :3] = words.transpose(2, 1, 0)
+        line[:, 16] = ends[ok[start : start + _CSV_CHUNK].astype(np.intp)]
+        text = line.view(np.uint8)
+        col, row = np.nonzero(~fixed)
+        if col.size:
+            other = [("," if c else "") + fmt17(x) for c, x in zip(col, v[col, row])]
+            text[:, :128].reshape(-1, 4, 32)[row, col] = np.array(other, dtype="S32").view(np.uint8).reshape(-1, 32)
+        sink.write(text[text != 0].tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -140,7 +258,7 @@ class _RowCollector:
         """Write and keep, as asked, rows whose margins ``add_margins`` has summarised."""
         ok = margin > 0
         if self.sink is not None:
-            self.sink.write(_csv_lines(zip(xs, lhs, rhs, margin, ok)))
+            _write_csv(self.sink, xs, lhs, rhs, margin, ok)
         if self.keep:
             self.rows.extend(
                 (float(x), float(a), float(b), float(m), bool(p))
@@ -795,7 +913,30 @@ def _run_c11(params: dict) -> Summary:
     return _margin_rule(rows)
 
 
+def _c12_bound(x):
+    """C12's bound on its series, 3 e^(x/2) / x; 3 e^(x/2) overflows to inf past x ~ 1417.4."""
+    return 3.0 * np.exp(0.5 * x) / x
+
+
+@lru_cache(maxsize=1)
+def _c12_x_max() -> float:
+    """The largest double x at which ``_c12_bound`` is finite."""
+    x = 2.0 * math.log(sys.float_info.max / 3.0)
+    with np.errstate(over="ignore"):
+        while not np.isfinite(_c12_bound(x)):
+            x = math.nextafter(x, 0.0)
+        while np.isfinite(_c12_bound(math.nextafter(x, math.inf))):
+            x = math.nextafter(x, math.inf)
+    return x
+
+
 def _run_c12(params: dict) -> Summary:
+    if params["x_hi"] > _c12_x_max():
+        # past it every row would pass against an infinite bound
+        raise ValueError(
+            f"C12's x_hi {fmt17(params['x_hi'])} is past {fmt17(_c12_x_max())}, "
+            "where its bound 3 e^(x/2)/x overflows"
+        )
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
     half = xs / 2.0
     series = np.zeros_like(xs)
@@ -803,7 +944,7 @@ def _run_c12(params: dict) -> Summary:
     for k in range(1, 41):
         term *= half / k
         series += term / k
-    rhs_series = 3.0 * np.exp(0.5 * xs) / xs
+    rhs_series = _c12_bound(xs)
     lhs3 = half + half ** 2 / 4.0 + half ** 3 / 18.0
     rhs3 = 3.0 * xs / 8.0 + xs ** 2 / 16.0 + xs ** 3 / 128.0
     rows: List[Row] = []
@@ -1000,7 +1141,8 @@ def render_json(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
 
 
 def render_csv(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
-    chunks = [_CSV_HEADER]
+    text = io.StringIO()
+    text.write(_CSV_HEADER)
     def sort_key(r):
         return r.id if isinstance(r, ClaimResult) else r.bound_id
     for r in sorted(results, key=sort_key):
@@ -1010,8 +1152,9 @@ def render_csv(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
                 f"result {sort_key(r)} holds no rows (streamed or summary-only); "
                 "emit it as json or rerun with row retention"
             )
-        chunks.append(_csv_lines(rows))
-    return "".join(chunks)
+        values = np.array([row[:4] for row in rows], dtype=np.float64).reshape(-1, 4)
+        _write_csv(text, *values.T, [row[4] for row in rows])
+    return text.getvalue()
 
 
 def emit_report(

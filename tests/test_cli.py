@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import zetalab
+from zetalab import verify
 from zetalab.cli import dispatch
 
 
@@ -203,6 +204,29 @@ def test_quadrature_transform_outputs_keep_their_pinned_bytes(argv, sha256, caps
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+# scan CSVs, each field as Python's format(v, ".17g") writes it: B4 has negative
+# margins and failing rows, B1 every-jump rows, B2 a log grid of x that are not
+# whole, and B4 under the li convention
+@pytest.mark.parametrize(
+    "argv, code, sha256",
+    [
+        (["scan", "B3", "--from", "1", "--to", "100000"], 0,
+         "f3317ac6ad256689097be1fbeec3f20a1a81720ed760ea0c3673749bc4e7aeb4"),
+        (["scan", "B4", "--from", "2", "--to", "100000"], 1,
+         "702a983a21de5669f26683660520a087b121fccc8a1ffe42da4485ca657c75d5"),
+        (["scan", "B1", "--to", "3000000", "--mode", "every-jump"], 0,
+         "5a8294c19f0b35cab7e7299246c7e1c50bbd0c487350c1ca0cb46b166d35c8dd"),
+        (["scan", "B2", "--from", "1e5", "--to", "1e7", "--mode", "log-grid", "--points", "5000"], 0,
+         "4934c763929bc87f94c81b43bb649f0ce63c56f5d845eee88bc1af43bbe1e6e2"),
+        (["scan", "B4", "--from", "2", "--to", "50000", "--convention", "li"], 1,
+         "3a5fceed5b5ec364c40a4f5c8d19298942b5faf4e675c503a429b4da6e13a42b"),
+    ],
+)
+def test_scan_csv_outputs_keep_their_pinned_bytes(argv, code, sha256, capsys):
+    assert dispatch(argv + ["--format", "csv", "--out", "-"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_claims_past_where_zeta_used_to_overflow(capsys):
     assert dispatch(["eval", "zeta", "1e62"]) == 0
     assert capsys.readouterr().out == "1\n"
@@ -210,12 +234,24 @@ def test_claims_past_where_zeta_used_to_overflow(capsys):
     assert capsys.readouterr().out == "C5 pass max_abs_residual=0 tolerance=0 at=1e+62\n"
 
 
-def test_a_claim_that_fails_on_a_nan_margin_names_its_row(capsys):
-    # the series and its bound overflow from about x = 1.2e10, and inf - inf is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert dispatch(["check", "C12", "--max", "1e300"]) == 1
-    head, at = capsys.readouterr().out.split(" at=")
-    assert head == "C12 fail max_abs_residual=nan tolerance=0" and 1e10 < float(at) < 2e10
+def test_a_claim_that_fails_on_a_nan_margin_names_its_row():
+    # the first NaN residual is the largest: its row is the one a failing claim names
+    residual, tolerance, verdict, at, _ = verify._verdict([1.0, 1.2e10, 1.5e10], [3.0, math.nan, math.nan], 0.0, False)
+    assert math.isnan(residual) and (tolerance, verdict, at) == (0.0, "fail", 1.2e10)
+
+
+def test_c12_stops_where_its_bound_overflows(capsys):
+    # past x ~ 1417.4 the bound 3 e^(x/2)/x is inf, and every row would pass against it
+    x_max = verify._c12_x_max()
+    assert 1417 < x_max < 1418 and np.isfinite(verify._c12_bound(x_max))
+    with np.errstate(over="ignore"):
+        assert verify._c12_bound(math.nextafter(x_max, math.inf)) == math.inf
+    assert dispatch(["check", "C12", "--max", repr(x_max)]) == 0
+    assert capsys.readouterr().out.startswith("C12 pass ")
+    for past in (math.nextafter(x_max, math.inf), 1e9):
+        assert dispatch(["check", "C12", "--max", repr(past)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("C12's x_hi ") and repr(x_max) in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -657,3 +658,116 @@ def test_emit_rejects_empty_and_rowless_csv():
 def test_run_all_order():
     # registry order is the declaration order C1..C15, M1..M3
     assert list(CLAIMS) == [f"C{i}" for i in range(1, 16)] + ["M1", "M2", "M3"]
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against Python's own .17g formatting
+
+
+def _csv_reference(values: np.ndarray, ok: np.ndarray) -> str:
+    """Rows (x, lhs, rhs, margin, pass) one format(v, ".17g") call per value."""
+    return "".join(
+        f"{format(x, '.17g')},{format(a, '.17g')},{format(b, '.17g')},{format(m, '.17g')},"
+        f"{'true' if p else 'false'}\n"
+        for (x, a, b, m), p in zip(values.tolist(), ok.tolist())
+    )
+
+
+class _Writes(io.StringIO):
+    """A text sink that keeps the row count of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def write(self, text):
+        self.rows.append(text.count("\n"))
+        return super().write(text)
+
+
+def _oracle_values() -> np.ndarray:
+    rng = np.random.default_rng(20260)
+    parts = []
+    # every decimal exponent from 1e-8 to 1e18
+    for e in range(-8, 19):
+        parts.append(rng.uniform(1.0, 10.0, 20_000) * 10.0 ** e)
+    # integers up to 2^53, and the last ones below it
+    parts.append(rng.integers(0, 2 ** 53, 60_000, endpoint=True).astype(np.float64))
+    parts.append(rng.integers(0, 100_000, 20_000).astype(np.float64))
+    parts.append(2.0 ** 53 - np.arange(1000.0))
+    # dyadic ties: m / 2^j with exactly 18 significant digits, the last a 5,
+    # so the 17-digit rounding is a tie (k + 1 integer digits and 17 - k
+    # fraction digits for k >= 0, or j = 17 - k fraction digits below 1)
+    for k in range(-4, 17):
+        j = 17 - k
+        lo, hi = 10.0 ** k * 2.0 ** j, min(10.0 ** (k + 1) * 2.0 ** j, 2.0 ** 53)
+        if lo < hi:
+            m = rng.integers(int(lo), int(hi), 5_000) | 1
+            parts.append(m[m >= lo] / 2.0 ** j)
+    # every power of ten from 1e-9 to 1e19 and the 8 doubles to either side,
+    # which puts the scaled product within an ulp or so of 1e16 and 1e17
+    for e in range(-9, 20):
+        p = float(f"1e{e}")
+        down, up = [p], [p]
+        for _ in range(8):
+            down.append(math.nextafter(down[-1], 0.0))
+            up.append(math.nextafter(up[-1], math.inf))
+        parts.append(np.array(down + up[1:]))
+    big = sys.float_info.max
+    parts.append(np.array([0.0, math.inf, math.nan, 5e-324, big, 2.2250738585072014e-308, 1e-5, 1e17, 1e18]))
+    v = np.concatenate(parts)
+    v = np.concatenate([v, -v])
+    return v[rng.permutation(len(v))]
+
+
+@pytest.fixture(scope="module")
+def oracle_rows():
+    v = _oracle_values()
+    v = v[: len(v) // 4 * 4].reshape(-1, 4)
+    ok = np.random.default_rng(7).random(len(v)) < 0.5
+    return v, ok, _csv_reference(v, ok)
+
+
+def test_csv_fields_are_those_of_format_17g(oracle_rows):
+    v, ok, want = oracle_rows
+    assert v.size >= 1_000_000
+    sink = _Writes()
+    verify._write_csv(sink, *v.T, ok)
+    got = sink.getvalue()
+    if got != want:
+        bad = next(i for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())) if a != b)
+        pytest.fail(f"row {bad}: {got.splitlines()[bad]!r} != {want.splitlines()[bad]!r}")
+    assert max(sink.rows) == verify._CSV_CHUNK and sum(sink.rows) == len(v)
+
+
+@pytest.mark.parametrize("off", [1.0, -1.0])
+def test_csv_fields_do_not_rest_on_the_hosts_log10(oracle_rows, monkeypatch, off):
+    # a log10 guess that is one off everywhere is corrected on the exact digits
+    v, ok, want = oracle_rows
+    guess = verify._exponent_guess
+    monkeypatch.setattr(verify, "_exponent_guess", lambda a: guess(a) + off)
+    sink = io.StringIO()
+    verify._write_csv(sink, *v.T, ok)
+    assert sink.getvalue() == want
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, verify._CSV_CHUNK - 1, verify._CSV_CHUNK, verify._CSV_CHUNK + 1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1]
+)
+def test_csv_rows_go_out_in_chunks(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-6, 19, (n, 4))
+    ok = v[:, 3] > 0
+    sink = _Writes()
+    verify._write_csv(sink, *v.T, ok)
+    assert sink.getvalue() == _csv_reference(v, ok)
+    chunk = verify._CSV_CHUNK
+    assert sink.rows == [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+
+
+def test_claim_csv_rows_are_written_as_scan_rows_are():
+    rows = [(2.0, -0.0, math.inf, math.nan, True), (1e-7, 123456.78, -1e300, 0.5, False)]
+    rep = ScanReport("B3", {}, 2, 1, 0.5, 1e-7, rows=rows)
+    want = "x,lhs,rhs,margin,pass\n" + _csv_reference(np.array([r[:4] for r in rows]), np.array([r[4] for r in rows]))
+    assert render_csv([rep]) == want
+    assert want.endswith("2,-0,inf,nan,true\n9.9999999999999995e-08,123456.78,-1.0000000000000001e+300,0.5,false\n")
