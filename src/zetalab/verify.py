@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Callable, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, IO, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,11 +40,19 @@ DEFAULT_COMB_LIMIT = 1e6
 LIMIT_CEILING = 10 ** 8
 M1_X_MIN = 10  # M1 samples x on a log grid from here
 
-Row = Tuple[float, float, float, float, bool]
-
 
 def fmt17(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _rows(xs, lhs, rhs, margin, ok) -> np.ndarray:
+    """Rows as one (n, 5) float64 array: x, lhs, rhs, margin and pass (1.0 or 0.0); scalars broadcast."""
+    return np.stack(np.broadcast_arrays(xs, lhs, rhs, margin, ok), axis=1).astype(np.float64, copy=False)
+
+
+def _below(xs, lhs, rhs) -> np.ndarray:
+    """The rows of lhs < rhs: margin rhs - lhs."""
+    return _rows(xs, lhs, rhs, rhs - lhs, lhs < rhs)
 
 
 _CSV_HEADER = "x,lhs,rhs,margin,pass\n"
@@ -193,7 +201,7 @@ class ClaimResult:
     tolerance: float
     verdict: str  # pass | fail | report
     arg_extremum: float
-    rows: Optional[List[Row]] = None
+    rows: Optional[np.ndarray] = None  # (n, 5): x, lhs, rhs, margin, pass (1.0 or 0.0)
 
     @property
     def passed(self) -> bool:
@@ -208,7 +216,7 @@ class ScanReport:
     n_failures: int
     min_margin: float
     argmin_x: float
-    rows: Optional[List[Row]] = None
+    rows: Optional[np.ndarray] = None  # (n, 5), as ClaimResult.rows
 
     @property
     def passed(self) -> bool:
@@ -221,7 +229,7 @@ class _RowCollector:
     def __init__(self, sink: Optional[IO[str]], keep_rows: bool):
         self.sink = sink
         self.keep = keep_rows
-        self.rows: List[Row] = []
+        self.blocks = [np.empty((0, 5))]  # kept rows, one (k, 5) block per add_rows
         self.n_rows = 0
         self.n_failures = 0
         self.min_margin = math.inf
@@ -260,10 +268,7 @@ class _RowCollector:
         if self.sink is not None:
             _write_csv(self.sink, xs, lhs, rhs, margin, ok)
         if self.keep:
-            self.rows.extend(
-                (float(x), float(a), float(b), float(m), bool(p))
-                for x, a, b, m, p in zip(xs, lhs, rhs, margin, ok)
-            )
+            self.blocks.append(_rows(xs, lhs, rhs, margin, ok))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +720,7 @@ def scan_bound(
         n_failures=col.n_failures,
         min_margin=col.min_margin,
         argmin_x=col.argmin_x,
-        rows=col.rows if keep_rows else None,
+        rows=np.concatenate(col.blocks) if keep_rows else None,
     )
 
 
@@ -723,11 +728,11 @@ def scan_bound(
 # identity and report claims
 
 # what a runner returns: max_abs_residual, tolerance, verdict, arg_extremum, rows
-Summary = Tuple[float, float, str, float, Optional[List[Row]]]
+Summary = Tuple[float, float, str, float, Optional[np.ndarray]]
 
 
 def _verdict(
-    xs: Sequence[float], residuals, tolerance, passed: Optional[bool], rows: Optional[List[Row]] = None
+    xs: Sequence[float], residuals, tolerance, passed: Optional[bool], rows: Optional[np.ndarray] = None
 ) -> Summary:
     """The one verdict rule: the largest residual, its tolerance and its x.
 
@@ -745,33 +750,38 @@ def _verdict(
     return float(r[i]), float(np.broadcast_to(tolerance, r.shape)[i]), verdict, float(xs[i]), rows
 
 
-def _identity_rule(rows: List[Row], tolerance, passed: bool = True) -> Summary:
+def _as_rows(rows) -> np.ndarray:
+    """Rows, an (n, 5) array or a list of n (x, lhs, rhs, margin, pass) tuples, as an (n, 5) float64 array."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return rows if rows.size else rows.reshape(0, 5)
+
+
+def _identity_rule(rows, tolerance, passed: bool = True) -> Summary:
     """Rows compared within a tolerance each: the largest |residual| and that row's tolerance."""
-    return _verdict(
-        [r[0] for r in rows], [abs(r[3]) for r in rows], tolerance, passed and all(r[4] for r in rows), rows
-    )
+    rows = _as_rows(rows)
+    return _verdict(rows[:, 0], np.abs(rows[:, 3]), tolerance, passed and bool(rows[:, 4].all()), rows)
 
 
-def _escapes(rows: List[Row]) -> np.ndarray:
+def _escapes(rows: np.ndarray) -> np.ndarray:
     """How far each margin sits below 0: -margin, or +0.0 for a margin >= 0; NaN stays NaN."""
-    m = np.array([r[3] for r in rows], dtype=np.float64)
-    return np.where(m >= 0, 0.0, -m)
+    return np.where(rows[:, 3] >= 0, 0.0, -rows[:, 3])
 
 
-def _margin_rule(rows: List[Row]) -> Summary:
+def _margin_rule(rows) -> Summary:
     """Rows that must keep a positive margin: the deepest escape, or 0 at the first row."""
-    return _verdict([r[0] for r in rows], _escapes(rows), 0.0, all(r[4] for r in rows), rows)
+    rows = _as_rows(rows)
+    return _verdict(rows[:, 0], _escapes(rows), 0.0, bool(rows[:, 4].all()), rows)
 
 
-def _report_rule(rows: List[Row], measured: Optional[List[Row]] = None) -> Summary:
+def _report_rule(rows, measured: Optional[np.ndarray] = None) -> Summary:
     """Report-only: the largest |residual| over the measured rows (all rows unless given)."""
+    rows = _as_rows(rows)
     measured = rows if measured is None else measured
-    return _verdict([r[0] for r in measured], [abs(r[3]) for r in measured], 0.0, None, rows)
+    return _verdict(measured[:, 0], np.abs(measured[:, 3]), 0.0, None, rows)
 
 
 def _model_claim(model_fn, params: dict) -> Summary:
-    rows: List[Row] = []
-    tols: List[float] = []
+    rows, tols = [], []
     for n in params["n_grid"]:
         pair = model_fn(int(n))
         rows.append(
@@ -786,8 +796,7 @@ def _run_c1(params: dict) -> Summary:
 
 
 def _run_c2(params: dict) -> Summary:
-    rows: List[Row] = []
-    tols: List[float] = []
+    rows, tols = [], []
     for n in params["n_grid"]:
         n = int(n)
         direct = comb.r_integral(math.log(n))
@@ -799,8 +808,7 @@ def _run_c2(params: dict) -> Summary:
 
 
 def _run_c3(params: dict) -> Summary:
-    rows: List[Row] = []
-    tols: List[float] = []
+    rows, tols = [], []
     exact_ok = True  # the remainder at N + c is exactly c
     for n in params["n_grid"]:
         n = int(n)
@@ -820,15 +828,15 @@ def _run_c4(params: dict) -> Summary:
     return _model_claim(analytic.harmonic_model, params)
 
 
-def _bracket_rows(pair_id: str, params: dict) -> List[Row]:
-    rows: List[Row] = []
+def _bracket_rows(pair_id: str, params: dict) -> np.ndarray:
+    rows = []
     for s in params["s_grid"]:
         br = laplace.laplace_pair(pair_id, float(s), limit=params.get("limit", DEFAULT_COMB_LIMIT))
         # row margin: distance from the closed form to the nearer bracket edge
         lo_gap = br.closed_form - br.numeric_lo
         hi_gap = br.numeric_hi - br.closed_form
         rows.append((float(s), br.numeric_lo, br.numeric_hi, min(lo_gap, hi_gap), br.contains()))
-    return rows
+    return _as_rows(rows)
 
 
 def _run_c5(params: dict) -> Summary:
@@ -839,9 +847,10 @@ def _run_c6(params: dict) -> Summary:
     rows = _bracket_rows("lie", params)
     # the bracket at s = 2 must also be narrower than 1e-6; a wider one fails
     # C6, and its excess width is that row's residual where above its escape
-    excess = [hi - lo - 1e-6 if s == 2.0 else -1.0 for s, lo, hi, _, _ in rows]
-    passed = all(r[4] for r in rows) and max(excess, default=-1.0) < 0.0
-    return _verdict([r[0] for r in rows], np.maximum(_escapes(rows), excess), 0.0, passed, rows)
+    s, lo, hi = rows[:, :3].T
+    excess = np.where(s == 2.0, hi - lo - 1e-6, -1.0)
+    passed = bool(rows[:, 4].all()) and excess.max(initial=-1.0) < 0.0
+    return _verdict(s, np.maximum(_escapes(rows), excess), 0.0, passed, rows)
 
 
 def _run_c7(params: dict) -> Summary:
@@ -849,7 +858,7 @@ def _run_c7(params: dict) -> Summary:
 
 
 def _run_c8(params: dict) -> Summary:
-    rows: List[Row] = []
+    rows = []
     for s in params["s_grid"]:
         s = float(s)
         u = laplace.expansion_argument(s)
@@ -902,7 +911,7 @@ def _run_c10(params: dict) -> Summary:
 
 
 def _run_c11(params: dict) -> Summary:
-    rows: List[Row] = []
+    rows = []
     for s in params["s_grid"]:
         s = float(s)
         br = laplace.laplace_pair("psi", s, limit=params.get("limit", DEFAULT_COMB_LIMIT))
@@ -947,20 +956,12 @@ def _run_c12(params: dict) -> Summary:
     rhs_series = _c12_bound(xs)
     lhs3 = half + half ** 2 / 4.0 + half ** 3 / 18.0
     rhs3 = 3.0 * xs / 8.0 + xs ** 2 / 16.0 + xs ** 3 / 128.0
-    rows: List[Row] = []
-    for x, a, b in zip(xs, series, rhs_series):
-        rows.append((float(x), float(a), float(b), float(b - a), a < b))
-    for x, a, b in zip(xs, lhs3, rhs3):
-        rows.append((float(x), float(a), float(b), float(b - a), a < b))
-    return _margin_rule(rows)
+    return _margin_rule(np.concatenate([_below(xs, series, rhs_series), _below(xs, lhs3, rhs3)]))
 
 
 def _run_c13(params: dict) -> Summary:
     xs = np.geomspace(params["x_lo"], params["x_hi"], int(params["points"]))
-    rows: List[Row] = []
-    for x, v in zip(xs.tolist(), comb.r_integral(xs).tolist()):
-        rows.append((x, v, x / 2.0, x / 2.0 - v, v < x / 2.0))
-    return _margin_rule(rows)
+    return _margin_rule(_below(xs, comb.r_integral(xs), xs / 2.0))
 
 
 def _run_c14(params: dict) -> Summary:
@@ -971,15 +972,12 @@ def _run_c14(params: dict) -> Summary:
     li = analytic.li_vec(root)
     lo = 2.0 * root / np.log(xs)
     hi = 4.0 * root / np.log(xs)
-    rows: List[Row] = []
-    for x, v, a, b in zip(xs.tolist(), li.tolist(), lo.tolist(), hi.tolist()):
-        rows.append((x, a, v, v - a, a < v))
-        rows.append((x, v, b, b - v, v < b))
-    return _margin_rule(rows)
+    # per x, the lower row then the upper row
+    return _margin_rule(np.stack([_below(xs, lo, li), _below(xs, li, hi)], axis=1).reshape(-1, 5))
 
 
 def _run_c15(params: dict) -> Summary:
-    rows: List[Row] = []
+    rows = []
     for s in params["s_grid"]:
         s = float(s)
         lhs = analytic.zeta_real(s) / (s * (s - 1.0))
@@ -1002,19 +1000,18 @@ def _run_m1(params: dict) -> Summary:
             psi_at[in_seg] = arith.segment_values("psi", seg, psi_before, idx)
             nlam_at[in_seg] = nlam_before.value + np.cumsum(nlam)[idx]
         nlam_before.add(float(np.sum(nlam)))
-    one_plus_gamma = 1.0 + analytic.EULER_GAMMA
-    rows: List[Row] = []
-    for x, p, nl in zip(samples.astype(np.float64), psi_at, nlam_at):
-        model = x - one_plus_gamma * math.log(x)
-        rows.append((float(x), p, model, p - model, True))
-        # running mean of psi(t) - t over (0, x]: (integral psi - x^2/2)/x
-        run_mean = ((x * p - nl) - x * x / 2.0) / x
-        rows.append((float(x), run_mean, 0.0, run_mean, True))
+    x = samples.astype(np.float64)
+    # math.log, not np.log: np.log is not correctly rounded and its SIMD path varies by host
+    model = x - (1.0 + analytic.EULER_GAMMA) * np.array([math.log(t) for t in x.tolist()])
+    # running mean of psi(t) - t over (0, x]: (integral psi - x^2/2)/x
+    run_mean = ((x * psi_at - nlam_at) - x * x / 2.0) / x
+    per_x = [_rows(x, psi_at, model, psi_at - model, True), _rows(x, run_mean, 0.0, run_mean, True)]
+    rows = np.stack(per_x, axis=1).reshape(-1, 5)
     return _report_rule(rows, measured=rows[0::2])
 
 
 def _run_m2(params: dict) -> Summary:
-    rows: List[Row] = []
+    rows = []
     for s in params["s_grid"]:
         s = float(s)
         r, kernel = analytic.R_of_s(s), laplace.approx_kernel(s)
@@ -1023,7 +1020,7 @@ def _run_m2(params: dict) -> Summary:
 
 
 def _run_m3(params: dict) -> Summary:
-    rows: List[Row] = []
+    rows = []
     for pid in ("ze2", "ze1.5"):
         for s in params["s_grid"]:
             s = float(s)
@@ -1146,14 +1143,14 @@ def render_csv(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
     def sort_key(r):
         return r.id if isinstance(r, ClaimResult) else r.bound_id
     for r in sorted(results, key=sort_key):
-        rows = r.rows
-        if rows is None:
+        if r.rows is None:
             raise ValueError(
-                f"result {sort_key(r)} holds no rows (streamed or summary-only); "
+                f"claim {r.id} keeps no rows, so it has no CSV; emit it as json"
+                if isinstance(r, ClaimResult)
+                else f"result {r.bound_id} holds no rows (streamed or summary-only); "
                 "emit it as json or rerun with row retention"
             )
-        values = np.array([row[:4] for row in rows], dtype=np.float64).reshape(-1, 4)
-        _write_csv(text, *values.T, [row[4] for row in rows])
+        _write_csv(text, *r.rows[:, :4].T, r.rows[:, 4] != 0)
     return text.getvalue()
 
 

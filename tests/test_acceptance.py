@@ -106,8 +106,8 @@ def test_criterion_5_j_offset_li_bound():
     tail = scan_bound("B4", 10**7, 10**9, mode="log_grid", points=10**4)
     want_tail = oracle.scan_log_grid(10**7, 10**9, 10**4)
 
-    window_diff = oracle.row_mismatch(np.array(window.rows, dtype=np.float64), want_window.rows)
-    tail_diff = oracle.row_mismatch(np.array(tail.rows, dtype=np.float64), want_tail.rows)
+    window_diff = oracle.row_mismatch(window.rows, want_window.rows)
+    tail_diff = oracle.row_mismatch(tail.rows, want_tail.rows)
 
     # every failing row, and every row within oracle.NEAR of the bound, at 30 digits
     recheck = want.failures + want.near + want_tail.failures + want_tail.near

@@ -93,6 +93,15 @@ def test_check_json_report(tmp_path, capsys):
     assert objs[0]["id"] == "C15" and objs[0]["verdict"] == "pass"
 
 
+def test_a_claim_csv_without_rows_is_a_usage_error_that_names_json(capsys):
+    # C9 and C10 summarise one residual per integer and keep no rows; claims
+    # have no row-retention option, so json is the one remedy to name
+    assert dispatch(["check", "C9", "--max", "1000", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("C9 pass ")
+    assert err == "claim C9 keeps no rows, so it has no CSV; emit it as json\n"
+
+
 def test_laplace_command(capsys):
     assert dispatch(["laplace", "zeta1", "--s", "2,3", "--limit", "100000"]) == 0
     out = capsys.readouterr().out

@@ -55,6 +55,11 @@ def test_catalog_has_no_dead_entries():
         else:
             assert result.verdict == "pass", (cid, result)
         assert math.isfinite(result.max_abs_residual)
+        if cid in ("C9", "C10"):
+            assert result.rows is None  # one residual per integer, summarised only
+        else:
+            assert result.rows.dtype == np.float64 and result.rows.shape == (len(result.rows), 5), cid
+            assert len(result.rows) > 0 and set(np.unique(result.rows[:, 4])) <= {0.0, 1.0}, cid
 
 
 def test_unknown_claim_rejected():
@@ -79,7 +84,7 @@ def test_report_only_claims_never_fail():
     for cid in ("M1", "M2", "M3"):
         r = run_claim(cid, QUICK_PARAMS[cid])
         assert r.verdict == "report"
-        assert r.rows
+        assert len(r.rows) > 0
         assert all(math.isfinite(v) for row in r.rows for v in row[:4])
 
 
@@ -180,7 +185,7 @@ def test_b4_offset_convention_known_failures():
     rep = scan_bound("B4", 2, 400_000, keep_rows=True)
     want = oracle.scan_integers(2, 400_000, keep_rows=True)
     assert rep.n_rows == len(rep.rows)
-    diff = oracle.row_mismatch(np.array(rep.rows, dtype=np.float64), want.rows)
+    diff = oracle.row_mismatch(rep.rows, want.rows)
     assert not diff, diff
     assert (rep.n_failures, rep.argmin_x) == (want.n_failures, want.argmin_x)
     assert abs(rep.min_margin - want.min_margin) <= 1e-9
@@ -241,7 +246,7 @@ def test_scan_modes_and_validation():
     # a range wholly below the bound's first abscissa (2 for B2) holds no rows
     for mode in ("log_grid", "every_integer"):
         rep = scan_bound("B2", 0.5, 1.5, mode=mode, points=5)
-        assert rep.n_rows == 0 and rep.rows == [], mode
+        assert rep.n_rows == 0 and rep.rows.shape == (0, 5), mode
 
 
 def test_b1_jump_mode_counts_both_sides():
@@ -271,8 +276,8 @@ def test_every_jump_rows_are_every_integer_rows_at_the_jumps(bound_id):
     assert (seg0 in jumps) == (bound_id != "B2")
     dense = scan_bound(bound_id, lo, hi, "every_integer", keep_rows=True)
     sparse = scan_bound(bound_id, lo, hi, "every_jump", keep_rows=True)
-    at_jumps = [r for r in dense.rows if int(r[0]) in jumps]
-    assert sparse.rows == at_jumps
+    at_jumps = dense.rows[np.isin(dense.rows[:, 0], sorted(jumps))]
+    assert np.array_equal(sparse.rows, at_jumps)
     assert sorted({int(r[0]) for r in sparse.rows}) == sorted(jumps)
 
 
@@ -568,14 +573,24 @@ def test_kept_rows_are_complete_past_one_segment():
 
 
 def test_scan_streaming_to_sink_matches_retained_rows():
-    sink = io.StringIO()
-    rep = scan_bound("B3", 1, 500, row_sink=sink)
-    lines = sink.getvalue().splitlines()
-    assert lines[0] == "x,lhs,rhs,margin,pass"
-    assert len(lines) - 1 == rep.n_rows == len(rep.rows)
-    first = lines[1].split(",")
-    assert float(first[0]) == rep.rows[0][0]
-    assert float(first[3]) == pytest.approx(rep.rows[0][3])
+    # a scan that streams its rows to a sink and keeps them: the kept rows
+    # render, byte for byte, as the sink got them
+    scans = [
+        ("B3", 1, 500, "every_integer"),
+        ("B1", 2, 40_000, "every_jump"),
+        ("B2", 2, 30_000, "every_integer"),  # two-sided: a lower and an upper row per evaluation
+        ("B4", 2, 100_000, "every_integer"),  # with failing rows
+        ("B2", 100, 100, "log_grid"),  # the 3 points repeat x = 100
+        ("B2", 0.5, 1.5, "every_integer"),  # below the first abscissa: the header only
+    ]
+    for bound_id, lo, hi, mode in scans:
+        sink = io.StringIO()
+        rep = scan_bound(bound_id, lo, hi, mode, points=3, row_sink=sink, keep_rows=True)
+        assert rep.rows.dtype == np.float64 and rep.rows.shape == (rep.n_rows, 5), (bound_id, mode)
+        assert render_csv([rep]) == sink.getvalue(), (bound_id, mode)
+        if bound_id == "B4":
+            assert rep.n_failures > 0 and sink.getvalue().count(",false\n") == rep.n_failures
+    assert rep.rows.shape == (0, 5) and sink.getvalue() == "x,lhs,rhs,margin,pass\n"
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +626,12 @@ def test_emit_json_schema():
 
 def test_a_nan_margin_fails_and_names_its_row():
     # margins of inf - inf used to read as no escape: "fail max_abs_residual=0" at the first row
-    rows = [
+    rows = np.array([
         (1.0, 0.0, 1.0, 1.0, True),
         (2.0, 1.0, 0.5, -0.5, False),
         (3.0, math.inf, math.inf, math.nan, False),
         (4.0, 1.0, 0.0, -1.0, False),
-    ]
+    ])
     max_abs, tol, verdict, at, kept = verify._margin_rule(rows)
     assert verdict == "fail" and math.isnan(max_abs) and at == 3.0 and tol == 0.0 and kept is rows
     result = ClaimResult("C12", "bound_scan", {}, max_abs, tol, verdict, at, rows)
@@ -766,8 +781,8 @@ def test_csv_rows_go_out_in_chunks(n):
 
 
 def test_claim_csv_rows_are_written_as_scan_rows_are():
-    rows = [(2.0, -0.0, math.inf, math.nan, True), (1e-7, 123456.78, -1e300, 0.5, False)]
+    rows = np.array([(2.0, -0.0, math.inf, math.nan, True), (1e-7, 123456.78, -1e300, 0.5, False)])
     rep = ScanReport("B3", {}, 2, 1, 0.5, 1e-7, rows=rows)
-    want = "x,lhs,rhs,margin,pass\n" + _csv_reference(np.array([r[:4] for r in rows]), np.array([r[4] for r in rows]))
+    want = "x,lhs,rhs,margin,pass\n" + _csv_reference(rows[:, :4], rows[:, 4] != 0)
     assert render_csv([rep]) == want
     assert want.endswith("2,-0,inf,nan,true\n9.9999999999999995e-08,123456.78,-1.0000000000000001e+300,0.5,false\n")
