@@ -274,24 +274,27 @@ def _dd_harmonic_table() -> np.ndarray:
     return _dd_prefix(1, *dd_div((1.0, 0.0), (m, np.zeros_like(m))))
 
 
-def _stirling_log_factorial(n: np.ndarray) -> np.ndarray:
-    """log n! for float n > DD_TABLE_MAX from the Stirling series in double-double.
-
-    (n + 1/2) log n - n + log(2 pi)/2 + sum_{k<=4} B_2k / (2k (2k-1) n**(2k-1))
-    (DLMF 5.11.1).  For real n > 0 the remainder has the sign of, and is
-    smaller than, the first neglected term 1/(1188 n**9) (DLMF 5.11.10-11):
-    below 1e-39 here.  The k = 1 term 1/(12 n) is a double-double; the later
-    terms, below 3e-15, need only a float.
-    """
+def _stirling_head(n):
+    """(n + 1/2) log n - n + log(2 pi)/2 + 1/(12 n), the Stirling series (DLMF 5.11.1)
+    to its k = 1 term, in double-double for a float n > 0 or an array of them."""
     ln_n = dd_log(n)
     acc = dd_add(dd_mul_d(ln_n, n), dd_mul_d(ln_n, 0.5))
     acc = dd_add(acc, (-n, 0.0))
     acc = dd_add(acc, dd_mul_d(LOG_2PI_DD, 0.5))
-    acc = dd_add(acc, dd_div((1.0, 0.0), (12.0 * n, 0.0)))
+    return dd_add(acc, dd_div((1.0, 0.0), (12.0 * n, 0.0)))
+
+
+def _stirling_log_factorial(n: np.ndarray) -> np.ndarray:
+    """log n! for float n > DD_TABLE_MAX: ``_stirling_head`` plus, as a float, the
+    terms B_2k / (2k (2k-1) n**(2k-1)) for k = 2..4, below 3e-15 here.
+
+    For real n > 0 the remainder has the sign of, and is smaller than, the
+    first neglected term 1/(1188 n**9) (DLMF 5.11.10-11): below 1e-39 here.
+    """
     inv = 1.0 / n
     inv2 = inv * inv
     tail = inv * inv2 * (_STIRLING_TAIL[0] + inv2 * (_STIRLING_TAIL[1] + inv2 * _STIRLING_TAIL[2]))
-    return dd_add(acc, (tail, 0.0))[0]
+    return dd_add(_stirling_head(n), (tail, 0.0))[0]
 
 
 def log_factorial(n):
@@ -322,13 +325,7 @@ def stirling_model(N: int) -> ModelPair:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    ln_n = dd_log(float(N))
-    model = dd_mul_d(ln_n, float(N))
-    model = dd_add(model, (-float(N), 0.0))
-    model = dd_add(model, dd_mul_d(ln_n, 0.5))
-    model = dd_add(model, dd_mul_d(LOG_2PI_DD, 0.5))
-    model = dd_add(model, dd_div((1.0, 0.0), (12.0 * N, 0.0)))
-    return ModelPair.of(log_factorial(N), model[0], 1.0 / (100.0 * N ** 3))
+    return ModelPair.of(log_factorial(N), _stirling_head(float(N))[0], 1.0 / (100.0 * N ** 3))
 
 
 def _harmonic_number(n: int) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,22 +147,16 @@ def pi_table(limit: int) -> np.ndarray:
 
 
 def j_value(x: float) -> float:
-    """J at x from per-exponent prime counts at exact integer roots."""
+    """J at x: the fsum over k of pi(r_k)/k, r_k the exact integer k-th root of floor(x).
+
+    One ``step_at`` call reads pi at every root r_k >= 2, those of the k with
+    2**k <= floor(x).
+    """
     if x < 0:
         raise ValueError("x must be >= 0")
     n = int(math.floor(x))
-    if n < 2:
-        return 0.0
-    counts: List[int] = []
-    ptab = pi_table(max(math.isqrt(n), 3))
-    k = 1
-    while (1 << k) <= n or k == 1:
-        r = integer_kth_root(n, k)
-        if r < 2:
-            break
-        counts.append(pi_count(r) if k == 1 else int(ptab[r]))
-        k += 1
-    return math.fsum(c / kk for kk, c in enumerate(counts, start=1))
+    pis = step_at("pi", [integer_kth_root(n, k) for k in range(1, n.bit_length())])
+    return math.fsum(c / k for k, c in enumerate(pis.tolist(), start=1))
 
 
 def psi_value(x: float) -> float:

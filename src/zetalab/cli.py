@@ -125,6 +125,9 @@ def _cmd_check(args) -> int:
         if cid not in verify.CLAIMS:
             print(f"unknown claim id {cid!r}", file=sys.stderr)
             return 2
+    rowless = [cid for cid in ids if cid in verify.ROWLESS_CLAIMS]
+    if args.format == "csv" and rowless:  # refused before any claim runs
+        raise ValueError(verify.NO_CLAIM_CSV.format(rowless[0]))
     results = [verify.run_claim(cid, _claim_params(args, cid)) for cid in ids]
     for r in results:
         print(
@@ -165,12 +168,11 @@ def _cmd_laplace(args) -> int:
     ok = True
     for s in grid:
         br = laplace.laplace_pair(args.pair, s, limit=args.limit, x_max=args.x_max)
-        contained = br.contains() if br.closed_form is not None else True
+        contained = br.contains()
         ok &= contained
-        closed = fmt17(br.closed_form) if br.closed_form is not None else "none"
         print(
             f"{br.pair_id} s={fmt17(s)} bracket=[{fmt17(br.numeric_lo)}, {fmt17(br.numeric_hi)}] "
-            f"closed_form={closed} width={fmt17(br.width)} "
+            f"closed_form={fmt17(br.closed_form)} width={fmt17(br.width)} "
             f"{'contained' if contained else 'ESCAPED'}"
         )
     return 0 if ok else 1

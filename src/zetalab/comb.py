@@ -46,7 +46,7 @@ Kind = Union[CombKind, ArithmeticKind]
 class StepComb:
     kind: Kind
     values: np.ndarray  # ordinates a_n, strictly ascending
-    weights: np.ndarray
+    weights: np.ndarray  # all-ones combs hold a stride-0 view of 1.0, no array
     limit: float  # largest ordinate that was materialised against
 
     def __post_init__(self):
@@ -63,14 +63,14 @@ def build_comb(kind: Kind, limit: float) -> StepComb:
             raise ValueError(f"limit {limit} below first jump {kind.start}")
         n_terms = int(math.floor((limit - kind.start) / kind.stride)) + 1
         values = kind.start + kind.stride * np.arange(n_terms, dtype=np.float64)
-        weights = np.ones(n_terms)
+        weights = np.broadcast_to(1.0, n_terms)
     elif kind in (CombKind.ZETA1, CombKind.MCOMB, CombKind.ETA):
         if limit < 1:
             raise ValueError("limit must be >= 1")
         n = int(math.floor(limit))
         values = np.arange(1, n + 1, dtype=np.float64)
         if kind is CombKind.ZETA1:
-            weights = np.ones(n)
+            weights = np.broadcast_to(1.0, n)
         elif kind is CombKind.MCOMB:
             weights = np.log(values)
         else:

@@ -24,8 +24,8 @@ class KahanSum:
 
     __slots__ = ("total", "carry")
 
-    def __init__(self, start: float = 0.0):
-        self.total = start
+    def __init__(self):
+        self.total = 0.0
         self.carry = 0.0
 
     def add(self, value: float) -> None:

@@ -49,7 +49,7 @@ class TransformBracket:
     s: float
     numeric_lo: float
     numeric_hi: float
-    closed_form: Optional[float]
+    closed_form: float
     pair_id: str
 
     def __post_init__(self):
@@ -60,11 +60,8 @@ class TransformBracket:
     def width(self) -> float:
         return self.numeric_hi - self.numeric_lo
 
-    def contains(self, value: Optional[float] = None) -> bool:
-        v = self.closed_form if value is None else value
-        if v is None:
-            raise ValueError("no value to test")
-        return self.numeric_lo <= v <= self.numeric_hi
+    def contains(self) -> bool:
+        return self.numeric_lo <= self.closed_form <= self.numeric_hi
 
 
 def _require_s(s: float) -> None:
@@ -109,8 +106,8 @@ def _comb_tail(c: StepComb, s: float):
     raise ValueError(f"no tail rule for comb kind {kind!r}")
 
 
-def closed_form_for(kind, s: float) -> Optional[float]:
-    """Known closed form of the (1/s)-scaled transform for a comb kind, if any."""
+def closed_form_for(kind, s: float) -> float:
+    """Closed form of the (1/s)-scaled transform for a comb kind."""
     if isinstance(kind, ArithmeticKind):
         # sum (start + m*stride)**-s = stride**-s * hurwitz(s, start/stride)
         return kind.stride ** -s * hurwitz_zeta_real(s, kind.start / kind.stride) / s
@@ -124,10 +121,10 @@ def closed_form_for(kind, s: float) -> Optional[float]:
         return -zeta_prime_real(s) / (s * zeta_real(s))
     if kind is CombKind.ETA:
         return (1.0 - 2.0 ** (1.0 - s)) * zeta_real(s) / s
-    return None
+    raise ValueError(f"no closed form for comb kind {kind!r}")
 
 
-def laplace_comb(c: StepComb, s: float, *, pair_id: Optional[str] = None) -> TransformBracket:
+def laplace_comb(c: StepComb, s: float, *, pair_id: str) -> TransformBracket:
     """Bracket for (1/s) sum w_n a_n**-s over the full (infinite) comb.
 
     The ZETA1 and arithmetic combs have every weight exactly 1.0, so their
@@ -145,14 +142,12 @@ def laplace_comb(c: StepComb, s: float, *, pair_id: Optional[str] = None) -> Tra
     tail_lo, tail_hi = _comb_tail(c, s)
     abs_sum = float(np.sum(np.abs(terms, out=terms))) if c.kind is CombKind.ETA else partial
     slack = 1e-13 * (abs(partial) + 1.0) + 4e-16 * abs_sum
-    name = pair_id or (c.kind.value if isinstance(c.kind, CombKind)
-                       else f"arith({c.kind.start},{c.kind.stride})")
     return TransformBracket(
         s=s,
         numeric_lo=(partial + tail_lo - slack) / s,
         numeric_hi=(partial + tail_hi + slack) / s,
         closed_form=closed_form_for(c.kind, s),
-        pair_id=name,
+        pair_id=pair_id,
     )
 
 

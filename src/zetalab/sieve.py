@@ -131,8 +131,9 @@ def base_primes(limit: int) -> np.ndarray:
             p = 2 * i + 3
             start = (p * p - 3) // 2
             mask[start::p] = False
-    odds = 2 * np.flatnonzero(mask) + 3
-    return np.concatenate(([2], odds)).astype(np.int64)
+    out = np.concatenate(([2], 2 * np.flatnonzero(mask) + 3)).astype(np.int64)
+    out.setflags(write=False)  # lru_cache shares it with every later caller
+    return out
 
 
 def _check_range(lo: int, hi: int) -> None:

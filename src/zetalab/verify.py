@@ -994,12 +994,14 @@ def _run_m1(params: dict) -> Summary:
     nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments
     for seg, psi_before in arith.step_segments("psi", x_max):
         in_seg = (samples >= seg.lo) & (samples <= seg.hi)
-        nlam = seg.lam * np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
+        nlam = np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
+        nlam *= seg.lam  # n Lambda(n), then in place its running sum: one array
+        total = float(np.sum(nlam))
         if in_seg.any():
             idx = samples[in_seg] - seg.lo
             psi_at[in_seg] = arith.segment_values("psi", seg, psi_before, idx)
-            nlam_at[in_seg] = nlam_before.value + np.cumsum(nlam)[idx]
-        nlam_before.add(float(np.sum(nlam)))
+            nlam_at[in_seg] = nlam_before.value + np.cumsum(nlam, out=nlam)[idx]
+        nlam_before.add(total)
     x = samples.astype(np.float64)
     # math.log, not np.log: np.log is not correctly rounded and its SIMD path varies by host
     model = x - (1.0 + analytic.EULER_GAMMA) * np.array([math.log(t) for t in x.tolist()])
@@ -1031,6 +1033,9 @@ def _run_m3(params: dict) -> Summary:
 
 
 CLAIMS: Dict[str, Claim] = {}
+# claims that summarise one residual per integer and keep no rows, so have no CSV
+ROWLESS_CLAIMS = frozenset({"C9", "C10"})
+NO_CLAIM_CSV = "claim {} keeps no rows, so it has no CSV; emit it as json"
 
 
 def _register(claim: Claim) -> None:
@@ -1145,7 +1150,7 @@ def render_csv(results: Sequence[Union[ClaimResult, ScanReport]]) -> str:
     for r in sorted(results, key=sort_key):
         if r.rows is None:
             raise ValueError(
-                f"claim {r.id} keeps no rows, so it has no CSV; emit it as json"
+                NO_CLAIM_CSV.format(r.id)
                 if isinstance(r, ClaimResult)
                 else f"result {r.bound_id} holds no rows (streamed or summary-only); "
                 "emit it as json or rerun with row retention"

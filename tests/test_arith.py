@@ -18,7 +18,7 @@ from zetalab.arith import (
     step_at,
     step_segments,
 )
-from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, iter_segments
+from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, integer_kth_root, iter_segments
 from zetalab.verify import fmt17, run_claim
 
 
@@ -64,6 +64,35 @@ def test_j_value_matches_direct_prime_power_sum():
         values.append((n, direct))
     for n, expect in values[:: 97]:
         assert j_value(n) == pytest.approx(expect, abs=1e-12), n
+
+
+def _j_by_root_loop(x) -> float:
+    """J as j_value formed it before it read pi through step_at: pi_count(floor x)
+    for k = 1, and a pi_table to sqrt(x) at the roots for k >= 2."""
+    n = int(math.floor(x))
+    if n < 2:
+        return 0.0
+    counts = []
+    ptab = pi_table(max(math.isqrt(n), 3))
+    k = 1
+    while (1 << k) <= n or k == 1:
+        r = integer_kth_root(n, k)
+        if r < 2:
+            break
+        counts.append(pi_count(r) if k == 1 else int(ptab[r]))
+        k += 1
+    return math.fsum(c / kk for kk, c in enumerate(counts, start=1))
+
+
+def test_j_value_keeps_the_bits_of_the_root_loop():
+    rng = np.random.default_rng(24)
+    xs = list(range(5001))
+    xs += [b**k + d for b, top in ((2, 26), (3, 16)) for k in range(1, top + 1) for d in (-1, 0, 1)]
+    xs += np.unique(np.geomspace(5001, 1e8, 12).astype(np.int64) + rng.integers(0, 1000, 12)).tolist()
+    xs += [12_345_678, 10**8]
+    for x in xs:
+        assert j_value(x).hex() == _j_by_root_loop(x).hex(), x
+    assert j_value(5000.9) == _j_by_root_loop(5000)
 
 
 def test_mobius_roundtrip_vectorised():

@@ -98,8 +98,22 @@ def test_a_claim_csv_without_rows_is_a_usage_error_that_names_json(capsys):
     # have no row-retention option, so json is the one remedy to name
     assert dispatch(["check", "C9", "--max", "1000", "--format", "csv"]) == 2
     out, err = capsys.readouterr()
-    assert out.startswith("C9 pass ")
+    assert out == ""
     assert err == "claim C9 keeps no rows, so it has no CSV; emit it as json\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "--all"], ["check", "C10"]])
+def test_a_csv_without_rows_is_refused_before_any_claim_runs(argv, tmp_path, monkeypatch, capsys):
+    def no_claim(*args, **kwargs):
+        raise AssertionError("run_claim was called")
+
+    monkeypatch.setattr(verify, "run_claim", no_claim)
+    out_file = tmp_path / "x.csv"
+    assert dispatch(argv + ["--format", "csv", "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    cid = "C9" if "--all" in argv else "C10"
+    assert out == "" and err == f"claim {cid} keeps no rows, so it has no CSV; emit it as json\n"
+    assert not out_file.exists()
 
 
 def test_laplace_command(capsys):
@@ -203,6 +217,9 @@ def test_infinite_and_overflowing_arguments_are_usage_errors(argv, capsys):
         # C10 past its default limit, where the row adds do most of their work
         (["check", "C10", "--max", "40000", "--format", "json", "--out", "-"],
          "7b8cce5b64997beb0caf00b684af7c3e96cd78cc16fedf3edbd85e7b8ba8d0b6"),
+        # M1 across three sieve segments, whose n Lambda(n) sums carry over
+        (["check", "M1", "--max", "3000000", "--format", "csv", "--out", "-"],
+         "e68fed8877c15f0b1b232e46863b6e64cf66c338a874ec15e12e8a99e280fd54"),
     ],
 )
 def test_quadrature_transform_outputs_keep_their_pinned_bytes(argv, sha256, capsys):

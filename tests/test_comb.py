@@ -190,3 +190,5 @@ def test_comb_weights_have_the_signs_the_transform_relies_on(kind):
     assert not np.any(w < 0) and not np.any(np.signbit(w))
     if kind is CombKind.ZETA1 or isinstance(kind, ArithmeticKind):
         assert np.all(w == 1.0)
+        # a read-only stride-0 view of 1.0: the cached comb holds no array of ones
+        assert w.dtype == np.float64 and w.strides == (0,) and not w.flags.writeable

@@ -15,6 +15,7 @@ from zetalab.laplace import (
     KERNEL_OFFSET,
     TransformBracket,
     approx_kernel,
+    closed_form_for,
     er_closed,
     er_partial,
     expansion_argument,
@@ -28,7 +29,7 @@ S_GRID = [1.5, 2.0, 3.0, 5.0, 10.0]
 
 def test_bracket_ordering_enforced():
     with pytest.raises(ValueError):
-        TransformBracket(s=2.0, numeric_lo=1.0, numeric_hi=0.0, closed_form=None, pair_id="x")
+        TransformBracket(s=2.0, numeric_lo=1.0, numeric_hi=0.0, closed_form=0.5, pair_id="x")
 
 
 @pytest.mark.parametrize("pair_id", ["zeta1", "mcomb", "jcomb", "psi", "eta", "ze2", "ze1.5"])
@@ -154,8 +155,8 @@ def test_comb_brackets_keep_their_pinned_bits(pair_id, limit):
 
 def test_brackets_shrink_with_limit():
     for limit in (1e3, 1e4, 1e5):
-        wide = laplace_comb(build_comb(CombKind.ZETA1, limit), 2.0)
-        tight = laplace_comb(build_comb(CombKind.ZETA1, 10 * limit), 2.0)
+        wide = laplace_comb(build_comb(CombKind.ZETA1, limit), 2.0, pair_id="zeta1")
+        tight = laplace_comb(build_comb(CombKind.ZETA1, 10 * limit), 2.0, pair_id="zeta1")
         assert tight.width < wide.width
         assert wide.contains() and tight.contains()
 
@@ -419,7 +420,7 @@ def test_remainder_transform_error_contains_the_40_digit_integral(s):
         assert err <= 1e-15, (s, edge, parts)  # the tail past edge is not in it
         assert parts.remainder <= laplace._R_NEGLIGIBLE * value  # each panel's order makes it negligible
     br = laplace_quadrature("r", s)
-    assert br.contains(R_of_s(s))
+    assert br.closed_form == R_of_s(s) and br.contains()
     value, parts = laplace._laplace_r_numeric(s, _r_default_edge(s))
     assert br.numeric_lo == value - sum(parts)
     # at edge 1 the window is the step [0, log 2] and the cut [log 2, 1]
@@ -435,7 +436,8 @@ def test_remainder_bracket_past_the_s_grid_is_wide_but_contains_the_integral(s):
     # |GL16 - GL8| estimate did at s = 1e4
     value, parts = laplace._laplace_r_numeric(s, 1.0)
     assert abs(value - _r_transform(s, 1.0)) <= sum(parts)
-    assert laplace_quadrature("r", s).contains(R_of_s(s))
+    br = laplace_quadrature("r", s)
+    assert br.closed_form == R_of_s(s) and br.contains()
 
 
 def test_remainder_bound_covers_the_40_digit_gauss_error():
@@ -579,7 +581,14 @@ def test_exact_bracket_algebra_identity():
 def test_laplace_comb_rejects_small_s():
     c = build_comb(CombKind.ZETA1, 100)
     with pytest.raises(ValueError):
-        laplace_comb(c, 1.0)
+        laplace_comb(c, 1.0, pair_id="zeta1")
+
+
+def test_every_comb_kind_has_a_closed_form():
+    for kind in list(CombKind) + [ArithmeticKind(1.5, 1.0)]:
+        assert math.isfinite(closed_form_for(kind, 2.0)), kind
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_for("zeta9", 2.0)
 
 
 def test_unknown_pair():

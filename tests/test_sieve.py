@@ -283,3 +283,12 @@ def test_base_primes_small():
     assert list(base_primes(2)) == [2]
     assert list(base_primes(13)) == [2, 3, 5, 7, 11, 13]
     assert len(base_primes(10**6)) == 78498
+
+
+def test_base_primes_is_read_only():
+    # lru_cache hands the same array to every later sieve: a write would corrupt them
+    primes = base_primes(1000)
+    assert not primes.flags.writeable
+    with pytest.raises(ValueError):
+        primes[0] = 4
+    assert base_primes(1000)[0] == 2
