@@ -40,10 +40,10 @@ def step_segments(
     That value, ``before``, is the step at seg.lo - 1.  step "pi" gives
     ``before`` as an int prime count; "psi" gives the
     Kahan-compensated total of the earlier segments' Lambda, and its segments
-    carry ``lam`` and the offsets ``lam_nonzero`` that the carry and the
-    readers share.  No running sum is formed here: ``segment_values`` forms
-    the right-limit values a reader asks for.  Every segment, reached or not,
-    adds only its total to the carry.
+    carry Lambda by its jumps (``lam_nonzero``, ``lam_values``), which the
+    carry and the readers share.  No running sum is formed here:
+    ``segment_values`` forms the right-limit values a reader asks for.
+    Every segment, reached or not, adds only its total to the carry.
     """
     if step not in ("pi", "psi"):
         raise ValueError(f"unknown step function {step!r}")
@@ -55,12 +55,18 @@ def step_segments(
         if step == "pi":
             pi_run += seg.n_primes
         else:
-            psi_run.add(_lam_total(seg))
+            psi_run.add(_lam_total(seg.lam_values))
 
 
-def _lam_total(seg: SieveSegment) -> float:
-    """Correctly rounded sum of a segment's Lambda; its zeros cannot change an fsum."""
-    return math.fsum(seg.lam[seg.lam_nonzero].tolist())
+def _lam_total(values: np.ndarray) -> float:
+    """The exact sum of a segment's Lambda values, rounded once: the bits of ``math.fsum``.
+
+    Each value lies in [log 2, log 2**40] within [0.5, 32), so v * 2**53 is an integer
+    below 2**58; its 29-bit halves sum exactly in int64, and int division rounds half-even.
+    """
+    scaled = (values * 2.0**53).astype(np.int64)
+    high, low = int(np.sum(scaled >> 29)), int(np.sum(scaled & ((1 << 29) - 1)))
+    return ((high << 29) + low) / (1 << 53)
 
 
 def segment_values(
@@ -76,8 +82,8 @@ def segment_values(
     Sparse readers pass ascending offsets (repeats allowed) and pay for the
     segment's jumps or the offsets, not a running sum over its integers: pi
     reads the segment's packed-bit prime counter (``seg.count_primes``);
-    psi runs the same sequential sum over the nonzero Lambda only
-    (``seg.lam_nonzero``).  Adding 0.0 leaves a running float sum
+    psi runs the same sequential sum over the stored jumps only, read at each
+    offset's ``seg.lam_rank``.  Adding 0.0 leaves a running float sum
     unchanged, so each value has the bits of the dense sum at that offset.
     """
     if offs is None:
@@ -90,11 +96,9 @@ def segment_values(
     offs = np.asarray(offs, dtype=np.int64)
     if step == "pi":
         return seg.count_primes(offs) + before
-    top = int(offs[-1]) + 1 if offs.size else 0
-    nz = seg.lam_nonzero[: np.searchsorted(seg.lam_nonzero, top)]
-    run = np.zeros(nz.size + 1)
-    np.cumsum(seg.lam[nz], out=run[1:])
-    vals = run[np.searchsorted(nz, offs, "right")]
+    run = np.zeros(seg.lam_values.size + 1)
+    np.cumsum(seg.lam_values, out=run[1:])
+    vals = run[seg.lam_rank(offs)]
     vals += before
     return vals
 
@@ -162,14 +166,14 @@ def j_value(x: float) -> float:
 def psi_value(x: float) -> float:
     """Chebyshev psi(x) as the compensated sum of exact per-segment Lambda totals.
 
-    Each segment's total is an fsum, not the step engine's running cumsum, so
-    the value is correctly rounded per segment.
+    Each segment's total is ``_lam_total`` (exact; the bits of an fsum), not the
+    step engine's running cumsum, so the value is correctly rounded per segment.
     """
     if x < 2:
         return 0.0
     acc = KahanSum()
     for seg in iter_segments(0, int(math.floor(x)), want_lam=True):
-        acc.add(_lam_total(seg))
+        acc.add(_lam_total(seg.lam_values))
     return acc.value
 
 

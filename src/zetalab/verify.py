@@ -572,9 +572,9 @@ def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[n
     every integer is read, and the base step by its running sum over the
     whole segment.  With ascending offsets idx the arrays are formed there
     only: the base step by ``arith.segment_values`` at those offsets, the
-    weight at a prime from the odd mask (``seg.prime_at``), and every other
-    entry by the same elementwise operations.  So each entry has the bits of
-    the dense one; J's k >= 2 terms are copies of the same table entries.
+    weight from ``seg.prime_at`` or ``seg.lam_at``, and every other entry
+    by the same elementwise operations.  So each entry has the bits of the
+    dense one; J's k >= 2 terms are copies of the same table entries.
     """
     base = "psi" if step == "psi" else "pi"
     off = a - seg.lo
@@ -587,7 +587,7 @@ def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[n
         at = idx + off
         right = arith.segment_values(base, seg, before, at)
         xs = idx + float(a)
-        w = seg.lam[at] if base == "psi" else seg.prime_at(at).astype(np.float64)
+        w = seg.lam_at(at) if base == "psi" else seg.prime_at(at).astype(np.float64)
     right = right.astype(np.float64, copy=False)
     if step == "j":
         # k >= 2 powers are never prime, so each lands on a zero weight
@@ -890,7 +890,7 @@ def _c10_residuals(limit: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     lam = np.zeros(limit + 1)
     for seg in iter_segments(0, limit, want_lam=True):
-        lam[seg.lo : seg.hi + 1] = seg.lam
+        lam[seg.lo + seg.lam_nonzero] = seg.lam_values
     cum_lam = np.cumsum(lam)
     cum_log = np.zeros(limit + 1)
     cum_log[1:] = np.cumsum(np.log(np.arange(1.0, limit + 1)))

@@ -8,6 +8,7 @@ import pytest
 
 from zetalab import sieve
 from zetalab.arith import (
+    _lam_total,
     higher_power_jumps,
     j_value,
     pi_count,
@@ -18,6 +19,7 @@ from zetalab.arith import (
     step_at,
     step_segments,
 )
+from zetalab.compensated import KahanSum
 from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, integer_kth_root, iter_segments
 from zetalab.verify import fmt17, run_claim
 
@@ -308,6 +310,54 @@ def test_psi_value_examples():
     assert psi_value(20) == pytest.approx(19.265658314547978, abs=1e-12)
     assert psi_value(100) == pytest.approx(94.045311229357392, abs=1e-12)
     assert psi_value(1) == 0.0
+
+
+def _exact_total_cases():
+    for seg in iter_segments(0, 2 * 10**7, want_lam=True):
+        yield seg.lam_values
+    (top,) = iter_segments(2**40 - 1000, 2**40, want_lam=True)
+    yield top.lam_values
+    rng = np.random.default_rng(25)
+    for seg in iter_segments(0, 3 * 10**6, want_lam=True):
+        values = seg.lam_values
+        for _ in range(30):
+            a, b = np.sort(rng.integers(0, values.size + 1, 2))
+            yield values[a:b]
+        yield values[rng.random(values.size) < 0.01]
+
+
+def test_lam_total_is_the_fsum_of_the_values():
+    for values in _exact_total_cases():
+        # the exact integer sum rests on every value lying in [log 2, 32)
+        assert values.size == 0 or (values.min() >= math.log(2) and values.max() < 32)
+        assert _lam_total(values) == math.fsum(values.tolist())
+    # exact halfway sums, rounded to the even neighbour (down, then up), and the empty sum
+    ties = {(16.0, 0.5 + 2**-49): 16.5, (16.0 + 2**-48, 0.5 + 2**-49): 16.5 + 2**-47, (): 0.0}
+    for values, want in ties.items():
+        got = _lam_total(np.array(values, dtype=np.float64))
+        assert got == math.fsum(values) == want and math.copysign(1, got) == 1
+
+
+def _psi_by_dense_fsum(xs):
+    """psi as it was formed from dense Lambda: an fsum of each segment and Kahan
+    across segments (the total to max(xs)), and at each x the carry plus the
+    dense cumsum at its offset."""
+    carry, at = KahanSum(), {}
+    for seg in iter_segments(0, max(xs), want_lam=True):
+        lam = seg.lam
+        for x in xs:
+            if seg.lo <= x <= seg.hi:
+                at[x] = np.cumsum(lam)[x - seg.lo] + carry.value
+        carry.add(math.fsum(lam[np.flatnonzero(lam)].tolist()))
+    return carry.value, at
+
+
+def test_psi_has_the_bits_of_the_dense_fsum_composition():
+    xs = [2, 10**6, 2**20, 2**20 + 1, 3 * 10**7]
+    _, at = _psi_by_dense_fsum(xs)
+    assert step_at("psi", xs).tolist() == [at[x] for x in xs]
+    for x in xs:
+        assert psi_value(x) == _psi_by_dense_fsum([x])[0], x
 
 
 def test_psi_monotone_with_log_p_jumps():

@@ -86,7 +86,7 @@ def test_odd_mask_and_its_readers_match_trial_division(lo):
     # every lo from 0 to 40 puts the wheel primes 3..13, the prime 2 and 1 at
     # the ends of the range or inside it
     for hi in range(lo, lo + 71):
-        (seg,) = iter_segments(lo, hi)
+        (seg,) = iter_segments(lo, hi, want_lam=True)
         want = np.array([trial_is_prime(n) for n in range(lo, hi + 1)])
         first = lo | 1
         assert seg.odd.tolist() == [trial_is_prime(n) for n in range(first, hi + 1, 2)], (lo, hi)
@@ -96,6 +96,10 @@ def test_odd_mask_and_its_readers_match_trial_division(lo):
         assert seg.count_primes(offs).tolist() == [0] + np.cumsum(want).tolist(), (lo, hi)
         assert seg.prime_offsets().tolist() == np.flatnonzero(want).tolist(), (lo, hi)
         assert seg.prime_at(np.arange(hi - lo + 1)).tolist() == want.tolist(), (lo, hi)
+        # Lambda's jumps, read at every offset, empty ranges included
+        lam = [trial_lambda(n) for n in range(lo, hi + 1)]
+        assert seg.lam_at(offs[1:]).tolist() == pytest.approx(lam, abs=1e-12), (lo, hi)
+        assert seg.lam_rank(offs).tolist() == [0] + np.cumsum(np.array(lam) > 0).tolist()
 
 
 @pytest.mark.parametrize(
@@ -150,6 +154,37 @@ def test_segmentation_is_invisible(monkeypatch):
     assert np.array_equal(big.prime_offsets() + lo, primes[primes >= lo])
 
 
+def zero_fill_lam(seg) -> np.ndarray:
+    """Dense Lambda as the sieve formed it before it kept only the jumps:
+    zeros, np.log at the primes, math.log(p) at the k >= 2 powers."""
+    lam = np.zeros(len(seg), dtype=np.float64)
+    idx = seg.prime_offsets()
+    lam[idx] = np.log(idx + float(seg.lo))
+    values, primes, _k = sieve.higher_prime_powers(seg.hi)
+    i0, i1 = np.searchsorted(values, [seg.lo, seg.hi + 1])
+    lam[values[i0:i1] - seg.lo] = [math.log(p) for p in primes[i0:i1].tolist()]
+    return lam
+
+
+@pytest.mark.parametrize("lo", [0, 10**6, 2**40 - (1 << 20) + 1])
+def test_lambda_by_its_jumps_matches_the_zero_filled_array(lo):
+    (seg,) = iter_segments(lo, lo + (1 << 20) - 1, want_lam=True)
+    want = zero_fill_lam(seg)
+    assert seg.lam.tobytes() == want.tobytes()
+    assert seg.lam_nonzero.tolist() == np.flatnonzero(want).tolist()
+    assert seg.lam[seg.lam_nonzero].tobytes() == seg.lam_values.tobytes()
+    rng = np.random.default_rng(lo % 1000 + 7)
+    picks = ([0, len(seg) - 1], rng.integers(0, len(seg), 5000), seg.lam_nonzero[::97])
+    offs = np.sort(np.concatenate(picks))
+    assert seg.lam_at(offs).tobytes() == seg.lam[offs].tobytes()
+    assert np.array_equal(seg.lam_rank(offs), np.searchsorted(seg.lam_nonzero, offs, "right"))
+    for arr in (seg.lam, seg.lam_nonzero, seg.lam_values):
+        assert not arr.flags.writeable
+    # a pi-only segment has no Lambda, stored or dense
+    (bare,) = iter_segments(lo, lo + 100)
+    assert bare.lam_values is None and bare.lam_nonzero is None and bare.lam is None
+
+
 def test_range_validation():
     with pytest.raises(ValueError):
         next(iter_segments(10, 5))
@@ -171,6 +206,9 @@ def test_segments_are_immutable():
         seg.lam[0] = 1.0
     with pytest.raises(ValueError):
         seg.lam_nonzero[0] = 1
+    with pytest.raises(ValueError):
+        seg.lam_values[0] = 1.0
+    assert seg.lam is seg.lam
 
 
 def test_mobius_values():

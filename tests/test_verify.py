@@ -367,6 +367,27 @@ def test_summary_scans_form_no_rows(monkeypatch, mode):
         assert math.isfinite(rep.min_margin) and math.isfinite(rep.argmin_x), bound_id
 
 
+def test_summary_psi_scans_form_no_dense_lambda(monkeypatch):
+    # B3 reads psi at block ends and at jumps from Lambda's stored jumps only;
+    # a scan that keeps its rows reads the dense array
+    from zetalab import arith
+
+    step_segments, seen = arith.step_segments, []
+
+    def recording(*args, **kwargs):
+        for seg, before in step_segments(*args, **kwargs):
+            seen.append(seg)
+            yield seg, before
+
+    monkeypatch.setattr(arith, "step_segments", recording)
+    for mode in ("every_integer", "every_jump"):
+        scan_bound("B3", 1, 2.2e6, mode, keep_rows=False)
+    assert len(seen) == 6 and all("lam" not in seg.__dict__ for seg in seen)
+    seen.clear()
+    scan_bound("B3", 1, 3e5, keep_rows=True)
+    assert len(seen) == 1 and "lam" in seen[0].__dict__
+
+
 def _interleaved(families):
     """The rows (x, family, margin) of margin families in row order: ascending x, then family."""
     return sorted((x, k, m) for k, (xs, ms) in enumerate(families) for x, m in zip(xs.tolist(), ms.tolist()))
