@@ -3,10 +3,11 @@
 zeta and its derivative are evaluated from the original Dirichlet series,
 accelerated by Euler-Maclaurin (direct sum to a cutoff, then integral plus
 half-term plus Bernoulli corrections).  The logarithmic integral li and its
-log-contracted companion lie come from their classical power series: the
-scalar ``li_pv`` and ``lie`` run it in the ``compensated`` double-double
-arithmetic (3e-16), the vectorised ``li_vec`` in float64 (1e-14 relative),
-for the scans and the claims whose margins leave that room.
+log-contracted companion lie come from their classical power series: ``li_pv``
+and ``lie`` run it in the ``compensated`` double-double arithmetic (3e-16),
+``lie`` also on an array with the scalar bits, and the vectorised ``li_vec``
+in float64 (1e-14 relative), for the scans and the claims whose margins leave
+that room.
 
 The Stirling and harmonic comparisons pit a directly computed sum against a
 closed asymptotic model.  Both endpoints of the Stirling pair, and the
@@ -122,7 +123,18 @@ def zeta_prime_real(s: float) -> float:
     return -(direct + tail)
 
 
-def li_series_terms(log_x: float) -> float:
+def _series_term(term, acc, log_x, k: float):
+    """One step of the li series in double-double: term times log x / k, and term / k added to acc.
+
+    Plain IEEE arithmetic (the ``compensated`` helpers), so the scalar and the
+    array driver of ``li_series_terms`` share it with the same bits.
+    """
+    term = dd_mul(term, dd_div((log_x, 0.0), (k, 0.0)))
+    contrib = dd_div(term, (k, 0.0))
+    return term, contrib, dd_add(acc, contrib)
+
+
+def li_series_terms(log_x):
     """sum_{k>=1} (log x)**k / (k * k!), the shared tail of li and lie.
 
     Domain: |log x| <= LI_SERIES_LOG_MAX, which the callers check.  Past it a
@@ -134,17 +146,44 @@ def li_series_terms(log_x: float) -> float:
     that separates lie from the growth integral.  Truncation waits for a term
     below 1e-17 of the sum, under the 64-bit representability floor, so the
     geometric tail left behind is ulp-sized.
+
+    A float gives a float.  An array gives an array of its shape, each
+    element with the bits of its scalar call: the terms run elementwise over
+    an active set, the points whose own stopping test has not yet held, and a
+    point leaves it with its sum written out at the term where its scalar
+    loop returns.  A one-point array costs about 20 scalar calls, so scalar
+    callers stay on the scalar loop.
     """
+    if isinstance(log_x, np.ndarray):
+        return _series_terms_array(log_x)
     term = (1.0, 0.0)
     acc = (0.0, 0.0)
     k = 0
     while True:
         k += 1
-        term = dd_mul(term, dd_div((log_x, 0.0), (float(k), 0.0)))
-        contrib = dd_div(term, (float(k), 0.0))
-        acc = dd_add(acc, contrib)
+        term, contrib, acc = _series_term(term, acc, log_x, float(k))
         if k > abs(log_x) and abs(contrib[0]) < 1e-17 * max(1.0, abs(acc[0])):
             return acc[0]
+
+
+def _series_terms_array(log_x: np.ndarray) -> np.ndarray:
+    """``li_series_terms`` at every point of an array, over the active set."""
+    lx = np.asarray(log_x, dtype=np.float64).ravel()
+    out = np.empty(lx.size)
+    size = np.abs(lx)
+    at = np.arange(lx.size)
+    term, acc = (1.0, 0.0), (0.0, 0.0)
+    k = 0
+    while at.size:
+        k += 1
+        term, contrib, acc = _series_term(term, acc, lx, float(k))
+        done = (k > size) & (np.abs(contrib[0]) < 1e-17 * np.maximum(1.0, np.abs(acc[0])))
+        if done.any():
+            out[at[done]] = acc[0][done]
+            going = ~done
+            at, lx, size = at[going], lx[going], size[going]
+            term, acc = (term[0][going], term[1][going]), (acc[0][going], acc[1][going])
+    return out.reshape(log_x.shape)
 
 
 def li_pv(x: float) -> float:
@@ -164,13 +203,23 @@ def li_pv(x: float) -> float:
     return lie(lx)
 
 
-def lie(x: float) -> float:
+def lie(x):
     """li evaluated at e**x: gamma + log x + sum_k x**k / (k * k!).
 
-    Domain: 0 < x <= LI_SERIES_LOG_MAX; any other x raises ValueError.
+    Domain: 0 < x <= LI_SERIES_LOG_MAX; any other x raises ValueError.  An
+    array x gives an array, each element with the bits of ``lie`` at it; one
+    value outside the domain raises before any series runs.  log x is
+    ``math.log`` per element, as numpy's log may round differently by host.
     Nothing is memoised here: the lie transform caches its node values per
     interval (``laplace._lie_panels``).
     """
+    if isinstance(x, np.ndarray):
+        xs = np.asarray(x, dtype=np.float64)
+        inside = (0.0 < xs) & (xs <= LI_SERIES_LOG_MAX)
+        if inside.all():
+            log_x = np.array([math.log(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
+            return (EULER_GAMMA + log_x) + li_series_terms(xs)
+        x = float(xs[~inside][0])  # the first value outside the domain raises below
     if not 0.0 < x <= LI_SERIES_LOG_MAX:
         raise ValueError(f"lie requires 0 < x <= {LI_SERIES_LOG_MAX!r}, got x={x!r}")
     return EULER_GAMMA + math.log(x) + li_series_terms(x)
@@ -318,14 +367,21 @@ def log_factorial(n):
     return float(out) if out.ndim == 0 else out
 
 
-def stirling_model(N: int) -> ModelPair:
+def stirling_model(N) -> ModelPair:
     """log N! against N log N - N + (log N)/2 + log(2 pi)/2 + 1/(12 N).
 
     tolerance is 1/(100 N**3); the true gap is -1/(360 N**3) + O(N**-5).
+    An integer N gives floats; an integer array (C1's N grid) gives arrays,
+    from one ``_stirling_head`` call, each element with the bits of the call at
+    its N while N**3 is exact in float64 (N below about 2e5).
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return ModelPair.of(log_factorial(N), _stirling_head(float(N))[0], 1.0 / (100.0 * N ** 3))
+    ns = np.asarray(N)
+    if not (ns.dtype.kind in "iu" and np.all(ns >= 2)):
+        raise ValueError("N must be an integer >= 2")
+    model = _stirling_head(ns.astype(np.float64))[0]
+    if ns.ndim == 0:
+        return ModelPair.of(log_factorial(N), float(model), 1.0 / (100.0 * int(N) ** 3))
+    return ModelPair.of(log_factorial(ns), model, 1.0 / (100.0 * ns.astype(np.float64) ** 3))
 
 
 def _harmonic_number(n: int) -> float:

@@ -74,6 +74,7 @@ def segment_values(
     seg: SieveSegment,
     before: Union[int, float],
     offs: Optional[np.ndarray] = None,
+    rank: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Right-limit values of pi (int64) or psi (float64) at seg.lo + offs, from ``before``.
 
@@ -83,8 +84,9 @@ def segment_values(
     segment's jumps or the offsets, not a running sum over its integers: pi
     reads the segment's packed-bit prime counter (``seg.count_primes``);
     psi runs the same sequential sum over the stored jumps only, read at each
-    offset's ``seg.lam_rank``.  Adding 0.0 leaves a running float sum
-    unchanged, so each value has the bits of the dense sum at that offset.
+    offset's ``seg.lam_rank`` (``rank``, if the reader has formed it
+    already).  Adding 0.0 leaves a running float sum unchanged, so each
+    value has the bits of the dense sum at that offset.
     """
     if offs is None:
         if step == "pi":
@@ -98,7 +100,7 @@ def segment_values(
         return seg.count_primes(offs) + before
     run = np.zeros(seg.lam_values.size + 1)
     np.cumsum(seg.lam_values, out=run[1:])
-    vals = run[seg.lam_rank(offs)]
+    vals = run[seg.lam_rank(offs) if rank is None else rank]
     vals += before
     return vals
 

@@ -6,6 +6,13 @@ where two nearly equal quantities of magnitude ~1e5 must be compared to far
 below one ulp of that magnitude; everything else in the package runs on plain
 64-bit floats.  The helpers are plain IEEE + - * /, so they apply elementwise
 to numpy arrays with the bits of a scalar call.
+
+A series summed this way on an array (``dd_log`` here, ``li_series_terms``
+in ``analytic``) runs over an active set: the elements whose own stopping
+test has not yet held.  Each term is formed for those elements only; an
+element whose test holds has its sum written out and leaves the set.  So
+every element gets exactly the operations of its scalar loop, in the same
+order, and no element pays for the terms of a slower neighbour.
 """
 
 from __future__ import annotations
@@ -112,37 +119,43 @@ def dd_log(m):
     2*atanh((f-1)/(f+1)) by series.  Worst-case series argument is ~0.1716,
     so 22 odd terms reach ~1e-33.
 
-    The helpers above are plain IEEE arithmetic, so this one body runs
-    elementwise on arrays with the bits of a scalar call: each element stops
-    adding terms at the term where its own scalar loop would stop.  A scalar
-    m gives a pair of Python floats, an array m a pair of arrays.
+    The helpers above are plain IEEE arithmetic, so the series runs
+    elementwise on arrays with the bits of a scalar call.  It runs over an
+    active set: the elements whose own stopping test has not yet held.  An
+    element leaves the set at the term where its scalar loop would stop, with
+    its sum written out, so the later terms run on the elements still going
+    only.  A scalar m gives a pair of Python floats, an array m a pair of
+    arrays of its shape.
     """
-    ok = np.asarray(m, dtype=np.float64) > 0.0
-    ok &= np.isfinite(m)
-    if not ok.all():
+    x = np.asarray(m, dtype=np.float64)
+    if not (np.all(x > 0.0) and np.all(np.isfinite(x))):
         raise ValueError("dd_log requires a positive finite argument")
-    f, e = np.frexp(m)  # f in [0.5, 1)
+    f, e = np.frexp(x.ravel())  # f in [0.5, 1)
     small = f < 0.7071067811865476
-    f = np.where(small, 2.0 * f, f)
-    e = np.where(small, e - 1, e)
+    f[small] *= 2.0
+    e[small] -= 1
     num = (f - 1.0, 0.0)  # exact: f in [0.5, 2), Sterbenz
-    den = two_sum(f, 1.0)
-    w = dd_div(num, den)
+    w = dd_div(num, two_sum(f, 1.0))
+    out = (np.empty(f.size), np.empty(f.size))
     z = dd_mul(w, w)
-    term = w
-    acc = w
-    going = np.ones_like(ok)
+    term = acc = w
+    at = np.arange(f.size)
     for recip in _ODD_RECIP:
+        if not at.size:
+            break
         term = dd_mul(term, z)
         contrib = dd_mul(term, recip)
-        acc = tuple(np.where(going, v, a) for v, a in zip(dd_add(acc, contrib), acc))
-        going &= ~(abs(contrib[0]) < 1e-35 * abs(acc[0]))
-        if not going.any():
-            break
-    acc = dd_mul_d(acc, 2.0)
-    acc = tuple(
-        np.where(e != 0, v, a) for v, a in zip(dd_add(acc, dd_mul_d(LN2_DD, e.astype(np.float64))), acc)
-    )
-    if ok.ndim == 0:
-        return float(acc[0]), float(acc[1])
-    return acc
+        acc = dd_add(acc, contrib)
+        done = abs(contrib[0]) < 1e-35 * abs(acc[0])
+        if done.any():
+            out[0][at[done]], out[1][at[done]] = acc[0][done], acc[1][done]
+            going = ~done
+            at, z = at[going], (z[0][going], z[1][going])
+            term, acc = (term[0][going], term[1][going]), (acc[0][going], acc[1][going])
+    out[0][at], out[1][at] = acc  # the elements that took every term
+    out = dd_mul_d(out, 2.0)
+    ln2e = dd_add(out, dd_mul_d(LN2_DD, e.astype(np.float64)))
+    out = tuple(np.where(e != 0, v, a).reshape(x.shape) for v, a in zip(ln2e, out))
+    if x.ndim == 0:
+        return float(out[0]), float(out[1])
+    return out

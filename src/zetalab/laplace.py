@@ -345,14 +345,15 @@ def _lie_panels(edge: float):
 
     The panels are [edge/2**(k+1), edge/2**k] for k = m-1 .. 0, from the
     left, with m the least that puts a0 = edge/2**m at or below 1e-20.  The
-    nodes do not depend on s, so every s reads one cached set of lie values.
+    nodes do not depend on s, so every s reads one cached set of lie values,
+    formed by one array call of ``lie`` over all the nodes.
     """
     m = math.ceil(math.log2(edge / _LIE_FIRST_END))
     ends = np.ldexp(edge, np.arange(-m, 1))  # exact: edge times powers of two
     lo, hi = ends[:-1], ends[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _gauss_rule(_LIE_ORDER)[0]
-    out = (mid, half, x, np.array([lie(v) for v in x.ravel().tolist()]).reshape(x.shape))
+    out = (mid, half, x, lie(x))
     for arr in out:
         arr.setflags(write=False)
     return out

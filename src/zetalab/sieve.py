@@ -134,9 +134,12 @@ class SieveSegment:
         """Count of Lambda's jumps in [lo, lo + off] per offset: 3x faster than a searchsorted."""
         return self.count_primes(offs) + np.searchsorted(self._lam_powers, offs, "right")
 
-    def lam_at(self, offs: np.ndarray) -> np.ndarray:
-        """Lambda(lo + off) for each offset (float64): the stored value, or 0.0 off the jumps."""
-        at = self.lam_rank(offs) - 1
+    def lam_at(self, offs: np.ndarray, rank: Optional[np.ndarray] = None) -> np.ndarray:
+        """Lambda(lo + off) for each offset (float64): the stored value, or 0.0 off the jumps.
+
+        ``rank`` is ``lam_rank(offs)``, for a reader that has formed it already.
+        """
+        at = (self.lam_rank(offs) if rank is None else rank) - 1
         hit = at >= 0
         hit[hit] = self.lam_nonzero[at[hit]] == offs[hit]
         out = np.zeros(offs.shape)

@@ -572,7 +572,8 @@ def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[n
     every integer is read, and the base step by its running sum over the
     whole segment.  With ascending offsets idx the arrays are formed there
     only: the base step by ``arith.segment_values`` at those offsets, the
-    weight from ``seg.prime_at`` or ``seg.lam_at``, and every other entry
+    weight from ``seg.prime_at`` or ``seg.lam_at`` (psi's two reads share
+    one ``seg.lam_rank`` of the offsets), and every other entry
     by the same elementwise operations.  So each entry has the bits of the
     dense one; J's k >= 2 terms are copies of the same table entries.
     """
@@ -585,9 +586,14 @@ def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[n
         w = seg.lam[at] if base == "psi" else seg.is_prime[at].astype(np.float64)
     else:
         at = idx + off
-        right = arith.segment_values(base, seg, before, at)
+        if base == "psi":  # one rank of the offsets serves both reads
+            rank = seg.lam_rank(at)
+            right = arith.segment_values(base, seg, before, at, rank)
+            w = seg.lam_at(at, rank)
+        else:
+            right = arith.segment_values(base, seg, before, at)
+            w = seg.prime_at(at).astype(np.float64)
         xs = idx + float(a)
-        w = seg.lam_at(at) if base == "psi" else seg.prime_at(at).astype(np.float64)
     right = right.astype(np.float64, copy=False)
     if step == "j":
         # k >= 2 powers are never prime, so each lands on a zero weight
@@ -792,7 +798,10 @@ def _model_claim(model_fn, params: dict) -> Summary:
 
 
 def _run_c1(params: dict) -> Summary:
-    return _model_claim(analytic.stirling_model, params)
+    n = np.asarray(params["n_grid"], dtype=np.int64)
+    pair = analytic.stirling_model(n)
+    passed = np.abs(pair.residual) <= pair.tolerance
+    return _identity_rule(np.column_stack((n, pair.exact, pair.model, pair.residual, passed)), pair.tolerance)
 
 
 def _run_c2(params: dict) -> Summary:
@@ -988,7 +997,9 @@ def _run_c15(params: dict) -> Summary:
 
 def _run_m1(params: dict) -> Summary:
     x_max = int(params["x_max"])
-    samples = np.unique(np.geomspace(M1_X_MIN, x_max, int(params["points"])).astype(np.int64))
+    samples = np.sort(np.geomspace(M1_X_MIN, x_max, int(params["points"])).astype(np.int64))
+    # np.unique's first call imports numpy.ma, about 10 ms of a cold check --all
+    samples = samples[np.diff(samples, prepend=-1) != 0]
     psi_at = np.zeros(samples.size)
     nlam_at = np.zeros(samples.size)
     nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments

@@ -97,7 +97,20 @@ def test_li_series_keeps_its_pinned_bits():
     assert len(points) == 20000 + 2 * 864 + 5
     packed = b"".join(struct.pack("d", analytic.li_series_terms(v)) for v in points)
     assert hashlib.sha256(packed).hexdigest() == SERIES_PIN
+    # the array driver, over the active set, gives the same bytes
+    array = analytic.li_series_terms(np.array(points))
+    assert hashlib.sha256(array.tobytes()).hexdigest() == SERIES_PIN
     assert li_pv(2.0).hex() == "0x1.0b8fda7e91807p+0"
+
+
+def test_array_lie_has_the_scalar_bits():
+    edge = analytic.LI_SERIES_LOG_MAX
+    nodes = [laplace._lie_panels(x_max)[2] for x_max in (40.0, 44.0)]
+    for x in nodes + [np.array([edge, 1.0, edge]), np.array([]), np.array(2.0)]:
+        got = lie(x)
+        want = np.array([lie(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+    assert np.array_equal(laplace._lie_panels(40.0)[3], lie(nodes[0]))
 
 
 def test_c14_reads_li_vec_not_the_series(monkeypatch):
@@ -134,21 +147,22 @@ def test_lie_and_li_against_30_digit_mpmath():
 
 
 def test_c6_runs_the_series_once_per_distinct_node(monkeypatch):
-    evaluations = [0]
+    # C6 runs the series in one array call per edge: record the nodes of each call
+    batches = []
     series = analytic.li_series_terms
 
     def count_series(log_x):
-        evaluations[0] += 1
+        batches.append(np.size(log_x))
         return series(log_x)
 
     monkeypatch.setattr(analytic, "li_series_terms", count_series)
     laplace._lie_panels.cache_clear()
     assert verify.run_claim("C6").passed
     nodes = laplace._lie_panels(40.0)[2]
-    assert evaluations[0] == np.unique(nodes).size == nodes.size == 864
+    assert batches == [np.unique(nodes).size] == [nodes.size] == [864]
     # the nodes do not depend on s, so a second C6 reads the cached values
     assert verify.run_claim("C6").passed
-    assert evaluations[0] == 864
+    assert batches == [864]
 
     def fail(log_x):
         raise ValueError("no series today")
@@ -159,7 +173,7 @@ def test_c6_runs_the_series_once_per_distinct_node(monkeypatch):
             laplace.laplace_quadrature("lie", 3.0, 44.0)
     monkeypatch.setattr(analytic, "li_series_terms", count_series)
     assert laplace.laplace_quadrature("lie", 3.0, 44.0).contains()
-    assert evaluations[0] == 2 * 864
+    assert batches == [864, 864]
 
 
 def test_series_outside_its_domain_raises(monkeypatch):
@@ -175,6 +189,10 @@ def test_series_outside_its_domain_raises(monkeypatch):
         for _ in range(2):
             with pytest.raises(ValueError, match="lie requires"):
                 lie(x)
+        # one bad value in an array raises before the series runs on any point
+        for xs in (np.array([x]), np.array([1.0, 2.0, x, edge]), np.full((3, 4), x)):
+            with pytest.raises(ValueError, match="lie requires"):
+                lie(xs)
     for x in (8.9e301, math.inf, math.nan, 1.0):
         with pytest.raises(ValueError, match="li_pv requires"):
             li_pv(x)
@@ -350,16 +368,24 @@ def test_stirling_residual_within_tolerance_everywhere():
     # each 64-bit endpoint is the correctly rounded 40-digit value, and the
     # 40-digit gap meets the tolerance; the float64 difference itself cannot
     # resolve the ~1e-15 gap once one ulp of log N! is ~1e-11 (N ~ 1e4)
+    ns = np.arange(2, 10_001)
+    pairs = stirling_model(ns)  # one array call, as C1 makes
     with mpmath.workdps(40):
         half_log_2pi = mpmath.log(2 * mpmath.pi) / 2
         log_fact = mpmath.mpf(0)
-        for n in range(2, 10_001):
+        for n, exact, model_64 in zip(ns.tolist(), pairs.exact.tolist(), pairs.model.tolist()):
             log_n = mpmath.log(n)
             log_fact += log_n
             model = n * log_n - n + log_n / 2 + half_log_2pi + mpmath.mpf(1) / (12 * n)
-            pair = stirling_model(n)
-            assert (pair.exact, pair.model) == (float(log_fact), float(model)), n
+            assert (exact, model_64) == (float(log_fact), float(model)), n
             assert abs(log_fact - model) < mpmath.mpf(1) / (100 * n**3), n
+    assert np.array_equal(pairs.residual, pairs.exact - pairs.model)
+    # the scalar call at an N is that element of the array call
+    for i in (0, 1, 98, 997, 9998):
+        one = stirling_model(int(ns[i]))
+        assert type(one.model) is float and type(one.tolerance) is float
+        fields = (one.exact, one.model, one.residual, one.tolerance)
+        assert fields == (pairs.exact[i], pairs.model[i], pairs.residual[i], pairs.tolerance[i])
 
 
 def test_stirling_float64_pair_on_decade_grid():
@@ -453,6 +479,13 @@ def test_array_dd_log_gives_the_scalar_bits():
         pair = compensated.dd_log(v)
         assert pair == _scalar_dd_log(v)
         assert type(pair[0]) is float and type(pair[1]) is float
+    # the active set keeps the bits of 0-d calls, one element at a time
+    for m in (np.arange(2.0, 10_001.0), rng.choice(np.exp2(rng.uniform(-60.0, 60.0, 10_000)), 1000)):
+        hi, lo = compensated.dd_log(m)
+        ref = np.array([compensated.dd_log(np.array(v)) for v in m.tolist()])
+        assert hi.tobytes() == ref[:, 0].tobytes() and lo.tobytes() == ref[:, 1].tobytes()
+    assert [a.shape for a in compensated.dd_log(np.full((2, 3), 5.0))] == [(2, 3), (2, 3)]
+    assert [a.size for a in compensated.dd_log(np.array([]))] == [0, 0]
     for bad in (0.0, -1.0, math.inf, math.nan, np.array([2.0, 0.0])):
         with pytest.raises(ValueError):
             compensated.dd_log(bad)

@@ -388,6 +388,27 @@ def test_summary_psi_scans_form_no_dense_lambda(monkeypatch):
     assert len(seen) == 1 and "lam" in seen[0].__dict__
 
 
+def test_a_sparse_psi_read_ranks_its_offsets_once(monkeypatch):
+    # the step values and the Lambda weights of one read share one rank
+    from zetalab import arith
+    from zetalab.sieve import SieveSegment
+
+    ((seg, before),) = arith.step_segments("psi", 300_000)
+    idx = np.sort(np.random.default_rng(7).choice(299_999, 5000, replace=False))
+    count_primes, calls = SieveSegment.count_primes, []
+
+    def counting(self, offs):
+        calls.append(offs.size)
+        return count_primes(self, offs)
+
+    dense = verify._segment_rows("psi", seg, before, 1, None, 300_000)
+    monkeypatch.setattr(SieveSegment, "count_primes", counting)
+    sparse = verify._segment_rows("psi", seg, before, 1, None, 300_000, idx)
+    assert calls == [idx.size]
+    for got, want in zip(sparse, dense):
+        assert got.tobytes() == want[idx].tobytes()
+
+
 def _interleaved(families):
     """The rows (x, family, margin) of margin families in row order: ascending x, then family."""
     return sorted((x, k, m) for k, (xs, ms) in enumerate(families) for x, m in zip(xs.tolist(), ms.tolist()))
