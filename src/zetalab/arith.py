@@ -3,11 +3,11 @@
 pi and psi are step functions summed segment by segment over one sieve
 sweep (``step_segments``), so memory stays bounded.  The sweep hands each
 segment over with the step's value just left of it; ``segment_values`` then
-forms right-limit values either at every offset (dense readers: every-integer
-scans that keep their rows, ``pi_table``) or at sorted offsets only (sparse
-readers: ``step_at`` for log grids, every-jump and summary-only scans),
-where the cost follows the segment's jumps and the requested points, not its
-length, and the bits are the dense ones.
+forms right-limit values from the segment's jumps either at every offset
+(dense readers: every-integer scans that keep their rows, ``pi_table``) or at
+sorted offsets only (sparse readers: ``step_at`` for log grids, every-jump and
+summary-only scans), where the cost follows the segment's jumps and the
+requested points, not its length, and the bits are the dense ones.
 The weighted prime-power count J is pi plus the k >= 2 jumps at exact integer
 k-th roots, added at the requested points only; float powers are never used
 to decide whether a lattice point is a perfect power.
@@ -69,6 +69,14 @@ def _lam_total(values: np.ndarray) -> float:
     return ((high << 29) + low) / (1 << 53)
 
 
+def _jumps(step: str, seg: SieveSegment) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets and sizes of a segment's jumps: pi's primes (int64 1 each) or psi's stored Lambda."""
+    if step == "pi":
+        at = seg.prime_offsets()
+        return at, np.ones(at.size, dtype=np.int64)
+    return seg.lam_nonzero, seg.lam_values
+
+
 def segment_values(
     step: str,
     seg: SieveSegment,
@@ -78,31 +86,45 @@ def segment_values(
 ) -> np.ndarray:
     """Right-limit values of pi (int64) or psi (float64) at seg.lo + offs, from ``before``.
 
-    Dense readers pass no offs and get every offset: ``before`` plus the
-    running sum of the whole segment (pi over the full ``seg.is_prime``).
-    Sparse readers pass ascending offsets (repeats allowed) and pay for the
-    segment's jumps or the offsets, not a running sum over its integers: pi
-    reads the segment's packed-bit prime counter (``seg.count_primes``);
-    psi runs the same sequential sum over the stored jumps only, read at each
-    offset's ``seg.lam_rank`` (``rank``, if the reader has formed it
-    already).  Adding 0.0 leaves a running float sum unchanged, so each
-    value has the bits of the dense sum at that offset.
+    The step's levels are the running sum of its jump sizes, from 0 before
+    the first jump.  Dense readers pass no offs and get every offset: the
+    levels spread over the gaps between jumps by ``np.repeat``, plus
+    ``before``.  Sparse readers pass ascending offsets (repeats allowed) and
+    pay for the segment's jumps or the offsets, not its length: pi reads the
+    segment's packed-bit prime counter (``seg.count_primes``); psi reads the
+    levels at each offset's ``seg.lam_rank`` (``rank``, if the reader has
+    formed it already).  Adding 0.0 leaves a running float sum unchanged, so
+    each value has the bits of a running sum over every integer.
     """
-    if offs is None:
-        if step == "pi":
-            vals = np.cumsum(seg.is_prime, dtype=np.int64)
-        else:
-            vals = np.cumsum(seg.lam)
-        vals += before
-        return vals
-    offs = np.asarray(offs, dtype=np.int64)
-    if step == "pi":
+    offs = None if offs is None else np.asarray(offs, dtype=np.int64)
+    if step == "pi" and offs is not None:
         return seg.count_primes(offs) + before
-    run = np.zeros(seg.lam_values.size + 1)
-    np.cumsum(seg.lam_values, out=run[1:])
-    vals = run[seg.lam_rank(offs) if rank is None else rank]
+    at, sizes = _jumps(step, seg)
+    levels = np.zeros(at.size + 1, dtype=sizes.dtype)
+    np.cumsum(sizes, out=levels[1:])
+    if offs is None:
+        vals = np.repeat(levels, np.diff(at, prepend=0, append=len(seg)))
+    else:
+        vals = levels[seg.lam_rank(offs) if rank is None else rank]
     vals += before
     return vals
+
+
+def segment_jumps(
+    step: str, seg: SieveSegment, offs: Optional[np.ndarray] = None, rank: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Jump sizes (float64) of pi or psi at seg.lo + offs, 0.0 off the jumps.
+
+    No offs reads every offset: zeros, filled in at the jumps.  Ascending offs
+    read ``seg.prime_at`` or ``seg.lam_at`` there (psi's at ``rank``, as in
+    ``segment_values``).  Both give the same bits.
+    """
+    if offs is not None:
+        return seg.prime_at(offs).astype(np.float64) if step == "pi" else seg.lam_at(offs, rank)
+    at, sizes = _jumps(step, seg)
+    out = np.zeros(len(seg))
+    out[at] = sizes
+    return out
 
 
 def step_at(step: str, xs: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from typing import List, Optional
 
@@ -83,6 +84,8 @@ def _claim_params(args, claim_id: str) -> Optional[dict]:
     params = {}
     defaults = verify.CLAIMS[claim_id].defaults
     if args.max is not None:
+        if not math.isfinite(args.max):
+            raise ValueError(f"--max must be finite, got {args.max:g}")
         # the claim's smallest abscissa: the first prime for a limit, the grid's start otherwise
         if "limit" in defaults:
             if args.max > verify.LIMIT_CEILING:

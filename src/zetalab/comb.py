@@ -146,8 +146,9 @@ def r_integral(x):
     log_factorial call for all of them.
     """
     xs = np.asarray(x, dtype=np.float64)
-    if not np.all((xs >= 0.0) & (xs < math.inf)):
-        raise ValueError(f"r_integral needs finite x >= 0, got {x!r}")
+    bad = ~((xs >= 0.0) & (xs < math.inf))
+    if bad.any():
+        raise ValueError(f"r_integral needs finite x >= 0, got x={float(xs[bad].flat[0])!r}")
     flat = xs.ravel().tolist()
     ns = [zeta1_count(t) for t in flat]
     for t, n in zip(flat, ns):

@@ -6,7 +6,7 @@ not to the upper endpoint.  Segments are immutable once built.
 
 Conventions:
     mobius(n) = 0 if a squared prime divides n, else (-1)**(number of prime factors)
-    lam[n]    = log p if n = p**k for a prime p and k >= 1, else 0.0 (kept by its jumps)
+    Lambda(n) = log p if n = p**k for a prime p and k >= 1, else 0 (kept by its jumps)
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ class SieveSegment:
     ``odd`` is the odd-only primality mask: entry i is whether the odd
     integer ``first + 2i`` is prime, with ``first = lo | 1``.  The only even
     prime, 2, is added by the readers below.  Counts, prime lists and
-    lookups at offsets all read ``odd``; the full bool array ``is_prime``
-    is formed only when a dense reader asks for it.  Lambda is kept likewise,
-    if ``iter_segments`` was asked for it (else None): the prime powers'
+    lookups at offsets all read ``odd``.  Lambda is kept by its jumps, if
+    ``iter_segments`` was asked for it (else None): the prime powers'
     offsets ``lam_nonzero``, ascending, and log p at each in ``lam_values``.
     """
 
@@ -53,26 +52,6 @@ class SieveSegment:
     def _two(self) -> int:
         """Offset of the prime 2 from lo, or -1 if 2 is outside [lo, hi]."""
         return 2 - self.lo if self.lo <= 2 <= self.hi else -1
-
-    @cached_property
-    def is_prime(self) -> np.ndarray:
-        """Read-only primality of every integer in [lo, hi], formed on first use."""
-        out = np.zeros(len(self), dtype=bool)
-        out[self.first - self.lo :: 2] = self.odd
-        if self._two >= 0:
-            out[self._two] = True
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def lam(self) -> Optional[np.ndarray]:
-        """Read-only Lambda of every integer in [lo, hi], formed on first use, or None."""
-        if self.lam_values is None:
-            return None
-        out = np.zeros(len(self))
-        out[self.lam_nonzero] = self.lam_values
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def _counter(self) -> Tuple[np.ndarray, np.ndarray]:

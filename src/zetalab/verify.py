@@ -568,31 +568,25 @@ def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[n
 
     The one reader of both sweep modes: every-integer scans pass offsets of
     every integer from a, every-jump scans offsets of the jumps only.  ``hp``
-    holds J's k >= 2 jump offsets from a and their weights.  With no idx
-    every integer is read, and the base step by its running sum over the
-    whole segment.  With ascending offsets idx the arrays are formed there
-    only: the base step by ``arith.segment_values`` at those offsets, the
-    weight from ``seg.prime_at`` or ``seg.lam_at`` (psi's two reads share
-    one ``seg.lam_rank`` of the offsets), and every other entry
-    by the same elementwise operations.  So each entry has the bits of the
-    dense one; J's k >= 2 terms are copies of the same table entries.
+    holds J's k >= 2 jump offsets from a and their weights.  The base step
+    and its jump sizes come from ``arith.segment_values`` and
+    ``arith.segment_jumps``, at every integer with no idx, else at the
+    ascending offsets idx only (psi's two reads share one ``seg.lam_rank``),
+    and every other entry by the same elementwise operations.  So each entry
+    has the bits of the dense one; J's k >= 2 terms are copies of the same
+    table entries.
     """
     base = "psi" if step == "psi" else "pi"
     off = a - seg.lo
     if idx is None:
         right = arith.segment_values(base, seg, before)[off:]
+        w = arith.segment_jumps(base, seg)[off:]
         xs = np.arange(a, seg.hi + 1, dtype=np.float64)
-        at = slice(off, None)
-        w = seg.lam[at] if base == "psi" else seg.is_prime[at].astype(np.float64)
     else:
         at = idx + off
-        if base == "psi":  # one rank of the offsets serves both reads
-            rank = seg.lam_rank(at)
-            right = arith.segment_values(base, seg, before, at, rank)
-            w = seg.lam_at(at, rank)
-        else:
-            right = arith.segment_values(base, seg, before, at)
-            w = seg.prime_at(at).astype(np.float64)
+        rank = seg.lam_rank(at) if base == "psi" else None  # one rank of the offsets serves both reads
+        right = arith.segment_values(base, seg, before, at, rank)
+        w = arith.segment_jumps(base, seg, at, rank)
         xs = idx + float(a)
     right = right.astype(np.float64, copy=False)
     if step == "j":
@@ -1005,8 +999,8 @@ def _run_m1(params: dict) -> Summary:
     nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments
     for seg, psi_before in arith.step_segments("psi", x_max):
         in_seg = (samples >= seg.lo) & (samples <= seg.hi)
-        nlam = np.arange(seg.lo, seg.hi + 1, dtype=np.float64)
-        nlam *= seg.lam  # n Lambda(n), then in place its running sum: one array
+        nlam = np.zeros(len(seg))  # n Lambda(n), then in place its running sum: one array
+        nlam[seg.lam_nonzero] = seg.lam_values * (seg.lam_nonzero + float(seg.lo))
         total = float(np.sum(nlam))
         if in_seg.any():
             idx = samples[in_seg] - seg.lo

@@ -9,7 +9,9 @@ hide behind a shared helper:
   left limit at an integer x is J(x - 1), not J(x) minus a jump weight;
 - Li in float is scipy.special.expi(log x) - mpmath.li(2);
 - `exact_margin` redoes one row at 30 digits with mpmath.li, sympy.primepi
-  and sympy.integer_nthroot, sharing nothing with the float path above.
+  and sympy.integer_nthroot, sharing nothing with the float path above;
+- `dense_arrays` spreads a sieve segment's jump lists over every integer of
+  it, for tests that check them against trial division.
 
 Rows follow the scanner's CSV layout: (x, lhs, rhs, margin, pass) with
 lhs = |J - Li|, rhs = the bound, margin = rhs - lhs, pass = margin > 0.  In
@@ -69,6 +71,19 @@ def prime_segments(hi: int, size: int = SEGMENT) -> Iterator[Tuple[int, np.ndarr
                 start += p
             flags[start - a :: 2 * p] = False  # odd multiples only
         yield a, flags
+
+
+def dense_arrays(seg) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Primality (bool) and Lambda (float64, or None if the segment has none) of
+    every integer in [seg.lo, seg.hi], zeros filled in from the segment's jump
+    lists: ``prime_offsets()``, and ``lam_nonzero`` with ``lam_values``."""
+    is_prime = np.zeros(seg.hi - seg.lo + 1, dtype=bool)
+    is_prime[seg.prime_offsets()] = True
+    if seg.lam_values is None:
+        return is_prime, None
+    lam = np.zeros(is_prime.size)
+    lam[seg.lam_nonzero] = seg.lam_values
+    return is_prime, lam
 
 
 class _HigherTerms:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracle as oracle
 from zetalab import sieve
 from zetalab.arith import (
     _lam_total,
@@ -15,6 +16,7 @@ from zetalab.arith import (
     pi_from_j_residuals,
     pi_table,
     psi_value,
+    segment_jumps,
     segment_values,
     step_at,
     step_segments,
@@ -38,10 +40,10 @@ def test_pi_count_examples():
 
 
 def test_pi_count_matches_trial_division():
-    seg = one_segment(5000)
+    is_prime, _ = oracle.dense_arrays(one_segment(5000))
     running = 0
     for n in range(2, 5001):
-        running += int(seg.is_prime[n])
+        running += int(is_prime[n])
         if n % 137 == 0 or n < 50:
             assert pi_count(n) == running
 
@@ -54,13 +56,13 @@ def test_j_value_examples():
 
 
 def test_j_value_matches_direct_prime_power_sum():
-    seg = one_segment(10_000)
+    _, lam = oracle.dense_arrays(one_segment(10_000))
     direct = 0.0
     values = []
     for n in range(2, 10_001):
-        if seg.lam[n] > 0:
+        if lam[n] > 0:
             # recover the exponent k from the smallest prime factor
-            p = round(math.exp(seg.lam[n]))
+            p = round(math.exp(lam[n]))
             k = round(math.log(n) / math.log(p))
             direct += 1.0 / k
         values.append((n, direct))
@@ -153,8 +155,6 @@ def exact_power_psi(n: int, primes: np.ndarray) -> float:
 
 
 def test_step_at_matches_the_oracle_across_segments_and_powers():
-    import _oracle as oracle
-
     top = int(STEP_XS.max())
     flags = np.concatenate([f for _, f in oracle.prime_segments(top)])
     pi = np.cumsum(flags)[STEP_XS]
@@ -186,7 +186,7 @@ def test_step_segments_carry_and_validation():
     assert seg.lo == B and segment_values("pi", seg, before).tolist() == dense.tolist()
     psi_segs = list(step_segments("psi", B + 5))
     ((seg, before),) = step_segments("psi", B + 5, lo=B + 5)
-    assert seg.lam is not None
+    assert seg.lam_values is not None
     want = segment_values("psi", *psi_segs[1])
     assert segment_values("psi", seg, before).tolist() == want.tolist()
     with pytest.raises(ValueError):
@@ -198,8 +198,17 @@ def test_step_segments_carry_and_validation():
 def test_sparse_segment_values_have_the_dense_bits():
     rng = np.random.default_rng(11)
     for step in ("pi", "psi"):
-        for seg, before in step_segments(step, 2 * B + 777):
+        for seg, before in step_segments(step, 3 * B + 5):
+            # the dense read spreads the jumps' running sum over their gaps: the
+            # bits of a running sum over every integer, carries included
+            is_prime, lam = oracle.dense_arrays(seg)
+            jumps = is_prime.astype(np.float64) if step == "pi" else lam
+            want = np.cumsum(is_prime, dtype=np.int64) if step == "pi" else np.cumsum(lam)
+            want += before
+            assert before or seg.lo == 0
             dense = segment_values(step, seg, before)
+            assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes(), (step, seg.lo)
+            assert segment_jumps(step, seg).tobytes() == jumps.tobytes(), (step, seg.lo)
             n = len(seg)
             picks = [
                 np.arange(n),
@@ -212,7 +221,11 @@ def test_sparse_segment_values_have_the_dense_bits():
             for offs in picks:
                 sparse = segment_values(step, seg, before, offs)
                 assert sparse.dtype == dense.dtype
-                assert np.array_equal(sparse, dense[offs]), (step, seg.lo, offs[:5])
+                assert sparse.tobytes() == dense[offs].tobytes(), (step, seg.lo, offs[:5])
+                rank = seg.lam_rank(offs) if step == "psi" else None
+                assert segment_values(step, seg, before, offs, rank).tobytes() == sparse.tobytes()
+                for r in (None, rank):
+                    assert segment_jumps(step, seg, offs, r).tobytes() == jumps[offs].tobytes()
             assert segment_values(step, seg, before, np.array([], dtype=np.int64)).size == 0
 
 
@@ -231,13 +244,12 @@ def test_prime_counter_is_the_dense_cumsum(monkeypatch, size):
         assert np.array_equal(segment_values("pi", seg, before, offs), dense[offs]), seg.lo
         assert np.array_equal(segment_values("pi", seg, before, np.arange(n)), dense), seg.lo
         assert before + seg.n_primes == dense[-1]
-        # every-jump scans read the primes' offsets from the mask
-        assert np.array_equal(seg.prime_offsets(), np.flatnonzero(seg.is_prime)), seg.lo
+        # every-jump scans read the primes' offsets from the mask: where the counter steps
+        steps = np.diff(seg.count_primes(np.arange(-1, n)))
+        assert np.array_equal(seg.prime_offsets(), np.flatnonzero(steps)), seg.lo
 
 
 def test_step_at_sparse_points_match_the_oracle():
-    import _oracle as oracle
-
     # 10 and 3e6 leave whole segments between them without a point; repeats,
     # a lone point and a segment's last integer (2**20 - 1) read sparsely too
     cases = [
@@ -268,7 +280,6 @@ def test_step_at_sparse_points_match_the_oracle():
 
 
 def test_j_higher_terms_one_pass_is_the_per_point_search():
-    import _oracle as oracle
     from zetalab.arith import j_higher_terms
 
     limit = B + 200_000
@@ -344,7 +355,7 @@ def _psi_by_dense_fsum(xs):
     dense cumsum at its offset."""
     carry, at = KahanSum(), {}
     for seg in iter_segments(0, max(xs), want_lam=True):
-        lam = seg.lam
+        _, lam = oracle.dense_arrays(seg)
         for x in xs:
             if seg.lo <= x <= seg.hi:
                 at[x] = np.cumsum(lam)[x - seg.lo] + carry.value
@@ -361,13 +372,13 @@ def test_psi_has_the_bits_of_the_dense_fsum_composition():
 
 
 def test_psi_monotone_with_log_p_jumps():
-    seg = one_segment(400)
+    _, lam = oracle.dense_arrays(one_segment(400))
     prev = 0.0
     for n in range(2, 401):
         cur = psi_value(n)
         assert cur >= prev
         jump = cur - prev
-        assert jump == pytest.approx(seg.lam[n], abs=1e-10)
+        assert jump == pytest.approx(lam[n], abs=1e-10)
         prev = cur
 
 

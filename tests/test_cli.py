@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ def test_check_overrides_that_leave_nothing_to_check_are_usage_errors(argv, opti
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(option)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # a NaN --max gave C1-C4 a pass with no row checked and C12 a fail on NaN
+    # rows; an infinite one sent C13 an array dump and C14 a numpy warning
+    [["check", c, "--max", v] for c in ("C1", "C2", "C3", "C4", "C12", "C13", "C14") for v in ("nan", "inf")]
+    + [["check", "--all", "--max", "nan"]],
+)
+def test_a_max_that_is_not_finite_is_a_usage_error(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"--max must be finite, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("claim", ["C9", "C5", "C10"])

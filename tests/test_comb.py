@@ -1,6 +1,7 @@
 """Step combs, the staircase remainder, and its integral."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -171,10 +172,14 @@ def test_remainder_integral_of_an_array_is_pointwise():
 @pytest.mark.parametrize("x", [19.3, 40.0, math.inf, math.nan, -1.0])
 def test_remainder_integral_outside_its_domain_raises(x):
     # at x = 40, (e^x - 1) - (N x - log N!) cancels to 1376 in floats; the true value is 19.92
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"x={x!r}")):
         r_integral(x)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"x={x!r}")):
         r_integral(np.array([1.0, x]))
+    # an array names its first bad x, not the whole array
+    with pytest.raises(ValueError) as err:
+        r_integral(np.concatenate(([1.0], np.full(999, x))))
+    assert f"x={x!r}" in str(err.value) and len(str(err.value)) < 120
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracle as oracle
 from zetalab import sieve
 from zetalab.sieve import (
     SIEVE_CEILING,
@@ -67,18 +68,18 @@ def one_segment(lo: int, hi: int):
 
 
 def test_segment_matches_trial_division_up_to_104():
-    seg = one_segment(0, 10_000)
+    is_prime, lam = oracle.dense_arrays(one_segment(0, 10_000))
     for n in range(0, 10_001):
-        assert seg.is_prime[n] == trial_is_prime(n)
-        assert seg.lam[n] == pytest.approx(trial_lambda(n), abs=1e-12)
+        assert is_prime[n] == trial_is_prime(n)
+        assert lam[n] == pytest.approx(trial_lambda(n), abs=1e-12)
 
 
 def test_segment_window_above_million():
-    seg = one_segment(10**6, 10**6 + 100)
-    primes = [int(i) + 10**6 for i in np.flatnonzero(seg.is_prime)]
+    is_prime, lam = oracle.dense_arrays(one_segment(10**6, 10**6 + 100))
+    primes = [int(i) + 10**6 for i in np.flatnonzero(is_prime)]
     assert primes == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
     for n in range(10**6, 10**6 + 101):
-        assert seg.lam[n - 10**6] == pytest.approx(trial_lambda(n), abs=1e-12)
+        assert lam[n - 10**6] == pytest.approx(trial_lambda(n), abs=1e-12)
 
 
 @pytest.mark.parametrize("lo", range(41))
@@ -90,7 +91,7 @@ def test_odd_mask_and_its_readers_match_trial_division(lo):
         want = np.array([trial_is_prime(n) for n in range(lo, hi + 1)])
         first = lo | 1
         assert seg.odd.tolist() == [trial_is_prime(n) for n in range(first, hi + 1, 2)], (lo, hi)
-        assert seg.is_prime.tolist() == want.tolist(), (lo, hi)
+        assert oracle.dense_arrays(seg)[0].tolist() == want.tolist(), (lo, hi)
         assert seg.n_primes == int(want.sum()), (lo, hi)
         offs = np.arange(-1, hi - lo + 1)
         assert seg.count_primes(offs).tolist() == [0] + np.cumsum(want).tolist(), (lo, hi)
@@ -115,41 +116,43 @@ def test_odd_mask_across_wheel_periods(lo, hi):
     primes = base_primes(hi)
     want = primes[primes >= lo] - lo
     assert seg.prime_offsets().tolist() == want.tolist()
-    assert np.flatnonzero(seg.is_prime).tolist() == want.tolist()
+    assert np.flatnonzero(oracle.dense_arrays(seg)[0]).tolist() == want.tolist()
     assert seg.n_primes == want.size
 
 
 def test_trivial_segment():
-    seg = one_segment(0, 1)
-    assert not seg.is_prime.any()
-    assert not seg.lam.any()
+    is_prime, lam = oracle.dense_arrays(one_segment(0, 1))
+    assert not is_prime.any()
+    assert not lam.any()
 
 
 def test_small_segment_primes():
-    seg = one_segment(2, 30)
-    primes = {int(i) + 2 for i in np.flatnonzero(seg.is_prime)}
+    is_prime, _ = oracle.dense_arrays(one_segment(2, 30))
+    primes = {int(i) + 2 for i in np.flatnonzero(is_prime)}
     assert primes == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 
 
 def test_segmentation_is_invisible(monkeypatch):
-    whole = one_segment(0, 65_000)
+    whole_prime, whole_lam = oracle.dense_arrays(one_segment(0, 65_000))
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 7_919)
     parts = list(iter_segments(0, 65_000, want_lam=True))
     assert len(parts) == 9
-    assert np.array_equal(np.concatenate([p.is_prime for p in parts]), whole.is_prime)
-    assert np.allclose(np.concatenate([p.lam for p in parts]), whole.lam)
+    dense = [oracle.dense_arrays(p) for p in parts]
+    assert np.array_equal(np.concatenate([is_prime for is_prime, _ in dense]), whole_prime)
+    assert np.allclose(np.concatenate([lam for _, lam in dense]), whole_lam)
     # each segment lists its nonzero Lambda: primes and k >= 2 powers, merged
-    for p in parts:
-        assert np.array_equal(p.lam_nonzero, np.flatnonzero(p.lam))
+    for p, (_, lam) in zip(parts, dense):
+        assert np.array_equal(p.lam_nonzero, np.flatnonzero(lam))
     (seg,) = iter_segments(2**40 - 1000, 2**40, want_lam=True)
-    assert np.array_equal(seg.lam_nonzero, np.flatnonzero(seg.lam))
+    assert np.array_equal(seg.lam_nonzero, np.flatnonzero(oracle.dense_arrays(seg)[1]))
     assert 2**40 - seg.lo in seg.lam_nonzero.tolist()  # 2**40 itself
     # segments longer than the default build their wheel masks just as well
     lo, hi = 10**6 + 1, 10**6 + (1 << 21) + 1
     default_parts = list(iter_segments(lo, hi))
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", (1 << 21) + 1)
     (big,) = iter_segments(lo, hi)
-    assert np.array_equal(np.concatenate([p.is_prime for p in default_parts]), big.is_prime)
+    dense_parts = [oracle.dense_arrays(p)[0] for p in default_parts]
+    assert np.array_equal(np.concatenate(dense_parts), oracle.dense_arrays(big)[0])
     primes = base_primes(hi)
     assert np.array_equal(big.prime_offsets() + lo, primes[primes >= lo])
 
@@ -170,19 +173,20 @@ def zero_fill_lam(seg) -> np.ndarray:
 def test_lambda_by_its_jumps_matches_the_zero_filled_array(lo):
     (seg,) = iter_segments(lo, lo + (1 << 20) - 1, want_lam=True)
     want = zero_fill_lam(seg)
-    assert seg.lam.tobytes() == want.tobytes()
+    _, lam = oracle.dense_arrays(seg)
+    assert lam.tobytes() == want.tobytes()
     assert seg.lam_nonzero.tolist() == np.flatnonzero(want).tolist()
-    assert seg.lam[seg.lam_nonzero].tobytes() == seg.lam_values.tobytes()
+    assert lam[seg.lam_nonzero].tobytes() == seg.lam_values.tobytes()
     rng = np.random.default_rng(lo % 1000 + 7)
     picks = ([0, len(seg) - 1], rng.integers(0, len(seg), 5000), seg.lam_nonzero[::97])
     offs = np.sort(np.concatenate(picks))
-    assert seg.lam_at(offs).tobytes() == seg.lam[offs].tobytes()
+    assert seg.lam_at(offs).tobytes() == lam[offs].tobytes()
     assert np.array_equal(seg.lam_rank(offs), np.searchsorted(seg.lam_nonzero, offs, "right"))
-    for arr in (seg.lam, seg.lam_nonzero, seg.lam_values):
+    for arr in (seg.lam_nonzero, seg.lam_values):
         assert not arr.flags.writeable
-    # a pi-only segment has no Lambda, stored or dense
+    # a pi-only segment has no Lambda
     (bare,) = iter_segments(lo, lo + 100)
-    assert bare.lam_values is None and bare.lam_nonzero is None and bare.lam is None
+    assert bare.lam_values is None and bare.lam_nonzero is None and oracle.dense_arrays(bare)[1] is None
 
 
 def test_range_validation():
@@ -196,19 +200,12 @@ def test_segments_are_immutable():
     seg = one_segment(0, 100)
     with pytest.raises(ValueError):
         seg.odd[0] = True
-    # the full array is formed on first use, read-only, and formed once
-    assert seg.is_prime is seg.is_prime
-    with pytest.raises(ValueError):
-        seg.is_prime[0] = True
     with pytest.raises(AttributeError):
-        seg.is_prime = np.zeros(len(seg), dtype=bool)
-    with pytest.raises(ValueError):
-        seg.lam[0] = 1.0
+        seg.odd = np.zeros(seg.odd.size, dtype=bool)
     with pytest.raises(ValueError):
         seg.lam_nonzero[0] = 1
     with pytest.raises(ValueError):
         seg.lam_values[0] = 1.0
-    assert seg.lam is seg.lam
 
 
 def test_mobius_values():
@@ -234,16 +231,16 @@ def test_lambda_at_prime_square_is_math_log(p):
     # math.log; Lambda at a prime power must be math.log(p) bit for bit
     assert p * p <= SIEVE_CEILING
     (seg,) = iter_segments(p * p - 1, p * p + 1, want_lam=True)
-    assert seg.lam.tolist() == [0.0, math.log(p), 0.0]
+    assert oracle.dense_arrays(seg)[1].tolist() == [0.0, math.log(p), 0.0]
 
 
 def test_lambda_divisor_sum_is_log():
     # sum of Lambda(d) over divisors d of n telescopes to log n
-    seg = one_segment(0, 10_000)
+    _, lam = oracle.dense_arrays(one_segment(0, 10_000))
     acc = np.zeros(10_001)
     for d in range(1, 10_001):
-        if seg.lam[d]:
-            acc[d::d] += seg.lam[d]
+        if lam[d]:
+            acc[d::d] += lam[d]
     ns = np.arange(1.0, 10_001)
     assert np.max(np.abs(acc[1:] - np.log(ns))) < 1e-9
 

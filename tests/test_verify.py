@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import _oracle as oracle
 from zetalab import comb, laplace, verify
 from zetalab.sieve import iter_segments
 from zetalab.verify import (
@@ -110,7 +111,7 @@ def _c10_per_x_gather(limit):
     each k: the loop the row adds replaced, kept here for its bits."""
     lam = np.zeros(limit + 1)
     for seg in iter_segments(0, limit, want_lam=True):
-        lam[seg.lo : seg.hi + 1] = seg.lam
+        lam[seg.lo : seg.hi + 1] = oracle.dense_arrays(seg)[1]
     cum_lam = np.cumsum(lam)
     cum_log = np.zeros(limit + 1)
     cum_log[1:] = np.cumsum(np.log(np.arange(1.0, limit + 1)))
@@ -179,8 +180,6 @@ def test_b3_scan_and_spot():
 
 
 def test_b4_offset_convention_known_failures():
-    import _oracle as oracle
-
     # every row to 4e5, which holds all the failing rows below 1e7, against the
     # independent oracle; the scan keeps all of them (one sieve segment)
     rep = scan_bound("B4", 2, 400_000, keep_rows=True)
@@ -198,8 +197,6 @@ def test_b4_offset_convention_known_failures():
 
 def test_oracle_prime_counts_match_sympy():
     sympy = pytest.importorskip("sympy")
-    import _oracle as oracle
-
     # segment edges, perfect powers and their neighbours, small odd segments
     ns = np.array([2, 3, 4, 8, 9, 25, 26, 1023, 1024, 1025, 59049, 65535, 65536, 99991, 100_000])
     for size in (97, 1 << 10, 1 << 20):
@@ -261,8 +258,6 @@ def test_b1_jump_mode_counts_both_sides():
 def test_every_jump_rows_are_every_integer_rows_at_the_jumps(bound_id):
     # 2**20 starts a sieve segment and is a jump itself: weight 1/20 in J,
     # log 2 in psi (B2's pi does not jump there)
-    import _oracle as oracle
-
     seg0 = 1 << 20
     lo, hi = seg0 - 3000, seg0 + 3000
     flags = np.concatenate([f for _, f in oracle.prime_segments(hi)])
@@ -369,23 +364,32 @@ def test_summary_scans_form_no_rows(monkeypatch, mode):
 
 def test_summary_psi_scans_form_no_dense_lambda(monkeypatch):
     # B3 reads psi at block ends and at jumps from Lambda's stored jumps only;
-    # a scan that keeps its rows reads the dense array
+    # a scan that keeps its rows reads every integer
     from zetalab import arith
 
-    step_segments, seen = arith.step_segments, []
+    step_segments, seen, dense = arith.step_segments, [], []
 
     def recording(*args, **kwargs):
         for seg, before in step_segments(*args, **kwargs):
             seen.append(seg)
             yield seg, before
 
+    def dense_reads(read, offs_at):  # a read with no offsets spans the whole segment
+        def wrapped(*args):
+            if len(args) <= offs_at or args[offs_at] is None:
+                dense.append(read.__name__)
+            return read(*args)
+        return wrapped
+
     monkeypatch.setattr(arith, "step_segments", recording)
+    monkeypatch.setattr(arith, "segment_values", dense_reads(arith.segment_values, 3))
+    monkeypatch.setattr(arith, "segment_jumps", dense_reads(arith.segment_jumps, 2))
     for mode in ("every_integer", "every_jump"):
         scan_bound("B3", 1, 2.2e6, mode, keep_rows=False)
-    assert len(seen) == 6 and all("lam" not in seg.__dict__ for seg in seen)
+    assert len(seen) == 6 and not dense
     seen.clear()
     scan_bound("B3", 1, 3e5, keep_rows=True)
-    assert len(seen) == 1 and "lam" in seen[0].__dict__
+    assert len(seen) == 1 and dense == ["segment_values", "segment_jumps"]
 
 
 def test_a_sparse_psi_read_ranks_its_offsets_once(monkeypatch):
@@ -600,7 +604,7 @@ def test_every_integer_matches_denser_grid_extrema():
     hi = 2000
     rep = scan_bound("B3", 1, hi)
     (seg,) = iter_segments(0, hi, want_lam=True)
-    cum = np.cumsum(seg.lam)
+    cum = np.cumsum(oracle.dense_arrays(seg)[1])
     dense = np.arange(1.0, hi + 0.05, 0.1)
     psi_dense = cum[np.floor(dense).astype(int)]
     margins = 2.0 * np.sqrt(dense) - np.abs(psi_dense - dense)
