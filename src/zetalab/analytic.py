@@ -60,7 +60,7 @@ class ModelPair:
 
 def _require_s(s: float) -> None:
     if not 1.0 < s < math.inf:
-        raise ValueError(f"series domain is finite s > 1, got s={s}")
+        raise ValueError(f"s must be finite and > 1, got s={s}")
 
 
 def hurwitz_zeta_real(s: float, q: float = 1.0) -> float:

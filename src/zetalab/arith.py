@@ -21,7 +21,6 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .compensated import KahanSum
 from .sieve import (
     SieveSegment,
     higher_prime_powers,
@@ -37,36 +36,34 @@ def step_segments(
 ) -> Iterator[Tuple[SieveSegment, Union[int, float]]]:
     """Sieve segments over [0, hi] that reach lo, each with the step's value just left of it.
 
-    That value, ``before``, is the step at seg.lo - 1.  step "pi" gives
-    ``before`` as an int prime count; "psi" gives the
-    Kahan-compensated total of the earlier segments' Lambda, and its segments
-    carry Lambda by its jumps (``lam_nonzero``, ``lam_values``), which the
-    carry and the readers share.  No running sum is formed here:
+    That value, ``before``, is the step at seg.lo - 1.  One exact integer
+    ``run`` carries it across segments.  For step "pi" it counts the earlier
+    primes and is handed over as an int.  For "psi" it holds the sum of every
+    earlier Lambda value in units of 2**-53 (``_lam_scaled``), and ``before``
+    is ``run / 2**53``, rounded once: the bits of ``math.fsum``.  psi's
+    segments carry Lambda by its jumps (``lam_nonzero``, ``lam_values``),
+    which the carry and the readers share.  No running sum is formed here:
     ``segment_values`` forms the right-limit values a reader asks for.
     Every segment, reached or not, adds only its total to the carry.
     """
     if step not in ("pi", "psi"):
         raise ValueError(f"unknown step function {step!r}")
-    pi_run = 0
-    psi_run = KahanSum()
+    run = 0
     for seg in iter_segments(0, hi, want_lam=step == "psi"):
         if seg.hi >= lo:
-            yield seg, pi_run if step == "pi" else psi_run.value
-        if step == "pi":
-            pi_run += seg.n_primes
-        else:
-            psi_run.add(_lam_total(seg.lam_values))
+            yield seg, run if step == "pi" else run / 2**53
+        run += seg.n_primes if step == "pi" else _lam_scaled(seg.lam_values)
 
 
-def _lam_total(values: np.ndarray) -> float:
-    """The exact sum of a segment's Lambda values, rounded once: the bits of ``math.fsum``.
+def _lam_scaled(values: np.ndarray) -> int:
+    """The exact sum of a segment's Lambda values in units of 2**-53, as an int.
 
     Each value lies in [log 2, log 2**40] within [0.5, 32), so v * 2**53 is an integer
-    below 2**58; its 29-bit halves sum exactly in int64, and int division rounds half-even.
+    below 2**58; its 29-bit halves sum exactly in int64.  Dividing by 2**53 rounds once,
+    half-even: the bits of ``math.fsum``.
     """
     scaled = (values * 2.0**53).astype(np.int64)
-    high, low = int(np.sum(scaled >> 29)), int(np.sum(scaled & ((1 << 29) - 1)))
-    return ((high << 29) + low) / (1 << 53)
+    return (int(np.sum(scaled >> 29)) << 29) + int(np.sum(scaled & ((1 << 29) - 1)))
 
 
 def _jumps(step: str, seg: SieveSegment) -> Tuple[np.ndarray, np.ndarray]:
@@ -188,17 +185,15 @@ def j_value(x: float) -> float:
 
 
 def psi_value(x: float) -> float:
-    """Chebyshev psi(x) as the compensated sum of exact per-segment Lambda totals.
+    """Chebyshev psi(x), correctly rounded: the bits of ``math.fsum`` of every Lambda(n), n <= x.
 
-    Each segment's total is ``_lam_total`` (exact; the bits of an fsum), not the
-    step engine's running cumsum, so the value is correctly rounded per segment.
+    The segments' ``_lam_scaled`` sums add exactly as ints and are divided by 2**53
+    once, not the step engine's running cumsum.
     """
     if x < 2:
         return 0.0
-    acc = KahanSum()
-    for seg in iter_segments(0, int(math.floor(x)), want_lam=True):
-        acc.add(_lam_total(seg.lam_values))
-    return acc.value
+    segs = iter_segments(0, int(math.floor(x)), want_lam=True)
+    return sum(_lam_scaled(seg.lam_values) for seg in segs) / 2**53
 
 
 @lru_cache(maxsize=4)

@@ -23,8 +23,22 @@ def _threads_default() -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every token that float() reads, -inf and -1e5 too, as a value, not an option.
+
+    argparse's own negative-number pattern knows only forms such as -5 and -.5.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="zetalab",
         description="Evaluate prime-counting functions, run identity claims, and scan bounds.",
     )
@@ -80,9 +94,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# the defaults each check option overrides; --max sets the first its claim has
+_OPTION_KEYS = {"max": ("limit", "n_grid", "x_hi", "x_max"), "s": ("s_grid",), "points": ("points",)}
+
+
 def _claim_params(args, claim_id: str) -> Optional[dict]:
     params = {}
     defaults = verify.CLAIMS[claim_id].defaults
+    refused = [f"--{opt}" for opt, keys in _OPTION_KEYS.items()
+               if getattr(args, opt) is not None and not any(k in defaults for k in keys)]
+    if refused and not args.all:  # --all gives each option to the claims that take it
+        raise ValueError(f"claim {claim_id} takes no {' or '.join(refused)}")
     if args.max is not None:
         if not math.isfinite(args.max):
             raise ValueError(f"--max must be finite, got {args.max:g}")

@@ -1,11 +1,13 @@
-"""Compensated floating-point arithmetic: Kahan accumulation and double-double helpers.
+"""Compensated floating-point arithmetic: double-double helpers.
 
 The double-double routines represent a value as an unevaluated sum ``hi + lo``
 of two floats (roughly 32 significant digits).  They exist for the few places
 where two nearly equal quantities of magnitude ~1e5 must be compared to far
-below one ulp of that magnitude; everything else in the package runs on plain
-64-bit floats.  The helpers are plain IEEE + - * /, so they apply elementwise
-to numpy arrays with the bits of a scalar call.
+below one ulp of that magnitude.  The one exact sum elsewhere, psi across sieve
+segments in ``arith``, counts units of 2**-53 in a Python int and needs no float
+carry; everything else in the package runs on plain 64-bit floats.  The helpers
+are plain IEEE + - * /, so they apply elementwise to numpy arrays with the bits
+of a scalar call.
 
 A series summed this way on an array (``dd_log`` here, ``li_series_terms``
 in ``analytic``) runs over an active set: the elements whose own stopping
@@ -24,26 +26,6 @@ SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 # hi/lo decompositions of constants needed beyond 53-bit precision
 LN2_DD = (0.6931471805599453, 2.3190468138462996e-17)
 LOG_2PI_DD = (1.8378770664093456, -7.756588316134483e-17)
-
-
-class KahanSum:
-    """Running compensated sum; more accurate than a bare ``+=`` loop."""
-
-    __slots__ = ("total", "carry")
-
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total
 
 
 def two_sum(a: float, b: float):

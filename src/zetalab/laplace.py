@@ -27,6 +27,7 @@ from .analytic import (
     EULER_GAMMA,
     LI_SERIES_LOG_MAX,
     R_of_s,
+    _require_s,
     hurwitz_zeta_real,
     lie,
     zeta_prime_real,
@@ -62,11 +63,6 @@ class TransformBracket:
 
     def contains(self) -> bool:
         return self.numeric_lo <= self.closed_form <= self.numeric_hi
-
-
-def _require_s(s: float) -> None:
-    if not 1.0 < s < math.inf:
-        raise ValueError(f"transforms are evaluated for finite s > 1 only, got s={s}")
 
 
 def _power_tail(v0: float, stride: float, s: float):

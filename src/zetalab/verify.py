@@ -26,7 +26,7 @@ from typing import Callable, Dict, IO, Iterator, Optional, Sequence, Tuple, Unio
 import numpy as np
 
 from . import analytic, arith, comb, laplace
-from .compensated import KahanSum, two_prod
+from .compensated import two_prod
 from .sieve import iter_segments
 
 N_DECADES = (2, 10, 100, 1000, 10000)
@@ -996,7 +996,7 @@ def _run_m1(params: dict) -> Summary:
     samples = samples[np.diff(samples, prepend=-1) != 0]
     psi_at = np.zeros(samples.size)
     nlam_at = np.zeros(samples.size)
-    nlam_before = KahanSum()  # sum of n Lambda(n) over the earlier segments
+    nlam_totals = []  # sum of n Lambda(n) in each earlier segment
     for seg, psi_before in arith.step_segments("psi", x_max):
         in_seg = (samples >= seg.lo) & (samples <= seg.hi)
         nlam = np.zeros(len(seg))  # n Lambda(n), then in place its running sum: one array
@@ -1005,8 +1005,8 @@ def _run_m1(params: dict) -> Summary:
         if in_seg.any():
             idx = samples[in_seg] - seg.lo
             psi_at[in_seg] = arith.segment_values("psi", seg, psi_before, idx)
-            nlam_at[in_seg] = nlam_before.value + np.cumsum(nlam, out=nlam)[idx]
-        nlam_before.add(total)
+            nlam_at[in_seg] = math.fsum(nlam_totals) + np.cumsum(nlam, out=nlam)[idx]
+        nlam_totals.append(total)
     x = samples.astype(np.float64)
     # math.log, not np.log: np.log is not correctly rounded and its SIMD path varies by host
     model = x - (1.0 + analytic.EULER_GAMMA) * np.array([math.log(t) for t in x.tolist()])

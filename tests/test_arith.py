@@ -9,7 +9,7 @@ import pytest
 import _oracle as oracle
 from zetalab import sieve
 from zetalab.arith import (
-    _lam_total,
+    _lam_scaled,
     higher_power_jumps,
     j_value,
     pi_count,
@@ -21,7 +21,6 @@ from zetalab.arith import (
     step_at,
     step_segments,
 )
-from zetalab.compensated import KahanSum
 from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, integer_kth_root, iter_segments
 from zetalab.verify import fmt17, run_claim
 
@@ -169,7 +168,7 @@ def test_step_at_matches_the_oracle_across_segments_and_powers():
     for n, got in zip(STEP_XS.tolist(), psi):
         want = exact_power_psi(n, primes)
         # recursive summation of the nonzero terms of one segment, on top of a
-        # compensated carry: at most (count - 1) eps times the total
+        # correctly rounded carry: at most (count - 1) eps times the total
         count = int(np.count_nonzero(primes <= n)) + 2 * math.isqrt(n)
         assert abs(got - want) <= count * np.finfo(float).eps * want, n
 
@@ -341,34 +340,49 @@ def test_lam_total_is_the_fsum_of_the_values():
     for values in _exact_total_cases():
         # the exact integer sum rests on every value lying in [log 2, 32)
         assert values.size == 0 or (values.min() >= math.log(2) and values.max() < 32)
-        assert _lam_total(values) == math.fsum(values.tolist())
+        assert _lam_scaled(values) / 2**53 == math.fsum(values.tolist())
     # exact halfway sums, rounded to the even neighbour (down, then up), and the empty sum
     ties = {(16.0, 0.5 + 2**-49): 16.5, (16.0 + 2**-48, 0.5 + 2**-49): 16.5 + 2**-47, (): 0.0}
     for values, want in ties.items():
-        got = _lam_total(np.array(values, dtype=np.float64))
+        got = _lam_scaled(np.array(values, dtype=np.float64)) / 2**53
         assert got == math.fsum(values) == want and math.copysign(1, got) == 1
 
 
 def _psi_by_dense_fsum(xs):
-    """psi as it was formed from dense Lambda: an fsum of each segment and Kahan
-    across segments (the total to max(xs)), and at each x the carry plus the
-    dense cumsum at its offset."""
-    carry, at = KahanSum(), {}
+    """psi from dense Lambda with an fsum oracle: at each segment start (to
+    max(xs)), the fsum of every Lambda value below it; at each x, that carry
+    plus the dense cumsum at its offset."""
+    earlier, carry, at = [], {}, {}
     for seg in iter_segments(0, max(xs), want_lam=True):
         _, lam = oracle.dense_arrays(seg)
+        carry[seg.lo] = math.fsum(earlier)
         for x in xs:
             if seg.lo <= x <= seg.hi:
-                at[x] = np.cumsum(lam)[x - seg.lo] + carry.value
-        carry.add(math.fsum(lam[np.flatnonzero(lam)].tolist()))
-    return carry.value, at
+                at[x] = np.cumsum(lam)[x - seg.lo] + carry[seg.lo]
+        earlier.extend(lam[np.flatnonzero(lam)].tolist())
+    return carry, at
 
 
 def test_psi_has_the_bits_of_the_dense_fsum_composition():
     xs = [2, 10**6, 2**20, 2**20 + 1, 3 * 10**7]
-    _, at = _psi_by_dense_fsum(xs)
+    carry, at = _psi_by_dense_fsum(xs)
     assert step_at("psi", xs).tolist() == [at[x] for x in xs]
-    for x in xs:
-        assert psi_value(x) == _psi_by_dense_fsum([x])[0], x
+    # the carry at every segment start to 3e7 is the fsum of every Lambda value below it
+    assert {seg.lo: before for seg, before in step_segments("psi", max(xs))} == carry
+
+
+def test_psi_value_is_the_fsum_of_every_lambda_value_up_to_x():
+    top = 3 * 10**7
+    rng = np.random.default_rng(28)
+    sampled = rng.choice(np.unique(np.geomspace(2, top, 5000).astype(np.int64)), 200, replace=False)
+    segs = list(iter_segments(0, top, want_lam=True))
+    ns = np.concatenate([seg.lo + seg.lam_nonzero for seg in segs])
+    values = np.concatenate([seg.lam_values for seg in segs]).tolist()
+    # past the first segment: the sum of the two rounded segment totals is
+    # 1079468.1595597418, one ulp below the fsum
+    for x in [2, 10**6, 2**20, 2**20 + 1, 1079893, top, *sampled.tolist()]:
+        assert psi_value(x) == math.fsum(values[: np.searchsorted(ns, x, side="right")]), x
+    assert psi_value(1079893) == 1079468.1595597421
 
 
 def test_psi_monotone_with_log_p_jumps():

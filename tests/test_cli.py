@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import zetalab
-from zetalab import verify
+from zetalab import cli, verify
 from zetalab.cli import dispatch
 
 
@@ -53,6 +53,46 @@ def test_check_single_claim(capsys):
 def test_check_requires_target(capsys):
     assert dispatch(["check"]) == 2
     assert dispatch(["check", "C99"]) == 2
+
+
+def test_values_that_look_negative_are_values_not_options(capsys):
+    # argparse's own negative-number pattern knows -5 and -.5 only
+    for argv, glued in (
+        (["check", "C1", "--max", "-inf"], ["check", "C1", "--max=-inf"]),
+        (["scan", "B3", "--from", "-1e5", "--to", "100"], ["scan", "B3", "--from=-1e5", "--to", "100"]),
+    ):
+        want = dispatch(glued), capsys.readouterr()
+        assert (dispatch(argv), capsys.readouterr()) == want
+    assert want[0] == 0 and want[1].out.startswith("B3 pass rows=135 ")
+    assert dispatch(["check", "C1", "--max", "-inf"]) == 2
+    assert capsys.readouterr().err == "--max must be finite, got -inf\n"
+    assert dispatch(["eval", "li", "-inf"]) == 2
+    assert capsys.readouterr() == ("", "li_pv requires x > 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["check", "C6", "--max", "5"], "--max"),
+        (["check", "C9", "--s", "2"], "--s"),
+        (["check", "C1", "--points", "0"], "--points"),
+        (["check", "M2", "--max", "5", "--points", "3"], "--max or --points"),
+    ],
+)
+def test_a_single_claim_refuses_the_options_it_does_not_take(argv, refused, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_claim was called")
+
+    monkeypatch.setattr(verify, "run_claim", no_run)
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", f"claim {argv[1]} takes no {refused}\n")
+
+
+def test_check_all_gives_each_option_to_the_claims_that_take_it():
+    args = cli._parser().parse_args(["check", "--all", "--s", "2", "--points", "3"])
+    assert cli._claim_params(args, "C6") == {"s_grid": [2.0]}
+    assert cli._claim_params(args, "C12") == {"points": 3}
+    assert cli._claim_params(args, "C9") is None
 
 
 def test_unknown_command():
