@@ -113,7 +113,7 @@ def _claim_params(args, claim_id: str) -> Optional[dict]:
             if args.max > verify.LIMIT_CEILING:
                 raise ValueError(
                     f"--max {args.max:g} is above {claim_id}'s ceiling {verify.LIMIT_CEILING:g}: "
-                    "its arrays span the whole range"
+                    "its work spans the whole range"
                 )
             params["limit"] = int(args.max)
             least, name = 2, "x"
@@ -187,7 +187,7 @@ def _cmd_laplace(args) -> int:
     if args.limit > verify.LIMIT_CEILING:
         raise ValueError(
             f"--limit {args.limit:g} is above the ceiling {verify.LIMIT_CEILING:g}: "
-            "a comb's arrays span the whole range"
+            "a comb's work spans the whole range"
         )
     grid = [float(t) for t in args.s.split(",")]
     ok = True

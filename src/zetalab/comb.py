@@ -5,8 +5,10 @@ convention u(0) = 1: a jump located at x0 is already included in the value at
 x = x0.  That convention makes the staircase of all integers hit exactly n at
 x = log n, so the remainder e**x minus the staircase vanishes on the lattice.
 
-Jumps are stored by their ordinates a_n.  Queries that must land exactly on a
-lattice point go through the ordinate-domain entry points
+Jumps are given by their ordinates a_n.  The unit combs, whose ordinates are
+an arithmetic progression and whose weights are +-1, keep only their count and
+form the ordinates when read; the weighted combs store theirs.  Queries that
+must land exactly on a lattice point go through the ordinate-domain entry points
 (``r_value_ordinate``), so nothing depends on float rounding of logs.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,50 +46,75 @@ Kind = Union[CombKind, ArithmeticKind]
 
 @dataclass(frozen=True)
 class StepComb:
+    """The n_terms jumps of a comb with ordinate <= limit.
+
+    A unit comb, one with ordinates start + stride*m and weights +-1 (ZETA1,
+    ETA and the arithmetic combs), holds no array: ``values`` and
+    ``weights`` form them afresh on each read, and ``ramp`` gives (start,
+    stride).  The weighted combs (MCOMB, JCOMB, PSICOMB) hold their
+    ordinates and weights, read-only, in ``arrays``.
+    """
+
     kind: Kind
-    values: np.ndarray  # ordinates a_n, strictly ascending
-    weights: np.ndarray  # all-ones combs hold a stride-0 view of 1.0, no array
     limit: float  # largest ordinate that was materialised against
+    n_terms: int
+    arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None  # the weighted combs' (values, weights)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        self.weights.setflags(write=False)
+        for arr in self.arrays or ():
+            arr.setflags(write=False)
+
+    @property
+    def ramp(self) -> Optional[Tuple[float, float]]:
+        """(start, stride) of a unit comb's ordinates; None for a weighted comb."""
+        if isinstance(self.kind, ArithmeticKind):
+            return self.kind.start, self.kind.stride
+        return (1.0, 1.0) if self.kind in (CombKind.ZETA1, CombKind.ETA) else None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Ordinates a_n, strictly ascending."""
+        if self.arrays is not None:
+            return self.arrays[0]
+        start, stride = self.ramp
+        return start + stride * np.arange(self.n_terms, dtype=np.float64)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Weights w_n; a unit comb's all-ones weights are a read-only stride-0 view of 1.0."""
+        if self.arrays is not None:
+            return self.arrays[1]
+        if self.kind is CombKind.ETA:
+            return np.where(np.arange(self.n_terms) % 2 == 0, 1.0, -1.0)
+        return np.broadcast_to(1.0, self.n_terms)
 
 
 def build_comb(kind: Kind, limit: float) -> StepComb:
-    """Materialise every jump with ordinate <= limit."""
+    """Every jump with ordinate <= limit: a unit comb's count, a weighted comb's arrays."""
     if isinstance(kind, ArithmeticKind):
         if kind.start <= 0 or kind.stride <= 0:
             raise ValueError("arithmetic comb needs positive start and stride")
         if limit < kind.start:
             raise ValueError(f"limit {limit} below first jump {kind.start}")
         n_terms = int(math.floor((limit - kind.start) / kind.stride)) + 1
-        values = kind.start + kind.stride * np.arange(n_terms, dtype=np.float64)
-        weights = np.broadcast_to(1.0, n_terms)
-    elif kind in (CombKind.ZETA1, CombKind.MCOMB, CombKind.ETA):
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        n = int(math.floor(limit))
-        values = np.arange(1, n + 1, dtype=np.float64)
-        if kind is CombKind.ZETA1:
-            weights = np.broadcast_to(1.0, n)
-        elif kind is CombKind.MCOMB:
-            weights = np.log(values)
-        else:
-            weights = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0)
-    elif kind in (CombKind.JCOMB, CombKind.PSICOMB):
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
+        return StepComb(kind=kind, limit=float(limit), n_terms=n_terms)
+    if not isinstance(kind, CombKind):
+        raise ValueError(f"unknown comb kind {kind!r}")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if kind in (CombKind.ZETA1, CombKind.ETA):
+        return StepComb(kind=kind, limit=float(limit), n_terms=int(math.floor(limit)))
+    if kind is CombKind.MCOMB:
+        values = np.arange(1, int(math.floor(limit)) + 1, dtype=np.float64)
+        weights = np.log(values)
+    else:
         vs, ps, ks = prime_power_arrays(limit)
         values = vs.astype(np.float64)
         if kind is CombKind.PSICOMB:
             weights = np.log(ps.astype(np.float64))
         else:
             weights = 1.0 / ks.astype(np.float64)
-    else:
-        raise ValueError(f"unknown comb kind {kind!r}")
-
-    return StepComb(kind=kind, values=values, weights=weights, limit=float(limit))
+    return StepComb(kind=kind, limit=float(limit), n_terms=values.size, arrays=(values, weights))
 
 
 def zeta1_count(x: float) -> int:

@@ -5,6 +5,10 @@ For a comb sum_n w_n u(x - log a_n) the transform of the comb divided by s is
 signed tail that is boxed by integral comparison (the summand profiles are
 eventually decreasing).  The resulting TransformBracket is an interval that
 provably contains the full transform, to be compared against a closed form.
+The sums of the unit combs (weights +-1 on an arithmetic progression) are
+formed 2**14 terms at a time along numpy's pairwise-summation tree, so they
+hold no array that grows with the limit and keep the bits of np.sum over the
+whole array of terms.
 
 Transforms of the two tabulated continuous functions (the staircase remainder
 and the log-contracted logarithmic integral) share one Gauss-Legendre panel
@@ -81,8 +85,7 @@ def _comb_tail(c: StepComb, s: float):
     """Signed bounds on the omitted part of sum w_n a_n**-s beyond the limit."""
     kind = c.kind
     if isinstance(kind, ArithmeticKind):
-        n_done = len(c.values)
-        v0 = kind.start + kind.stride * n_done
+        v0 = kind.start + kind.stride * c.n_terms
         return _power_tail(v0, kind.stride, s)
     n0 = math.floor(c.limit) + 1.0
     if kind is CombKind.ZETA1:
@@ -120,23 +123,74 @@ def closed_form_for(kind, s: float) -> float:
     raise ValueError(f"no closed form for comb kind {kind!r}")
 
 
+_LEAF = 1 << 14  # terms per leaf of ``_pairwise_sum``: a 128 KB buffer
+
+
+def _pairwise_sum(leaf, n: int, m0: int = 0):
+    """np.sum of terms m0 .. m0 + n - 1 of an array that is never formed whole.
+
+    numpy sums a contiguous float64 array by ``pairwise_sum``
+    (numpy/_core/src/umath/loops_utils.h.src): a node of more than 128 terms
+    splits at n // 2 rounded down to a multiple of 8, and its sum is its left
+    half's plus its right half's.  This takes the same splits down to nodes
+    of at most ``_LEAF`` terms, where ``leaf(m0, n)`` forms the node's terms
+    and returns their np.sum (or an array of such sums, one per array a leaf
+    sums), so the result has the bits of np.sum over the whole array.
+    """
+    if n <= _LEAF:
+        return leaf(m0, n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, half, m0) + _pairwise_sum(leaf, n - half, m0 + half)
+
+
+def _unit_comb_sums(c: StepComb, s: float) -> Tuple[float, float]:
+    """sum w_n a_n**-s and sum |w_n a_n**-s| of a unit comb, leaf by leaf.
+
+    Each leaf forms its ordinates start + stride*m and their powers in one
+    reused buffer, with the operations and so the bits of the whole-array
+    ``values ** -s``; ETA's weights flip the sign of every odd m, after the
+    sum of |terms| is taken.
+    """
+    start, stride = c.ramp
+    ramp = np.arange(min(c.n_terms, _LEAF), dtype=np.float64)
+    buf = np.empty_like(ramp)
+    eta = c.kind is CombKind.ETA
+
+    def leaf(m0: int, n: int) -> np.ndarray:
+        terms = buf[:n]
+        np.add(ramp[:n], m0, out=terms)
+        terms *= stride
+        terms += start
+        np.power(terms, -s, out=terms)
+        mag = np.sum(terms)
+        if not eta:
+            return np.array((mag, mag))
+        odd = terms[1 - m0 % 2 :: 2]
+        np.negative(odd, out=odd)
+        return np.array((np.sum(terms), mag))
+
+    partial, abs_sum = _pairwise_sum(leaf, c.n_terms).tolist()
+    return partial, abs_sum
+
+
 def laplace_comb(c: StepComb, s: float, *, pair_id: str) -> TransformBracket:
     """Bracket for (1/s) sum w_n a_n**-s over the full (infinite) comb.
 
-    The ZETA1 and arithmetic combs have every weight exactly 1.0, so their
-    terms skip the product by the weights, which would change no bit.  Only
-    ETA has negative weights; every other comb's terms are >= 0, so their sum
-    of |terms| is the same sum over the same array as the partial sum itself,
-    and only ETA pays the pass that forms |terms|.
+    A unit comb's sums go leaf by leaf (``_unit_comb_sums``), in memory
+    bounded by ``_LEAF`` whatever the limit, with the bits of np.sum over
+    the whole array of terms.  A weighted comb's terms are one array of its
+    ordinates' powers times its weights; those weights are >= 0, so the sum
+    of |terms| is the partial sum itself.
     """
     _require_s(s)
-    # one array for every pass: each fresh comb-sized array page-faults in
-    terms = c.values ** -s
-    if not (c.kind is CombKind.ZETA1 or isinstance(c.kind, ArithmeticKind)):
+    if c.ramp is not None:
+        partial, abs_sum = _unit_comb_sums(c, s)
+    else:
+        terms = c.values ** -s
         terms *= c.weights
-    partial = float(np.sum(terms))
+        partial = abs_sum = float(np.sum(terms))
     tail_lo, tail_hi = _comb_tail(c, s)
-    abs_sum = float(np.sum(np.abs(terms, out=terms))) if c.kind is CombKind.ETA else partial
     slack = 1e-13 * (abs(partial) + 1.0) + 4e-16 * abs_sum
     return TransformBracket(
         s=s,
@@ -302,6 +356,7 @@ def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _QuadError]:
     nodes = 0
     for q, first, stop in _r_order_runs(s, n_panels):
         t, w = _gauss_rule(q)
+        one_plus_t = (1.0 + t).tolist()
         rem_coeff = _log_remainder_coeff(q, s)
         for b in range(stop, first, -_R_CHUNK):
             n = np.arange(b - 1, max(first, b - _R_CHUNK) - 1, -1, dtype=np.float64)
@@ -309,7 +364,10 @@ def _laplace_r_numeric(s: float, edge: float) -> Tuple[float, _QuadError]:
             if b > n_panels:
                 h[0] = last
             half = 0.5 * h
-            y = half[:, None] * (1.0 + t)
+            # one node column at a time: a row of only q nodes is a short inner loop
+            y = np.empty((n.size, q))
+            for k, tk in enumerate(one_plus_t):
+                np.multiply(half, tk, out=y[:, k])
             decay = np.exp(-s * y)
             p_s = np.power(n, -s)
             scale = half * (p_s * n)

@@ -33,10 +33,12 @@ N_DECADES = (2, 10, 100, 1000, 10000)
 S_GRID = (1.5, 2.0, 3.0, 5.0, 10.0)
 C_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 DEFAULT_COMB_LIMIT = 1e6
-# the largest limit of a claim whose arrays span the whole range (the combs, C9
-# and C10); C9 holds about 33 bytes per integer, so some 3.3 GB here.  C10's
-# time is quadratic in its limit (about 1 s at 1e5), so it is admitted to this
-# ceiling but not practical there
+# the largest limit of a claim or comb whose work spans the whole range.  The
+# weighted combs (C11's psi comb, mcomb, jcomb), C9 and C10 hold arrays that
+# grow with it: C9 about 33 bytes per integer, so some 3.3 GB here.  The unit
+# combs (C5, M3, zeta1, eta) hold none: only their time, linear in it, grows.
+# C10's time is quadratic in its limit (about 1 s at 1e5), so it is admitted to
+# this ceiling but not practical there
 LIMIT_CEILING = 10 ** 8
 M1_X_MIN = 10  # M1 samples x on a log grid from here
 
@@ -989,6 +991,20 @@ def _run_c15(params: dict) -> Summary:
     return _identity_rule(rows, 1e-12)
 
 
+def _scatter_leaf(at: np.ndarray, values: np.ndarray):
+    """A ``laplace._pairwise_sum`` leaf over zeros with values at the ascending offsets at."""
+    buf = np.empty(laplace._LEAF)
+
+    def leaf(m0: int, n: int) -> float:
+        out = buf[:n]
+        out.fill(0.0)
+        a, b = np.searchsorted(at, (m0, m0 + n))
+        out[at[a:b] - m0] = values[a:b]
+        return np.sum(out)
+
+    return leaf
+
+
 def _run_m1(params: dict) -> Summary:
     x_max = int(params["x_max"])
     samples = np.sort(np.geomspace(M1_X_MIN, x_max, int(params["points"])).astype(np.int64))
@@ -999,13 +1015,17 @@ def _run_m1(params: dict) -> Summary:
     nlam_totals = []  # sum of n Lambda(n) in each earlier segment
     for seg, psi_before in arith.step_segments("psi", x_max):
         in_seg = (samples >= seg.lo) & (samples <= seg.hi)
-        nlam = np.zeros(len(seg))  # n Lambda(n), then in place its running sum: one array
-        nlam[seg.lam_nonzero] = seg.lam_values * (seg.lam_nonzero + float(seg.lo))
-        total = float(np.sum(nlam))
+        nlam = seg.lam_values * (seg.lam_nonzero + float(seg.lo))  # n Lambda(n) at Lambda's jumps
+        total = float(laplace._pairwise_sum(_scatter_leaf(seg.lam_nonzero, nlam), len(seg)))
         if in_seg.any():
             idx = samples[in_seg] - seg.lo
-            psi_at[in_seg] = arith.segment_values("psi", seg, psi_before, idx)
-            nlam_at[in_seg] = math.fsum(nlam_totals) + np.cumsum(nlam, out=nlam)[idx]
+            rank = seg.lam_rank(idx)
+            psi_at[in_seg] = arith.segment_values("psi", seg, psi_before, idx, rank)
+            # adding 0.0 leaves a running sum unchanged, so these are the running
+            # sums over every integer of the segment, read at the jumps
+            levels = np.zeros(nlam.size + 1)
+            np.cumsum(nlam, out=levels[1:])
+            nlam_at[in_seg] = math.fsum(nlam_totals) + levels[rank]
         nlam_totals.append(total)
     x = samples.astype(np.float64)
     # math.log, not np.log: np.log is not correctly rounded and its SIMD path varies by host

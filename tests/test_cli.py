@@ -375,6 +375,30 @@ def test_laplace_limits_whose_arrays_cannot_be_held_are_usage_errors(monkeypatch
     assert out == "" and err.startswith("--limit 1e+12 is above") and "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_laplace_zeta1_at_1e8_streams_its_comb():
+    # the comb's 1e8 ordinates are formed 2**14 at a time; held whole, they
+    # and their terms would take 1.6 GB.  The child reports its own VmHWM (kB):
+    # its ru_maxrss would count the pages of this process that the fork copied
+    src = os.path.dirname(os.path.dirname(zetalab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = ("import re, sys\n"
+           "from zetalab.cli import dispatch\n"
+           "code = dispatch(sys.argv[1:])\n"
+           "sys.stderr.write(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+           "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "laplace", "zeta1", "--limit", "1e8", "--s", "2"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "zeta1 s=2 bracket=[0.82246703342398075, 0.82246703342424587] closed_form=0.82246703342413408 "
+        "width=2.6512125828048738e-13 contained\n"
+    )
+    assert int(proc.stderr) < 100 * 1024
+
+
 def test_laplace_lie_past_the_series_domain_exits_2(capsys):
     assert dispatch(["laplace", "lie", "--x-max", "700"]) == 2
     out, err = capsys.readouterr()

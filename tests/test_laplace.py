@@ -153,6 +153,36 @@ def test_comb_brackets_keep_their_pinned_bits(pair_id, limit):
     ]
 
 
+# lengths around numpy's pairwise block (128), its unroll (8) and _LEAF (2**14)
+@pytest.mark.parametrize(
+    "n", [1, 7, 8, 9, 127, 128, 129, 2**14 - 1, 2**14 + 1, 2**15 + 3, 499_999, 999_999, 10**6]
+)
+def test_pairwise_sum_has_the_bits_of_np_sum(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    got = laplace._pairwise_sum(lambda m0, m: np.sum(a[m0 : m0 + m]), n)
+    assert got == np.sum(a), (
+        f"n={n}: leaf by leaf {float(got).hex()}, np.sum {float(np.sum(a)).hex()}; "
+        "_pairwise_sum no longer splits as pairwise_sum in numpy/_core/src/umath/loops_utils.h.src"
+    )
+
+
+@pytest.mark.parametrize("limit", [1e3, 100001, 1e6])
+@pytest.mark.parametrize(
+    "kind, start, stride",
+    [(CombKind.ZETA1, 1.0, 1.0), (CombKind.ETA, 1.0, 1.0),
+     (ArithmeticKind(2.0, 2.0), 2.0, 2.0), (ArithmeticKind(1.5, 1.0), 1.5, 1.0)],
+)
+def test_streamed_comb_sums_are_those_of_the_whole_array(kind, start, stride, limit):
+    c = build_comb(kind, limit)
+    values = start + stride * np.arange(c.n_terms)
+    assert values[-1] <= limit < values[-1] + stride
+    w = np.where(np.arange(c.n_terms) % 2 == 0, 1.0, -1.0) if kind is CombKind.ETA else 1.0
+    for s in S_GRID + [1.1, 7.3]:
+        terms = values ** -s
+        assert laplace._unit_comb_sums(c, s) == (np.sum(terms * w), np.sum(terms)), s
+
+
 def test_brackets_shrink_with_limit():
     for limit in (1e3, 1e4, 1e5):
         wide = laplace_comb(build_comb(CombKind.ZETA1, limit), 2.0, pair_id="zeta1")

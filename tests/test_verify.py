@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -833,3 +834,45 @@ def test_claim_csv_rows_are_written_as_scan_rows_are():
     want = "x,lhs,rhs,margin,pass\n" + _csv_reference(rows[:, :4], rows[:, 4] != 0)
     assert render_csv([rep]) == want
     assert want.endswith("2,-0,inf,nan,true\n9.9999999999999995e-08,123456.78,-1.0000000000000001e+300,0.5,false\n")
+
+
+@pytest.mark.parametrize("n", [1000, 2**20 - 12345, 2**20])
+def test_m1_segment_sums_have_the_bits_of_the_dense_array(n):
+    # M1 sums n Lambda(n) over a segment from Lambda's jumps alone
+    rng = np.random.default_rng(n)
+    at = np.unique(rng.integers(0, n, n // 8))
+    values = rng.uniform(-1.0, 1.0, at.size) * 10.0 ** rng.uniform(-8.0, 8.0, at.size)
+    dense = np.zeros(n)
+    dense[at] = values
+    assert laplace._pairwise_sum(verify._scatter_leaf(at, values), n) == np.sum(dense)
+
+
+def _traced_peak_mb(run) -> float:
+    """Peak MB that run() allocates; tracemalloc sees numpy's arrays too."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _cold_zeta1_bracket():
+    laplace._cached_comb.cache_clear()
+    laplace.laplace_pair("zeta1", 2.0, limit=1e6)
+
+
+# the unit combs' sums and M1's segment sums go leaf by leaf, 2**14 terms at a
+# time; one comb- or segment-sized array of float64 would take 8 MB
+@pytest.mark.parametrize(
+    "run, bound_mb",
+    [
+        (_cold_zeta1_bracket, 1.0),
+        (lambda: run_claim("M3"), 4.0),
+        (lambda: run_claim("M1"), 6.0),
+        (lambda: run_claim("M1", {"x_max": 3_000_000}), 8.0),
+    ],
+    ids=["zeta1-cold", "M3", "M1", "M1-3e6"],
+)
+def test_comb_claims_run_in_bounded_memory(run, bound_mb):
+    assert _traced_peak_mb(run) < bound_mb
