@@ -3,11 +3,12 @@
 pi and psi are step functions summed segment by segment over one sieve
 sweep (``step_segments``), so memory stays bounded.  The sweep hands each
 segment over with the step's value just left of it; ``segment_values`` then
-forms right-limit values from the segment's jumps either at every offset
-(dense readers: every-integer scans that keep their rows, ``pi_table``) or at
-sorted offsets only (sparse readers: ``step_at`` for log grids, every-jump and
-summary-only scans), where the cost follows the segment's jumps and the
-requested points, not its length, and the bits are the dense ones.
+forms right-limit values from the segment's jumps either over a contiguous
+range of offsets (dense readers: the blocks of scans that write or keep rows,
+``pi_table``) or at sorted offsets only (sparse readers: ``step_at`` for log
+grids, every-jump and summary-only scans), where the cost follows the
+segment's jumps and the requested points, not its length.  Both give the bits
+of one running sum over every integer of the segment.
 The weighted prime-power count J is pi plus the k >= 2 jumps at exact integer
 k-th roots, added at the requested points only; float powers are never used
 to decide whether a lattice point is a perfect power.
@@ -66,61 +67,78 @@ def _lam_scaled(values: np.ndarray) -> int:
     return (int(np.sum(scaled >> 29)) << 29) + int(np.sum(scaled & ((1 << 29) - 1)))
 
 
-def _jumps(step: str, seg: SieveSegment) -> Tuple[np.ndarray, np.ndarray]:
-    """Offsets and sizes of a segment's jumps: pi's primes (int64 1 each) or psi's stored Lambda."""
+def segment_levels(step: str, seg: SieveSegment) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets and sizes of a segment's jumps, and their levels: levels[r] sums the first r sizes.
+
+    pi's jumps are its primes (int64 1 each), psi's the stored Lambda.  The
+    readers below form these per call unless given them; a reader that reads
+    one segment in several calls forms them once and passes them on.
+    """
     if step == "pi":
         at = seg.prime_offsets()
-        return at, np.ones(at.size, dtype=np.int64)
-    return seg.lam_nonzero, seg.lam_values
+        sizes = np.ones(at.size, dtype=np.int64)
+    else:
+        at, sizes = seg.lam_nonzero, seg.lam_values
+    levels = np.zeros(at.size + 1, dtype=sizes.dtype)
+    np.cumsum(sizes, out=levels[1:])
+    return at, sizes, levels
 
 
 def segment_values(
     step: str,
     seg: SieveSegment,
     before: Union[int, float],
-    offs: Optional[np.ndarray] = None,
+    offs: Union[np.ndarray, slice],
     rank: Optional[np.ndarray] = None,
+    levels: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Right-limit values of pi (int64) or psi (float64) at seg.lo + offs, from ``before``.
 
-    The step's levels are the running sum of its jump sizes, from 0 before
-    the first jump.  Dense readers pass no offs and get every offset: the
-    levels spread over the gaps between jumps by ``np.repeat``, plus
-    ``before``.  Sparse readers pass ascending offsets (repeats allowed) and
-    pay for the segment's jumps or the offsets, not its length: pi reads the
-    segment's packed-bit prime counter (``seg.count_primes``); psi reads the
-    levels at each offset's ``seg.lam_rank`` (``rank``, if the reader has
-    formed it already).  Adding 0.0 leaves a running float sum unchanged, so
-    each value has the bits of a running sum over every integer.
+    The step's value at an offset is ``before`` plus the level of the jumps
+    up to it (``segment_levels``, or ``levels`` if the reader has formed
+    them).  Dense readers pass a slice of contiguous offsets (stop
+    exclusive): the levels spread over the gaps between the jumps inside it
+    by ``np.repeat``, so the cost follows the slice and its jumps.  Sparse
+    readers pass ascending offsets (repeats allowed) and pay for the
+    segment's jumps or the offsets, not its length: pi reads the segment's
+    packed-bit prime counter (``seg.count_primes``); psi reads the levels at
+    each offset's ``seg.lam_rank`` (``rank``, if the reader has formed it
+    already).  Adding 0.0 leaves a running float sum unchanged, so each value
+    has the bits of a running sum over every integer.
     """
-    offs = None if offs is None else np.asarray(offs, dtype=np.int64)
-    if step == "pi" and offs is not None:
-        return seg.count_primes(offs) + before
-    at, sizes = _jumps(step, seg)
-    levels = np.zeros(at.size + 1, dtype=sizes.dtype)
-    np.cumsum(sizes, out=levels[1:])
-    if offs is None:
-        vals = np.repeat(levels, np.diff(at, prepend=0, append=len(seg)))
+    if step == "pi" and not isinstance(offs, slice):
+        return seg.count_primes(np.asarray(offs, dtype=np.int64)) + before
+    at, _sizes, levels = segment_levels(step, seg) if levels is None else levels
+    if isinstance(offs, slice):
+        r0, r1 = np.searchsorted(at, [offs.start, offs.stop - 1], "right")
+        vals = np.repeat(levels[r0 : r1 + 1], np.diff(at[r0:r1], prepend=offs.start, append=offs.stop))
     else:
+        offs = np.asarray(offs, dtype=np.int64)
         vals = levels[seg.lam_rank(offs) if rank is None else rank]
     vals += before
     return vals
 
 
 def segment_jumps(
-    step: str, seg: SieveSegment, offs: Optional[np.ndarray] = None, rank: Optional[np.ndarray] = None
+    step: str,
+    seg: SieveSegment,
+    offs: Union[np.ndarray, slice],
+    rank: Optional[np.ndarray] = None,
+    levels: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Jump sizes (float64) of pi or psi at seg.lo + offs, 0.0 off the jumps.
 
-    No offs reads every offset: zeros, filled in at the jumps.  Ascending offs
-    read ``seg.prime_at`` or ``seg.lam_at`` there (psi's at ``rank``, as in
-    ``segment_values``).  Both give the same bits.
+    A slice of contiguous offsets reads zeros, filled in at the jumps inside
+    it (from ``levels``, as in ``segment_values``).  Ascending offs read
+    ``seg.prime_at`` or ``seg.lam_at`` there (psi's at ``rank``).  Both give
+    the same bits.
     """
-    if offs is not None:
+    if not isinstance(offs, slice):
         return seg.prime_at(offs).astype(np.float64) if step == "pi" else seg.lam_at(offs, rank)
-    at, sizes = _jumps(step, seg)
-    out = np.zeros(len(seg))
-    out[at] = sizes
+    at, sizes, _levels = segment_levels(step, seg) if levels is None else levels
+    i0, i1 = np.searchsorted(at, [offs.start, offs.stop])
+    out = np.zeros(offs.stop - offs.start)
+    out[at[i0:i1] - offs.start] = sizes[i0:i1]
     return out
 
 
@@ -166,7 +184,7 @@ def pi_table(limit: int) -> np.ndarray:
     """Cumulative prime-count table: pi_table(limit)[m] = pi(m) for 0 <= m <= limit."""
     out = np.empty(limit + 1, dtype=np.int64)
     for seg, before in step_segments("pi", limit):
-        out[seg.lo : seg.hi + 1] = segment_values("pi", seg, before)
+        out[seg.lo : seg.hi + 1] = segment_values("pi", seg, before, slice(0, len(seg)))
     out.setflags(write=False)
     return out
 

@@ -167,11 +167,11 @@ def _write_csv(sink: IO[str], xs, lhs, rhs, margin, ok) -> None:
     24 bytes, and ",true\n" or ",false\n".  A value outside %g's fixed
     notation takes its text from ``fmt17``.  The NULs are squeezed out.
     """
-    values = np.stack([np.asarray(c, dtype=np.float64) for c in (xs, lhs, rhs, margin)])
+    cols = [np.asarray(c, dtype=np.float64) for c in (xs, lhs, rhs, margin)]
     ok = np.asarray(ok, dtype=bool)
     ends = np.array([int.from_bytes(b",false\n", "little"), int.from_bytes(b",true\n", "little")], dtype=np.uint64)
     for start in range(0, len(ok), _CSV_CHUNK):
-        v = values[:, start : start + _CSV_CHUNK]
+        v = np.stack([c[start : start + _CSV_CHUNK] for c in cols])
         words, fixed = _fixed_words(v)
         words[0, 1:] |= np.uint64(ord(","))
         line = np.zeros((v.shape[1], 17), dtype="<u8")
@@ -424,6 +424,10 @@ def _emit_bound_rows(
     col.add_rows(X, A, B, M)
 
 
+# abscissae per block of rows read, formed and written at once: a block's
+# per-row arrays are 128 KB, and none grows with the scan's range.  2^13
+# wrote perfbench's emit_csv scan 13% slower; 2^15 held 1.3 MB more
+_ROW_BLOCK = 1 << 14
 _LI_BLOCK = 1 << 10  # integers per li interval block
 _BLOCK = 64  # abscissae per block of the block pass
 _SLACK = 1e-12  # relative and absolute rounding slack of a margin interval
@@ -565,42 +569,40 @@ def _emit_decided_rows(bdef: _BoundDef, col: _RowCollector, n: int, n_jumps: int
     col.add_margins([], passing=(1 if bdef.lower is None else 2) * skipped)
 
 
-def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, idx: Optional[np.ndarray] = None) -> tuple:
+def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, levels, idx) -> tuple:
     """Abscissae, right and left limits and jump mask of a segment from a on, at offsets idx.
 
     The one reader of both sweep modes: every-integer scans pass offsets of
-    every integer from a, every-jump scans offsets of the jumps only.  ``hp``
-    holds J's k >= 2 jump offsets from a and their weights.  The base step
-    and its jump sizes come from ``arith.segment_values`` and
-    ``arith.segment_jumps``, at every integer with no idx, else at the
-    ascending offsets idx only (psi's two reads share one ``seg.lam_rank``),
-    and every other entry by the same elementwise operations.  So each entry
-    has the bits of the dense one; J's k >= 2 terms are copies of the same
-    table entries.
+    every integer from a, every-jump scans offsets of the jumps only.  idx is
+    a slice of contiguous offsets (a block of rows) or ascending offsets.
+    ``hp`` holds J's k >= 2 jump offsets from a and their weights, and
+    ``levels`` the segment's ``arith.segment_levels`` (or None: a read that
+    needs them forms its own).  The base step and its jump sizes come from
+    ``arith.segment_values`` and ``arith.segment_jumps``, which spread the
+    levels over a slice or read them at ascending offsets (psi's two sparse
+    reads share one ``seg.lam_rank``), and every other entry by the same
+    elementwise operations.  So each entry has the bits of a read at every
+    integer of the segment; J's k >= 2 terms are copies of the same table
+    entries.
     """
     base = "psi" if step == "psi" else "pi"
     off = a - seg.lo
-    if idx is None:
-        right = arith.segment_values(base, seg, before)[off:]
-        w = arith.segment_jumps(base, seg)[off:]
-        xs = np.arange(a, seg.hi + 1, dtype=np.float64)
+    if isinstance(idx, slice):
+        at, rank = slice(idx.start + off, idx.stop + off), None
+        idx = np.arange(idx.start, idx.stop)
     else:
         at = idx + off
         rank = seg.lam_rank(at) if base == "psi" else None  # one rank of the offsets serves both reads
-        right = arith.segment_values(base, seg, before, at, rank)
-        w = arith.segment_jumps(base, seg, at, rank)
-        xs = idx + float(a)
-    right = right.astype(np.float64, copy=False)
+    right = arith.segment_values(base, seg, before, at, rank, levels).astype(np.float64, copy=False)
+    w = arith.segment_jumps(base, seg, at, rank, levels)
+    xs = idx + float(a)
     if step == "j":
         # k >= 2 powers are never prime, so each lands on a zero weight
         hp_offs, hp_w = hp
-        if idx is None:
-            w[hp_offs] += hp_w
-        else:
-            p = np.searchsorted(idx, hp_offs)
-            found = p < idx.size
-            found[found] = idx[p[found]] == hp_offs[found]
-            w[p[found]] += hp_w[found]
+        p = np.searchsorted(idx, hp_offs)
+        found = p < idx.size
+        found[found] = idx[p[found]] == hp_offs[found]
+        w[p[found]] += hp_w[found]
         right += arith.j_higher_terms(xs, hi_i)
     return xs, right, right - w, w > 0
 
@@ -611,17 +613,25 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
     Both modes read a segment through ``_segment_rows``: every_integer at
     every integer, every_jump at the list of its jump offsets (the primes,
     or the nonzero Lambda for psi, merged with J's k >= 2 powers).  A scan
-    with a sink or kept rows forms every row (``_emit_bound_rows``).  Any
-    other scan forms no rows and takes ``_emit_decided_rows``: margins are
-    exact only where block and row floors cannot decide them, and step
-    values, J's k >= 2 terms and the per-abscissa arrays are read only at
-    block ends and in undecided blocks.
+    with a sink or kept rows forms every row (``_emit_bound_rows``), one
+    block of _ROW_BLOCK abscissae at a time, so no per-row array spans a
+    segment; every row of an abscissa falls in its block.  Any other scan
+    forms no rows and takes ``_emit_decided_rows``: margins are exact only
+    where block and row floors cannot decide them, and step values, J's
+    k >= 2 terms and the per-abscissa arrays are read only at block ends and
+    in undecided blocks.
     """
     lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
     if hi_i < lo_i:
         return
     base = "psi" if bdef.step == "psi" else "pi"
+    # a scan that forms every row reads a segment in blocks; those that read
+    # the segment's levels (every-integer blocks, and psi's every-jump blocks
+    # at their ranks) share one forming of them per segment.  Summary-only
+    # reads form their own: psi's levels held for a whole segment (0.6 MB)
+    # raised those scans' peak
+    with_levels = col.wants_rows and (base == "psi" or not jumps_only)
     hp = None
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
@@ -631,14 +641,15 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
         if bdef.step == "j":
             i0, i1 = np.searchsorted(hp_vals, [a, seg.hi + 1])
             hp = hp_vals[i0:i1] - a, hp_wts[i0:i1]
-        read = partial(_segment_rows, bdef.step, seg, before, a, hp, hi_i)
+        levels = arith.segment_levels(base, seg) if with_levels else None
+        read = partial(_segment_rows, bdef.step, seg, before, a, hp, hi_i, levels)
         if jumps_only:
             # the segment's jump offsets from a: its nonzero Lambda, or its primes
             nz = seg.lam_nonzero if base == "psi" else seg.prime_offsets()
             offs = nz[np.searchsorted(nz, off) :] - off
             if hp is not None:
                 offs = np.sort(np.concatenate((offs, hp[0])))
-            rows = lambda idx=None: read(offs if idx is None else offs[idx])
+            rows = lambda idx: read(offs[idx])
             n = n_jumps = offs.size
         else:
             rows = read
@@ -651,18 +662,22 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
         if not n:
             continue
         if col.wants_rows:
-            _emit_bound_rows(bdef, col, *rows())
+            for start in range(0, n, _ROW_BLOCK):
+                _emit_bound_rows(bdef, col, *rows(slice(start, min(start + _ROW_BLOCK, n))))
         else:
             _emit_decided_rows(bdef, col, n, n_jumps, rows)
 
 
 def _scan_log_grid(bdef: _BoundDef, lo: float, hi: float, points: int, col: _RowCollector) -> None:
+    """log_grid engine: one sparse read of the step at every point, then rows one block at a time."""
     lo = max(lo, float(bdef.min_x))
     if lo > hi:
         return
     xs = np.geomspace(lo, hi, points)
     step_vals = arith.step_at(bdef.step, np.floor(xs).astype(np.int64))
-    _emit_bound_rows(bdef, col, xs, step_vals, None, None)
+    for start in range(0, points, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        _emit_bound_rows(bdef, col, xs[block], step_vals[block], None, None)
 
 
 def scan_bound(

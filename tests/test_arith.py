@@ -17,6 +17,7 @@ from zetalab.arith import (
     pi_table,
     psi_value,
     segment_jumps,
+    segment_levels,
     segment_values,
     step_at,
     step_segments,
@@ -178,16 +179,16 @@ def test_step_segments_carry_and_validation():
     assert [(seg.lo, seg.hi) for seg, _ in segs] == [(0, B - 1), (B, B + 5)]
     # each segment comes with the step's value just left of it
     assert segs[0][1] == 0 and segs[1][1] == pi_count(B - 1)
-    dense = segment_values("pi", *segs[1])
+    dense = segment_values("pi", *segs[1], slice(0, 6))
     assert dense.dtype == np.int64 and dense[0] == pi_count(B)
     # a segment wholly below lo is sieved for the carry but not yielded
     ((seg, before),) = step_segments("pi", B + 5, lo=B)
-    assert seg.lo == B and segment_values("pi", seg, before).tolist() == dense.tolist()
+    assert seg.lo == B and segment_values("pi", seg, before, slice(0, 6)).tolist() == dense.tolist()
     psi_segs = list(step_segments("psi", B + 5))
     ((seg, before),) = step_segments("psi", B + 5, lo=B + 5)
     assert seg.lam_values is not None
-    want = segment_values("psi", *psi_segs[1])
-    assert segment_values("psi", seg, before).tolist() == want.tolist()
+    want = segment_values("psi", *psi_segs[1], slice(0, 6))
+    assert segment_values("psi", seg, before, slice(0, 6)).tolist() == want.tolist()
     with pytest.raises(ValueError):
         list(step_segments("j", 10))
     with pytest.raises(ValueError):
@@ -195,20 +196,29 @@ def test_step_segments_carry_and_validation():
 
 
 def test_sparse_segment_values_have_the_dense_bits():
-    rng = np.random.default_rng(11)
+    rng, cut_rng = np.random.default_rng(11), np.random.default_rng(12)
     for step in ("pi", "psi"):
         for seg, before in step_segments(step, 3 * B + 5):
-            # the dense read spreads the jumps' running sum over their gaps: the
-            # bits of a running sum over every integer, carries included
+            # a dense read spreads the jumps' running sum over the gaps in its
+            # slice: the bits of a running sum over every integer, carries included
             is_prime, lam = oracle.dense_arrays(seg)
             jumps = is_prime.astype(np.float64) if step == "pi" else lam
             want = np.cumsum(is_prime, dtype=np.int64) if step == "pi" else np.cumsum(lam)
             want += before
             assert before or seg.lo == 0
-            dense = segment_values(step, seg, before)
-            assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes(), (step, seg.lo)
-            assert segment_jumps(step, seg).tobytes() == jumps.tobytes(), (step, seg.lo)
             n = len(seg)
+            dense = segment_values(step, seg, before, slice(0, n))
+            assert dense.dtype == want.dtype and dense.tobytes() == want.tobytes(), (step, seg.lo)
+            assert segment_jumps(step, seg, slice(0, n)).tobytes() == jumps.tobytes(), (step, seg.lo)
+            levels = segment_levels(step, seg)
+            cuts = np.sort(cut_rng.integers(0, n, 40))
+            for sl in [slice(0, 1), slice(n - 1, n), slice(2, 3), slice(0, min(n, 4097))] + [
+                slice(int(a), int(b) + 1) for a, b in zip(cuts[::2], cuts[1::2])
+            ]:
+                for lv in (None, levels):
+                    got = segment_values(step, seg, before, sl, levels=lv)
+                    assert got.tobytes() == dense[sl].tobytes(), (step, seg.lo, sl)
+                    assert segment_jumps(step, seg, sl, levels=lv).tobytes() == jumps[sl].tobytes(), (step, sl)
             picks = [
                 np.arange(n),
                 np.sort(rng.integers(0, n, 500)),
@@ -236,8 +246,8 @@ def test_prime_counter_is_the_dense_cumsum(monkeypatch, size):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", size)
     rng = np.random.default_rng(20)
     for seg, before in step_segments("pi", 6 * size + 100):
-        dense = segment_values("pi", seg, before)
         n = len(seg)
+        dense = segment_values("pi", seg, before, slice(0, n))
         edges = [0, 0, 1, n - 1, n - 1] + list(range(63, n, 64)) + list(range(64, n, 64))
         offs = np.sort(np.concatenate((edges, rng.integers(0, n, 300)))).astype(np.int64)
         assert np.array_equal(segment_values("pi", seg, before, offs), dense[offs]), seg.lo

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import sys
 import tracemalloc
 
@@ -365,7 +366,7 @@ def test_summary_scans_form_no_rows(monkeypatch, mode):
 
 def test_summary_psi_scans_form_no_dense_lambda(monkeypatch):
     # B3 reads psi at block ends and at jumps from Lambda's stored jumps only;
-    # a scan that keeps its rows reads every integer
+    # a scan that keeps its rows reads every integer, one block at a time
     from zetalab import arith
 
     step_segments, seen, dense = arith.step_segments, [], []
@@ -375,11 +376,12 @@ def test_summary_psi_scans_form_no_dense_lambda(monkeypatch):
             seen.append(seg)
             yield seg, before
 
-    def dense_reads(read, offs_at):  # a read with no offsets spans the whole segment
-        def wrapped(*args):
-            if len(args) <= offs_at or args[offs_at] is None:
-                dense.append(read.__name__)
-            return read(*args)
+    def dense_reads(read, offs_at):  # a dense read takes a slice of contiguous offsets
+        def wrapped(*args, **kwargs):
+            offs = args[offs_at]
+            if isinstance(offs, slice):
+                dense.append((read.__name__, offs.stop - offs.start))
+            return read(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(arith, "step_segments", recording)
@@ -390,7 +392,10 @@ def test_summary_psi_scans_form_no_dense_lambda(monkeypatch):
     assert len(seen) == 6 and not dense
     seen.clear()
     scan_bound("B3", 1, 3e5, keep_rows=True)
-    assert len(seen) == 1 and dense == ["segment_values", "segment_jumps"]
+    assert len(seen) == 1 and {name for name, _ in dense} == {"segment_values", "segment_jumps"}
+    # each read covers every integer once, and every dense read spans at most one block
+    assert sum(span for _, span in dense) == 2 * 300_000
+    assert max(span for _, span in dense) <= verify._ROW_BLOCK
 
 
 def test_a_sparse_psi_read_ranks_its_offsets_once(monkeypatch):
@@ -406,9 +411,9 @@ def test_a_sparse_psi_read_ranks_its_offsets_once(monkeypatch):
         calls.append(offs.size)
         return count_primes(self, offs)
 
-    dense = verify._segment_rows("psi", seg, before, 1, None, 300_000)
+    dense = verify._segment_rows("psi", seg, before, 1, None, 300_000, None, slice(0, 300_000))
     monkeypatch.setattr(SieveSegment, "count_primes", counting)
-    sparse = verify._segment_rows("psi", seg, before, 1, None, 300_000, idx)
+    sparse = verify._segment_rows("psi", seg, before, 1, None, 300_000, None, idx)
     assert calls == [idx.size]
     for got, want in zip(sparse, dense):
         assert got.tobytes() == want[idx].tobytes()
@@ -620,9 +625,16 @@ def test_kept_rows_are_complete_past_one_segment():
     assert rep.rows[-1][0] == 1_100_000.0
 
 
-def test_scan_streaming_to_sink_matches_retained_rows():
+def test_scan_streaming_to_sink_matches_retained_rows(monkeypatch):
     # a scan that streams its rows to a sink and keeps them: the kept rows
     # render, byte for byte, as the sink got them
+    def scan(bound_id, lo, hi, mode):
+        sink = io.StringIO()
+        rep = scan_bound(bound_id, lo, hi, mode, points=3, row_sink=sink, keep_rows=True)
+        assert rep.rows.dtype == np.float64 and rep.rows.shape == (rep.n_rows, 5), (bound_id, mode)
+        assert render_csv([rep]) == sink.getvalue(), (bound_id, mode)
+        return sink.getvalue(), rep.rows.tobytes(), _summary(rep)
+
     scans = [
         ("B3", 1, 500, "every_integer"),
         ("B1", 2, 40_000, "every_jump"),
@@ -632,13 +644,26 @@ def test_scan_streaming_to_sink_matches_retained_rows():
         ("B2", 0.5, 1.5, "every_integer"),  # below the first abscissa: the header only
     ]
     for bound_id, lo, hi, mode in scans:
-        sink = io.StringIO()
-        rep = scan_bound(bound_id, lo, hi, mode, points=3, row_sink=sink, keep_rows=True)
-        assert rep.rows.dtype == np.float64 and rep.rows.shape == (rep.n_rows, 5), (bound_id, mode)
-        assert render_csv([rep]) == sink.getvalue(), (bound_id, mode)
+        text, _, (n_rows, n_failures, _, _) = scan(bound_id, lo, hi, mode)
         if bound_id == "B4":
-            assert rep.n_failures > 0 and sink.getvalue().count(",false\n") == rep.n_failures
-    assert rep.rows.shape == (0, 5) and sink.getvalue() == "x,lhs,rhs,margin,pass\n"
+            assert n_failures > 0 and text.count(",false\n") == n_failures
+    assert n_rows == 0 and text == "x,lhs,rhs,margin,pass\n"
+    # rows are read, formed and written one block of abscissae at a time: any
+    # block size gives the CSV, the kept rows and the summary of the default
+    # one.  One range crosses the segment boundary at 2**20; the other starts
+    # at the first abscissa, where B4 fails at 19, 31, 113 and 199
+    scans = [
+        (bound_id, lo, hi, mode)
+        for bound_id in ("B1", "B2", "B3", "B4")
+        for mode in ("every_integer", "every_jump")
+        for lo, hi in ((2**20 - 600, 2**20 + 600), (1, 400))
+    ]
+    want = {s: scan(*s) for s in scans}
+    assert all(text.count("\n") > 1 for text, _, _ in want.values())
+    assert all(want["B4", 1, 400, mode][2][1] > 0 for mode in ("every_integer", "every_jump"))
+    for block in (1, 7, 4097):
+        monkeypatch.setattr(verify, "_ROW_BLOCK", block)
+        assert {s: scan(*s) for s in scans} == want, block
 
 
 # ---------------------------------------------------------------------------
@@ -876,3 +901,16 @@ def _cold_zeta1_bracket():
 )
 def test_comb_claims_run_in_bounded_memory(run, bound_mb):
     assert _traced_peak_mb(run) < bound_mb
+
+
+@pytest.mark.parametrize("bound_id", ["B3", "B4"])
+def test_csv_scans_run_in_flat_memory(bound_id):
+    # rows are read, formed and written one block at a time, so a CSV scan
+    # over four segments peaks as one over one segment does, well below one
+    # segment of float64 (8 MB); whole segments of rows peaked at 127-134 MB
+    with open(os.devnull, "w") as sink:
+        scan = lambda hi: scan_bound(bound_id, 2, hi, row_sink=sink, keep_rows=False)
+        scan(1000)  # the CSV writer's tables
+        one = _traced_peak_mb(lambda: scan(2**20 - 1))
+        four = _traced_peak_mb(lambda: scan(3.2e6))
+    assert four < 7.0 and four < 1.1 * one, (one, four)
