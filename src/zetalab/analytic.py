@@ -294,13 +294,27 @@ def _dd_prefix(head: int, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """head (0, 0) rows, then the running double-double sums of (hi, lo).
 
     One scalar dd_add per term, in order, so each row has the bits of the
-    sequential sum.  The result is read-only: the callers cache it.
+    sequential sum.  The dd_add is written out inline, with the same
+    operations in the same order, to save the calls.  The result is
+    read-only: the callers cache it.
     """
-    acc = (0.0, 0.0)
-    out = [acc] * head
-    for term in zip(hi.tolist(), lo.tolist()):
-        acc = dd_add(acc, term)
-        out.append(acc)
+    x = y = 0.0
+    out = [(x, y)] * head
+    for a, b in zip(hi.tolist(), lo.tolist()):
+        s = x + a  # two_sum(x, a) -> (s, e)
+        v = s - x
+        e = (x - (s - v)) + (a - v)
+        t = y + b  # two_sum(y, b) -> (t, f)
+        v = t - y
+        f = (y - (t - v)) + (b - v)
+        e += t
+        x = s + e  # _quick_two_sum(s, e) -> (x, e)
+        e -= x - s
+        e += f
+        s = x + e  # _quick_two_sum(x, e) -> (x, y)
+        y = e - (s - x)
+        x = s
+        out.append((x, y))
     table = np.array(out)
     table.setflags(write=False)
     return table

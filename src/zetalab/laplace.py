@@ -147,21 +147,25 @@ def _pairwise_sum(leaf, n: int, m0: int = 0):
 def _unit_comb_sums(c: StepComb, s: float) -> Tuple[float, float]:
     """sum w_n a_n**-s and sum |w_n a_n**-s| of a unit comb, leaf by leaf.
 
-    Each leaf forms its ordinates start + stride*m and their powers in one
-    reused buffer, with the operations and so the bits of the whole-array
-    ``values ** -s``; ETA's weights flip the sign of every odd m, after the
-    sum of |terms| is taken.
+    Each leaf forms its ordinates as stride*j (one array per sum) plus the
+    scalar start + stride*m0, in one reused buffer.  Every ordinate and
+    every step to it is an exact dyadic below 2**53 (checked here), so the
+    terms have the bits of the whole-array ``values ** -s``; ETA's weights
+    flip the sign of every odd m, after the sum of |terms| is taken.
     """
     start, stride = c.ramp
-    ramp = np.arange(min(c.n_terms, _LEAF), dtype=np.float64)
+    (a, qa), (b, qb) = float(start).as_integer_ratio(), float(stride).as_integer_ratio()
+    q = max(qa, qb)  # both are powers of two: every ordinate is a multiple of 1/q
+    if (a * (q // qa) + b * (q // qb) * c.n_terms) >= 2**53:
+        raise ValueError(
+            f"unit comb ordinates {start} + {stride}*m for m < {c.n_terms} are not all exact floats"
+        )
+    ramp = stride * np.arange(min(c.n_terms, _LEAF), dtype=np.float64)
     buf = np.empty_like(ramp)
     eta = c.kind is CombKind.ETA
 
     def leaf(m0: int, n: int) -> np.ndarray:
-        terms = buf[:n]
-        np.add(ramp[:n], m0, out=terms)
-        terms *= stride
-        terms += start
+        terms = np.add(ramp[:n], start + stride * m0, out=buf[:n])
         np.power(terms, -s, out=terms)
         mag = np.sum(terms)
         if not eta:

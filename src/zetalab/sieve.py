@@ -158,27 +158,39 @@ _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = 15015
 
 
+_FALSE = np.zeros((), dtype=bool)  # the strike value, converted once
+
+
 @lru_cache(maxsize=1)
 def _wheel() -> np.ndarray:
-    """One period of the wheel: entry j is whether 2j + 1 has no prime factor up to 13."""
-    period = np.ones(_WHEEL, dtype=bool)
+    """Two periods of the wheel: entry j is whether 2j + 1 has no prime factor up to 13.
+
+    Any one period, rotated to start at entry r, is the slice [r, r + _WHEEL).
+    """
+    periods = np.ones(2 * _WHEEL, dtype=bool)
     for p in _WHEEL_PRIMES:
-        period[(p - 1) // 2 :: p] = False
-    period.setflags(write=False)
-    return period
+        periods[(p - 1) // 2 :: p] = False
+    periods.setflags(write=False)
+    return periods
 
 
 def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Odd-only primality mask of [lo, hi]: entry i is whether (lo | 1) + 2i is prime.
 
-    The mask starts from the wheel, rotated to lo and tiled over the range;
-    the wheel primes themselves are marked prime again and 1 is cleared.
-    Then each base prime from 17 on with p*p <= hi strikes its odd multiples
-    from max(p*p, the first multiple >= lo), bumped to odd.
+    ``iter_segments`` calls it on two segments at a time, so each base prime
+    strikes one slice per pair of segments.  The mask starts from the wheel:
+    the period rotated to lo, sliced out of the two-period table and copied
+    over the range; the wheel primes themselves are marked prime again and 1
+    is cleared.  Then each base prime from 17 on with p*p <= hi strikes its
+    odd multiples from max(p*p, the first multiple >= lo), bumped to odd.
     """
     first = lo | 1
     n_odd = (hi - first) // 2 + 1 if first <= hi else 0
-    mask = np.resize(np.roll(_wheel(), -((first // 2) % _WHEEL)), n_odd)
+    r, full = (first // 2) % _WHEEL, n_odd // _WHEEL
+    wheel = _wheel()
+    mask = np.empty(n_odd, dtype=bool)
+    mask[: full * _WHEEL].reshape(full, _WHEEL)[...] = wheel[r : r + _WHEEL]
+    mask[full * _WHEEL :] = wheel[r : r + n_odd - full * _WHEEL]
     for p in _WHEEL_PRIMES:
         if first <= p <= hi:
             mask[(p - first) // 2] = True
@@ -189,7 +201,7 @@ def _primality_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     starts += ps * (starts % 2 == 0)
     live = starts <= hi
     for s, p in zip(((starts[live] - first) // 2).tolist(), ps[live].tolist()):
-        mask[s::p] = False
+        mask[s::p] = _FALSE
     return mask
 
 
@@ -212,23 +224,32 @@ def _lam_block(
 
 
 def iter_segments(lo: int, hi: int, *, want_lam: bool = False) -> Iterator[SieveSegment]:
-    """Yield consecutive SieveSegments of DEFAULT_SEGMENT integers covering [lo, hi]."""
+    """Yield consecutive SieveSegments of DEFAULT_SEGMENT integers covering [lo, hi].
+
+    The primality mask is struck two segments at a time, by one
+    ``_primality_block`` call, and each segment's ``odd`` is a read-only
+    view of its half of that mask.
+    """
     _check_range(lo, hi)
     primes = base_primes(math.isqrt(hi) if hi >= 4 else 2)
     powers = higher_prime_powers(hi) if want_lam else None
     a = lo
     while a <= hi:
-        b = min(a + DEFAULT_SEGMENT - 1, hi)
-        odd = _primality_block(a, b, primes)
-        odd.setflags(write=False)
-        seg = SieveSegment(a, b, odd)
-        if want_lam:
-            nonzero, lam = _lam_block(a, b, powers, seg.prime_offsets())
-            lam.setflags(write=False)
-            nonzero.setflags(write=False)
-            seg = replace(seg, lam_nonzero=nonzero, lam_values=lam)
-        yield seg
-        a = b + 1
+        block_hi = min(a + 2 * DEFAULT_SEGMENT - 1, hi)
+        block = _primality_block(a, block_hi, primes)
+        block.setflags(write=False)
+        first = a | 1
+        while a <= block_hi:
+            b = min(a + DEFAULT_SEGMENT - 1, block_hi)
+            i = ((a | 1) - first) // 2  # both odd, so the gap is even
+            seg = SieveSegment(a, b, block[i : i + (b - (a | 1)) // 2 + 1])
+            if want_lam:
+                nonzero, lam = _lam_block(a, b, powers, seg.prime_offsets())
+                lam.setflags(write=False)
+                nonzero.setflags(write=False)
+                seg = replace(seg, lam_nonzero=nonzero, lam_values=lam)
+            yield seg
+            a = b + 1
 
 
 def mobius(n: int) -> int:

@@ -10,7 +10,7 @@ import pytest
 
 from zetalab import laplace
 from zetalab.analytic import R_of_s, zeta_prime_real, zeta_real
-from zetalab.comb import ArithmeticKind, CombKind, build_comb
+from zetalab.comb import ArithmeticKind, CombKind, StepComb, build_comb
 from zetalab.laplace import (
     KERNEL_OFFSET,
     TransformBracket,
@@ -181,6 +181,19 @@ def test_streamed_comb_sums_are_those_of_the_whole_array(kind, start, stride, li
     for s in S_GRID + [1.1, 7.3]:
         terms = values ** -s
         assert laplace._unit_comb_sums(c, s) == (np.sum(terms * w), np.sum(terms)), s
+
+
+def test_unit_comb_sums_refuse_ordinates_that_are_not_exact_floats():
+    # a stride that is no short dyadic: its ordinates round, so the leaf's
+    # stride*j + (start + stride*m0) need not have the bits of values ** -s
+    with pytest.raises(ValueError, match="not all exact"):
+        laplace_comb(build_comb(ArithmeticKind(1.0, 0.1), 100), 2.0, pair_id="ze")
+    # integer ordinates run exact to 2**53, half-integers to 2**52
+    for kind, n in ((CombKind.ZETA1, 2**53), (ArithmeticKind(1.5, 1.0), 2**52)):
+        with pytest.raises(ValueError, match="not all exact"):
+            laplace._unit_comb_sums(StepComb(kind=kind, limit=float(n), n_terms=n), 2.0)
+    quarters = build_comb(ArithmeticKind(0.75, 0.25), 3.0)
+    assert laplace._unit_comb_sums(quarters, 2.0)[1] == np.sum(quarters.values ** -2.0)
 
 
 def test_brackets_shrink_with_limit():

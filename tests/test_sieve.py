@@ -157,6 +157,56 @@ def test_segmentation_is_invisible(monkeypatch):
     assert np.array_equal(big.prime_offsets() + lo, primes[primes >= lo])
 
 
+SEG = sieve.DEFAULT_SEGMENT
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (5, 1000),  # one segment
+        (0, 2 * SEG - 1),  # two segments: one whole strike block
+        (0, 2 * SEG),  # three: a final one-integer (even) segment, a new block
+        (1, 2 * SEG + 1),  # lo odd; a final one-integer odd segment
+        (2, 2 * SEG + 1),  # lo even, not a multiple of the segment
+        (12_345, 12_345 + 3 * SEG + 6),  # four segments; the fourth starts mid-block
+        (SEG + 2, 3 * SEG + 100),  # three segments from an even mid-block start
+    ],
+)
+def test_segments_struck_in_pairs_are_their_own_masks(lo, hi):
+    # the sieve strikes two segments per mask; each segment must read as if
+    # struck alone, and its primes as a plain sieve's
+    primes = base_primes(math.isqrt(hi))
+    segs = list(iter_segments(lo, hi))
+    assert len(segs) == -(-(hi - lo + 1) // SEG)
+    assert [s.lo for s in segs] == list(range(lo, hi + 1, SEG))
+    assert [len(s) for s in segs[:-1]] == [SEG] * (len(segs) - 1) and segs[-1].hi == hi
+    oracle_primes = base_primes(hi)
+    for seg in segs:
+        assert seg.first == seg.lo | 1
+        assert seg.odd.size == max(0, (seg.hi - seg.first) // 2 + 1)
+        assert not seg.odd.flags.writeable
+        with pytest.raises(ValueError):
+            seg.odd.setflags(write=True)
+        assert np.array_equal(seg.odd, sieve._primality_block(seg.lo, seg.hi, primes)), seg.lo
+        want = oracle_primes[(oracle_primes >= seg.lo) & (oracle_primes <= seg.hi)] - seg.lo
+        assert np.array_equal(seg.prime_offsets(), want), seg.lo
+        assert seg.n_primes == want.size
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64])
+def test_small_segments_struck_in_pairs_match_trial_division(monkeypatch, size):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", size)
+    for lo in range(8):
+        for hi in range(lo, lo + 30):
+            segs = list(iter_segments(lo, hi, want_lam=True))
+            assert [len(s) for s in segs[:-1]] == [size] * (len(segs) - 1), (size, lo, hi)
+            assert all(not s.odd.flags.writeable for s in segs)
+            got = np.concatenate([s.prime_offsets() + s.lo for s in segs]).tolist()
+            assert got == [n for n in range(lo, hi + 1) if trial_is_prime(n)], (size, lo, hi)
+            lam = np.concatenate([oracle.dense_arrays(s)[1] for s in segs])
+            assert lam.tolist() == pytest.approx([trial_lambda(n) for n in range(lo, hi + 1)], abs=1e-12)
+
+
 def zero_fill_lam(seg) -> np.ndarray:
     """Dense Lambda as the sieve formed it before it kept only the jumps:
     zeros, np.log at the primes, math.log(p) at the k >= 2 powers."""

@@ -279,6 +279,28 @@ def test_every_jump_rows_are_every_integer_rows_at_the_jumps(bound_id):
     assert sorted({int(r[0]) for r in sparse.rows}) == sorted(jumps)
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 300_000), ((1 << 21) - 3000, (1 << 21) + 3000)])
+def test_every_jump_j_reads_the_sorted_jumps(monkeypatch, lo, hi):
+    # J's every-jump offsets merge the primes with the k >= 2 powers; read
+    # in order, they must be the sorted union of both lists.  2**21 starts a
+    # strike block of the sieve and is a power of 2
+    from zetalab.sieve import base_primes, higher_prime_powers
+
+    read = []
+    real = verify._segment_rows
+
+    def recording(*args):
+        out = real(*args)
+        read.append(out[0])
+        return out
+
+    monkeypatch.setattr(verify, "_segment_rows", recording)
+    scan_bound("B1", lo, hi, "every_jump", keep_rows=True)
+    primes, powers = base_primes(hi), higher_prime_powers(hi)[0]
+    want = np.sort(np.concatenate((primes[primes >= lo], powers[powers >= lo])))
+    assert np.concatenate(read).tolist() == want.astype(np.float64).tolist()
+
+
 def test_every_jump_scan_asks_j_only_at_its_jumps(monkeypatch):
     from zetalab import arith
 
