@@ -861,8 +861,11 @@ def test_csv_fields_do_not_rest_on_the_hosts_log10(oracle_rows, monkeypatch, off
     assert sink.getvalue() == want
 
 
+_CHUNK = verify._CSV_CHUNK
+
+
 @pytest.mark.parametrize(
-    "n", [0, 1, verify._CSV_CHUNK - 1, verify._CSV_CHUNK, verify._CSV_CHUNK + 1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1]
+    "n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1]
 )
 def test_csv_rows_go_out_in_chunks(n):
     rng = np.random.default_rng(n)
