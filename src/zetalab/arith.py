@@ -5,10 +5,10 @@ sweep (``step_segments``), so memory stays bounded.  The sweep hands each
 segment over with the step's value just left of it; ``segment_values`` then
 forms right-limit values from the segment's jumps either over a contiguous
 range of offsets (dense readers: the blocks of scans that write or keep rows,
-``pi_table``) or at sorted offsets only (sparse readers: ``step_at`` for log
-grids, every-jump and summary-only scans), where the cost follows the
-segment's jumps and the requested points, not its length.  Both give the bits
-of one running sum over every integer of the segment.
+``pi_table``) or at sorted offsets only (sparse readers: log grids, every-jump
+and summary-only scans), where the cost follows the segment's jumps and the
+requested points, not its length.  Both give the bits of one running sum over
+every integer of the segment.
 The weighted prime-power count J is pi plus the k >= 2 jumps at exact integer
 k-th roots, added at the requested points only; float powers are never used
 to decide whether a lattice point is a perfect power.
@@ -142,39 +142,18 @@ def segment_jumps(
     return out
 
 
-def step_at(step: str, xs: np.ndarray) -> np.ndarray:
-    """pi, psi or J (step "pi", "psi" or "j") at integer abscissae xs >= 0, as float64.
-
-    One sieve sweep to max(xs) serves all points, in any order.  Each segment
-    that holds points is read sparsely (``segment_values`` at the sorted
-    offsets), so the work past the sieve follows the number of points and the
-    segment's jumps, not its length; J adds the k >= 2 jumps at the requested
-    points only.
-    """
-    if step not in ("pi", "psi", "j"):
-        raise ValueError(f"unknown step function {step!r}")
-    xs = np.asarray(xs, dtype=np.int64)
-    out = np.zeros(xs.size, dtype=np.float64)
-    if xs.size == 0:
-        return out
-    order = np.argsort(xs, kind="stable")
-    sx = xs[order]
-    top = int(sx[-1])
-    base = "psi" if step == "psi" else "pi"
-    for seg, before in step_segments(base, top, lo=int(sx[0])):
-        i0, i1 = np.searchsorted(sx, [seg.lo, seg.hi + 1])
-        if i0 < i1:
-            out[order[i0:i1]] = segment_values(base, seg, before, sx[i0:i1] - seg.lo)
-    if step == "j":
-        out[order] += j_higher_terms(sx, top)
-    return out
+def _floor(name: str, x: float) -> int:
+    """floor(x) as an int; NaN and +inf raise a ValueError that names the function."""
+    if not x < math.inf:
+        raise ValueError(f"{name} requires a finite x, got x={x!r}")
+    return int(math.floor(x))
 
 
 def pi_count(x: float) -> int:
     """Number of primes <= floor(x)."""
     if x < 2:
         return 0
-    n = int(math.floor(x))
+    n = _floor("pi_count", x)
     ((seg, before),) = step_segments("pi", n, lo=n)
     return before + seg.n_primes
 
@@ -192,14 +171,13 @@ def pi_table(limit: int) -> np.ndarray:
 def j_value(x: float) -> float:
     """J at x: the fsum over k of pi(r_k)/k, r_k the exact integer k-th root of floor(x).
 
-    One ``step_at`` call reads pi at every root r_k >= 2, those of the k with
+    ``pi_count`` reads pi at every root r_k >= 2, those of the k with
     2**k <= floor(x).
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    n = int(math.floor(x))
-    pis = step_at("pi", [integer_kth_root(n, k) for k in range(1, n.bit_length())])
-    return math.fsum(c / k for k, c in enumerate(pis.tolist(), start=1))
+    n = _floor("j_value", x)
+    return math.fsum(pi_count(integer_kth_root(n, k)) / k for k in range(1, n.bit_length()))
 
 
 def psi_value(x: float) -> float:
@@ -210,7 +188,7 @@ def psi_value(x: float) -> float:
     """
     if x < 2:
         return 0.0
-    segs = iter_segments(0, int(math.floor(x)), want_lam=True)
+    segs = iter_segments(0, _floor("psi_value", x), want_lam=True)
     return sum(_lam_scaled(seg.lam_values) for seg in segs) / 2**53
 
 

@@ -62,7 +62,7 @@ def _parser() -> argparse.ArgumentParser:
     sc.add_argument("--from", dest="lo", type=float, default=None)
     sc.add_argument("--to", dest="hi", type=float, default=None)
     sc.add_argument("--mode", choices=["every-integer", "every-jump", "log-grid"], default=None)
-    sc.add_argument("--points", type=int, default=10_000)
+    sc.add_argument("--points", type=int, default=None, help="log-grid points (default 10000)")
     sc.add_argument("--convention", choices=["li", "offset"], default=None)
     sc.add_argument("--format", choices=["csv", "json"], default=None)
     sc.add_argument("--out", default="-")
@@ -166,11 +166,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_scan(args) -> int:
     mode = args.mode.replace("-", "_") if args.mode else None
+    points = {} if args.points is None else {"points": args.points}
+    if points and mode != "log_grid":  # no bound scans a log grid by default
+        raise ValueError("--points applies to --mode log-grid only")
     rows_to_stdout = args.format == "csv" and args.out == "-"
     with verify.open_text(args.out) if args.format == "csv" else contextlib.nullcontext() as sink:
         report = verify.scan_bound(
             args.bound, args.lo, args.hi, mode,
-            points=args.points, convention=args.convention, row_sink=sink, keep_rows=False,
+            convention=args.convention, row_sink=sink, keep_rows=False, **points,
         )
     print(
         f"{report.bound_id} {'pass' if report.passed else 'fail'} "

@@ -137,6 +137,8 @@ def r_value(x: float) -> float:
     """Remainder e**x minus the integer staircase; lies in [0, 1)."""
     if x < 0:
         raise ValueError("x must be >= 0")
+    if not x < math.inf:
+        raise ValueError(f"r_value requires a finite x, got x={x!r}")
     r = math.exp(x) - zeta1_count(x)
     # exp(log n) can land half an ulp on either side of the lattice; clamp the
     # round-trip noise so the contract r in [0, 1) holds at jump points

@@ -383,15 +383,8 @@ def _bound_sides(bdef: _BoundDef, sqrt_x: np.ndarray, log_x: Optional[np.ndarray
     return sides
 
 
-def _emit_bound_rows(
-    bdef: _BoundDef,
-    col: _RowCollector,
-    xs: np.ndarray,
-    right: np.ndarray,
-    left: Optional[np.ndarray],
-    jump_mask: Optional[np.ndarray],
-) -> None:
-    """Rows for one block of abscissae, ascending in x.
+def _emit_bound_rows(bdef: _BoundDef, col: _RowCollector, xs, right, left, jump_mask) -> None:
+    """Rows for one block of abscissae, ascending in x, from their right and left limits and jump mask.
 
     Each margin family is formed once: value (right-limit) rows at every x,
     left-limit rows at the jumps only, and for a two-sided bound a lower row
@@ -406,7 +399,7 @@ def _emit_bound_rows(
     up, lo = _bound_sides(bdef, np.sqrt(xs), np.log(xs) if bdef.per_log else None)
     smooth = xs if bdef.li_shift is None else analytic.li_vec(xs) - bdef.li_shift
     evals = [(slice(None), right)]  # (selection of xs, step values), in row order at an x
-    if jump_mask is not None and jump_mask.any():
+    if jump_mask.any():
         j = np.flatnonzero(jump_mask)
         evals.insert(0, (j, left[j]))
     fams, at = [], []  # (x, lhs, rhs) per family, and the selection of xs it sits at
@@ -574,9 +567,11 @@ def _emit_decided_rows(bdef: _BoundDef, col: _RowCollector, n: int, n_jumps: int
 def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, levels, idx) -> tuple:
     """Abscissae, right and left limits and jump mask of a segment from a on, at offsets idx.
 
-    The one reader of both sweep modes: every-integer scans pass offsets of
-    every integer from a, every-jump scans offsets of the jumps only.  idx is
-    a slice of contiguous offsets (a block of rows) or ascending offsets.
+    The one reader of every scan mode: every-integer scans pass offsets of
+    every integer from a, every-jump scans offsets of the jumps only, and log
+    grids the offsets floor(x) - a of their points.  idx is a slice of
+    contiguous offsets (a block of rows) or ascending offsets, which a log
+    grid may repeat.
     ``hp`` holds J's k >= 2 jump offsets from a and their weights, and
     ``levels`` the segment's ``arith.segment_levels`` (or None: a read that
     needs them forms its own).  The base step and its jump sizes come from
@@ -609,34 +604,58 @@ def _segment_rows(step: str, seg, before, a: int, hp, hi_i: int, levels, idx) ->
     return xs, right, right - w, w > 0
 
 
-def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _RowCollector) -> None:
-    """every_integer / every_jump engine: one sweep of sieve segments.
+def _scan_stream(bdef: _BoundDef, lo: float, hi: float, mode: str, points: int, col: _RowCollector) -> None:
+    """The engine of every scan mode: one sweep of sieve segments.
 
-    Both modes read a segment through ``_segment_rows``: every_integer at
+    Each mode reads a segment through ``_segment_rows``: every_integer at
     every integer, every_jump at the list of its jump offsets (the primes,
-    or the nonzero Lambda for psi, merged with J's k >= 2 powers).  A scan
-    with a sink or kept rows forms every row (``_emit_bound_rows``), one
-    block of _ROW_BLOCK abscissae at a time, so no per-row array spans a
-    segment; every row of an abscissa falls in its block.  Any other scan
+    or the nonzero Lambda for psi, merged with J's k >= 2 powers), log_grid
+    at the offsets floor(x) - a of the grid points whose floor falls in the
+    segment.  A log grid's rows sit at x, with the right limit on both sides
+    and no jump rows.  A scan with a sink or kept rows, and every log grid,
+    forms every row (``_emit_bound_rows``) in blocks of at most _ROW_BLOCK
+    abscissae, which may span segments, so no per-row array grows with the
+    range; every row of an abscissa falls in its block.  Any other scan
     forms no rows and takes ``_emit_decided_rows``: margins are exact only
     where block and row floors cannot decide them, and step values, J's
     k >= 2 terms and the per-abscissa arrays are read only at block ends and
     in undecided blocks.
     """
-    lo_i = max(int(math.ceil(lo)), bdef.min_x)
+    grid = None
+    if mode == "log_grid":
+        lo = max(lo, float(bdef.min_x))
+        if lo > hi:
+            return
+        # np.geomspace can put an inner point of a narrow grid below lo or below
+        # its predecessor; the walk places points by searchsorted, so the grid
+        # is clamped into [lo, hi] and made non-decreasing
+        grid = np.geomspace(lo, hi, points)
+        np.maximum.accumulate(np.clip(grid, lo, hi, out=grid), out=grid)
+        lo_i = int(grid[0])
+    else:
+        lo_i = max(int(math.ceil(lo)), bdef.min_x)
     hi_i = int(math.floor(hi))
     if hi_i < lo_i:
         return
     base = "psi" if bdef.step == "psi" else "pi"
+    forms_rows = col.wants_rows or grid is not None
     # a scan that forms every row reads a segment in blocks; those that read
-    # the segment's levels (every-integer blocks, and psi's every-jump blocks
-    # at their ranks) share one forming of them per segment.  Summary-only
+    # the segment's levels (every-integer blocks, and psi's sparse blocks at
+    # their ranks) share one forming of them per segment.  Summary-only
     # reads form their own: psi's levels held for a whole segment (0.6 MB)
     # raised those scans' peak
-    with_levels = col.wants_rows and (base == "psi" or not jumps_only)
+    with_levels = forms_rows and (base == "psi" or mode == "every_integer")
     hp = None
     if bdef.step == "j":
         hp_vals, hp_wts, _ = arith.higher_power_jumps(hi_i)
+    pending, n_pending = [], 0  # row pieces of the block being filled, and their abscissae
+
+    def emit_pending():
+        nonlocal pending, n_pending
+        block = pending[0] if len(pending) == 1 else [np.concatenate(c) for c in zip(*pending)]
+        pending, n_pending = [], 0  # the pieces go before the block's rows are formed
+        _emit_bound_rows(bdef, col, *block)
+
     for seg, before in arith.step_segments(base, hi_i, lo=lo_i):
         a = max(lo_i, seg.lo)
         off = a - seg.lo
@@ -645,7 +664,16 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
             hp = hp_vals[i0:i1] - a, hp_wts[i0:i1]
         levels = arith.segment_levels(base, seg) if with_levels else None
         read = partial(_segment_rows, bdef.step, seg, before, a, hp, hi_i, levels)
-        if jumps_only:
+        if grid is not None:
+            # the points whose floor falls in the segment
+            xs = grid[np.searchsorted(grid, seg.lo) : np.searchsorted(grid, seg.hi + 1)]
+
+            def rows(idx):
+                right = read(np.floor(xs[idx]).astype(np.int64) - a)[1]
+                return xs[idx], right, right, np.zeros(right.size, dtype=bool)
+
+            n = xs.size
+        elif mode == "every_jump":
             # the segment's jump offsets from a: its nonzero Lambda, or its primes
             nz = seg.lam_nonzero if base == "psi" else seg.prime_offsets()
             offs = nz[np.searchsorted(nz, off) :] - off
@@ -662,25 +690,19 @@ def _scan_stream(bdef: _BoundDef, lo: float, hi: float, jumps_only: bool, col: _
             else:
                 n_jumps = seg.n_primes - int(seg.count_primes(np.array([off - 1]))[0])
             n_jumps += 0 if hp is None else hp[0].size
-        if not n:
+        if not forms_rows:
+            if n:
+                _emit_decided_rows(bdef, col, n, n_jumps, rows)
             continue
-        if col.wants_rows:
-            for start in range(0, n, _ROW_BLOCK):
-                _emit_bound_rows(bdef, col, *rows(slice(start, min(start + _ROW_BLOCK, n))))
-        else:
-            _emit_decided_rows(bdef, col, n, n_jumps, rows)
-
-
-def _scan_log_grid(bdef: _BoundDef, lo: float, hi: float, points: int, col: _RowCollector) -> None:
-    """log_grid engine: one sparse read of the step at every point, then rows one block at a time."""
-    lo = max(lo, float(bdef.min_x))
-    if lo > hi:
-        return
-    xs = np.geomspace(lo, hi, points)
-    step_vals = arith.step_at(bdef.step, np.floor(xs).astype(np.int64))
-    for start in range(0, points, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        _emit_bound_rows(bdef, col, xs[block], step_vals[block], None, None)
+        start = 0
+        while start < n:
+            stop = min(n, start + _ROW_BLOCK - n_pending)
+            pending.append(rows(slice(start, stop)))
+            n_pending, start = n_pending + stop - start, stop
+            if n_pending == _ROW_BLOCK:
+                emit_pending()
+    if pending:
+        emit_pending()
 
 
 def scan_bound(
@@ -711,6 +733,8 @@ def scan_bound(
         raise ValueError(f"scan range must be finite, got [{lo}, {hi}]")
     if hi < lo:
         raise ValueError("inverted scan range")
+    if mode not in ("every_integer", "every_jump", "log_grid"):
+        raise ValueError(f"unknown scan mode {mode!r}")
     if mode == "log_grid" and points < 1:
         raise ValueError("log_grid needs points >= 1")
     if convention is not None:
@@ -718,16 +742,8 @@ def scan_bound(
             known = ", ".join(bdef.conventions) or "none; only B4 takes one"
             raise ValueError(f"unknown convention {convention!r} for {bound_id}; known: {known}")
         bdef = replace(bdef, li_shift=bdef.conventions[convention])
-    if keep_rows is None:
-        keep_rows = (hi - lo) <= 50_000 or mode == "log_grid"
-    col = _RowCollector(row_sink, keep_rows)
-
-    if mode in ("every_integer", "every_jump"):
-        _scan_stream(bdef, lo, hi, mode == "every_jump", col)
-    elif mode == "log_grid":
-        _scan_log_grid(bdef, lo, hi, points, col)
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
+    col = _RowCollector(row_sink, (hi - lo) <= 50_000 if keep_rows is None else keep_rows)
+    _scan_stream(bdef, lo, hi, mode, points, col)
     params = {"lo": lo, "hi": hi, "mode": mode, "min_margin": col.min_margin}
     if mode == "log_grid":
         params["points"] = points
@@ -740,7 +756,7 @@ def scan_bound(
         n_failures=col.n_failures,
         min_margin=col.min_margin,
         argmin_x=col.argmin_x,
-        rows=np.concatenate(col.blocks) if keep_rows else None,
+        rows=np.concatenate(col.blocks) if col.keep else None,
     )
 
 

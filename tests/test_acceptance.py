@@ -103,7 +103,7 @@ def test_criterion_5_j_offset_li_bound():
     want_window = oracle.scan_integers(2, window_hi, keep_rows=True)
 
     # log grid 1e7..1e9
-    tail = scan_bound("B4", 10**7, 10**9, mode="log_grid", points=10**4)
+    tail = scan_bound("B4", 10**7, 10**9, mode="log_grid", points=10**4, keep_rows=True)
     want_tail = oracle.scan_log_grid(10**7, 10**9, 10**4)
 
     window_diff = oracle.row_mismatch(window.rows, want_window.rows)

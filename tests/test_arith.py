@@ -19,16 +19,33 @@ from zetalab.arith import (
     segment_jumps,
     segment_levels,
     segment_values,
-    step_at,
     step_segments,
 )
 from zetalab.sieve import DEFAULT_SEGMENT, base_primes, higher_prime_powers, integer_kth_root, iter_segments
-from zetalab.verify import fmt17, run_claim
+from zetalab.verify import _segment_rows, fmt17, run_claim
 
 
 def one_segment(hi: int):
     (seg,) = iter_segments(0, hi, want_lam=True)
     return seg
+
+
+def step_read(step: str, xs) -> np.ndarray:
+    """pi, psi or J (step "pi", "psi" or "j") at integers xs >= 0, sorted first, as float64.
+
+    Read as a scan reads them: ``verify._segment_rows`` at the offsets of the
+    points that fall in each ``step_segments`` segment.
+    """
+    xs = np.sort(np.asarray(xs, dtype=np.int64))
+    top = int(xs[-1])
+    hp_vals, hp_wts, _ = higher_power_jumps(top)
+    out = []
+    for seg, before in step_segments("psi" if step == "psi" else "pi", top, lo=int(xs[0])):
+        i0, i1 = np.searchsorted(xs, [seg.lo, seg.hi + 1])
+        h0, h1 = np.searchsorted(hp_vals, [seg.lo, seg.hi + 1])
+        hp = hp_vals[h0:h1] - seg.lo, hp_wts[h0:h1]
+        out.append(_segment_rows(step, seg, before, seg.lo, hp, top, None, xs[i0:i1] - seg.lo)[1])
+    return np.concatenate(out)
 
 
 def test_pi_count_examples():
@@ -71,8 +88,8 @@ def test_j_value_matches_direct_prime_power_sum():
 
 
 def _j_by_root_loop(x) -> float:
-    """J as j_value formed it before it read pi through step_at: pi_count(floor x)
-    for k = 1, and a pi_table to sqrt(x) at the roots for k >= 2."""
+    """J as an earlier j_value formed it: pi_count(floor x) for k = 1, and a
+    pi_table to sqrt(x) at the roots for k >= 2."""
     n = int(math.floor(x))
     if n < 2:
         return 0.0
@@ -130,7 +147,7 @@ def test_c9_at_three_million_keeps_its_worst_residual():
 
 def test_vectorised_j_matches_scalar():
     xs = np.array([2, 3, 4, 8, 9, 16, 100, 1024, 6859, 59049, 65536], dtype=np.int64)
-    vec = step_at("j", xs)
+    vec = step_read("j", xs)
     for x, v in zip(xs, vec):
         assert v == pytest.approx(j_value(int(x)), abs=1e-12)
 
@@ -158,14 +175,13 @@ def test_step_at_matches_the_oracle_across_segments_and_powers():
     top = int(STEP_XS.max())
     flags = np.concatenate([f for _, f in oracle.prime_segments(top)])
     pi = np.cumsum(flags)[STEP_XS]
-    assert step_at("pi", STEP_XS).tolist() == pi.tolist()
+    assert step_read("pi", STEP_XS).tolist() == pi.tolist()
     j = pi + oracle._HigherTerms(top)(STEP_XS)
-    assert np.array_equal(step_at("j", STEP_XS), j)
-    # order does not matter, and a jump at a perfect power is its 1/k weight
-    assert np.array_equal(step_at("j", STEP_XS[::-1]), j[::-1])
-    assert (step_at("j", [3**12]) - step_at("j", [3**12 - 1]))[0] == pytest.approx(1 / 12, abs=1e-9)
+    assert np.array_equal(step_read("j", STEP_XS), j)
+    # a jump at a perfect power is its 1/k weight
+    assert (step_read("j", [3**12]) - step_read("j", [3**12 - 1]))[0] == pytest.approx(1 / 12, abs=1e-9)
     primes = np.flatnonzero(flags)
-    psi = step_at("psi", STEP_XS)
+    psi = step_read("psi", STEP_XS)
     for n, got in zip(STEP_XS.tolist(), psi):
         want = exact_power_psi(n, primes)
         # recursive summation of the nonzero terms of one segment, on top of a
@@ -189,10 +205,9 @@ def test_step_segments_carry_and_validation():
     assert seg.lam_values is not None
     want = segment_values("psi", *psi_segs[1], slice(0, 6))
     assert segment_values("psi", seg, before, slice(0, 6)).tolist() == want.tolist()
-    with pytest.raises(ValueError):
-        list(step_segments("j", 10))
-    with pytest.raises(ValueError):
-        step_at("mu", [10])
+    for step in ("j", "mu"):
+        with pytest.raises(ValueError):
+            list(step_segments(step, 10))
 
 
 def test_sparse_segment_values_have_the_dense_bits():
@@ -274,18 +289,19 @@ def test_step_at_sparse_points_match_the_oracle():
     higher = oracle._HigherTerms(top)
     primes = np.flatnonzero(flags)
     for xs in cases:
+        xs = np.sort(xs)
         pi = pi_all[xs]
-        assert step_at("pi", xs).tolist() == pi.tolist(), xs
-        assert np.array_equal(step_at("j", xs), pi + higher(xs)), xs
-        psi = step_at("psi", xs)
+        assert step_read("pi", xs).tolist() == pi.tolist(), xs
+        assert np.array_equal(step_read("j", xs), pi + higher(xs)), xs
+        psi = step_read("psi", xs)
         for n, got in zip(xs.tolist(), psi):
             want = exact_power_psi(n, primes)
             count = int(np.count_nonzero(primes <= n)) + 2 * math.isqrt(max(n, 0))
             assert abs(got - want) <= count * np.finfo(float).eps * want, n
         # a point's value does not depend on which other points are asked for
         for step in ("pi", "psi", "j"):
-            alone = np.concatenate([step_at(step, [x]) for x in xs.tolist()])
-            assert np.array_equal(step_at(step, xs), alone), (step, xs)
+            alone = np.concatenate([step_read(step, [x]) for x in xs.tolist()])
+            assert np.array_equal(step_read(step, xs), alone), (step, xs)
 
 
 def test_j_higher_terms_one_pass_is_the_per_point_search():
@@ -318,11 +334,11 @@ def test_j_higher_terms_one_pass_is_the_per_point_search():
         for arr in (xs.astype(np.int64), xs.astype(np.float64)):
             got = j_higher_terms(arr, limit)
             assert got.dtype == np.float64 and got.tobytes() == per_point(arr).tobytes(), xs[:5]
-    # step_at hands the terms its sorted points and scatters them back
-    pts = rng.permutation(np.concatenate([at_powers, scattered[:2000], np.arange(4)]))
+    # a scan's reader hands the terms the points of each segment
+    pts = np.sort(np.concatenate([at_powers, scattered[:2000], np.arange(4)]))
     flags = np.concatenate([f for _, f in oracle.prime_segments(limit)])
     want = np.cumsum(flags)[pts] + oracle._HigherTerms(limit)(pts)
-    assert np.array_equal(step_at("j", pts), want)
+    assert np.array_equal(step_read("j", pts), want)
 
 
 def test_psi_value_examples():
@@ -376,7 +392,7 @@ def _psi_by_dense_fsum(xs):
 def test_psi_has_the_bits_of_the_dense_fsum_composition():
     xs = [2, 10**6, 2**20, 2**20 + 1, 3 * 10**7]
     carry, at = _psi_by_dense_fsum(xs)
-    assert step_at("psi", xs).tolist() == [at[x] for x in xs]
+    assert step_read("psi", xs).tolist() == [at[x] for x in xs]
     # the carry at every segment start to 3e7 is the fsum of every Lambda value below it
     assert {seg.lo: before for seg, before in step_segments("psi", max(xs))} == carry
 

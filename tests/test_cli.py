@@ -100,13 +100,19 @@ def test_unknown_command():
     assert dispatch([]) == 2
 
 
-def test_scan_exit_codes(tmp_path):
+def test_scan_exit_codes(tmp_path, capsys):
     assert dispatch(["scan", "B3", "--from", "1", "--to", "2000"]) == 0
     # the stricter-than-true offset-free bound variant fails near 100
     assert dispatch(["scan", "B4", "--from", "90", "--to", "110", "--convention", "li"]) == 1
     # --convention applies to B4 only: elsewhere it is a usage error, not ignored
     assert dispatch(["scan", "B2", "--from", "2", "--to", "100", "--convention", "offset"]) == 2
     assert dispatch(["scan", "B9", "--from", "1", "--to", "10"]) == 2
+    # --points applies to log grids only: elsewhere it is a usage error, not ignored
+    capsys.readouterr()
+    assert dispatch(["scan", "B2", "--from", "10", "--to", "100", "--points", "0"]) == 2
+    assert capsys.readouterr() == ("", "--points applies to --mode log-grid only\n")
+    assert dispatch(["scan", "B1", "--from", "2", "--to", "99", "--mode", "every-jump", "--points", "5"]) == 2
+    assert dispatch(["scan", "B2", "--from", "10", "--to", "100", "--mode", "log-grid", "--points", "5"]) == 0
 
 
 def test_scan_csv_stdout_matches_file(tmp_path, capsys):
@@ -183,6 +189,16 @@ def test_eval_outside_the_series_domain_exits_2(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "fn, name", [("pi", "pi_count"), ("j", "j_value"), ("psi", "psi_value"), ("r", "r_value")]
+)
+def test_eval_of_a_step_at_nan_or_inf_names_the_function(fn, name, value, capsys):
+    assert dispatch(["eval", fn, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{name} requires a finite x, got x={value}\n"
 
 
 @pytest.mark.parametrize(

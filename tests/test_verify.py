@@ -515,6 +515,51 @@ def test_log_grid_that_repeats_x_keeps_rows_in_index_order():
     assert (rep.n_rows, rep.n_failures, rep.argmin_x) == (6, 0, 100.0)
 
 
+def test_a_degenerate_log_grid_stays_in_its_range():
+    # np.geomspace(8, 8, 3) puts its inner point at 7.9999999999999991, below
+    # the range and read at J(7); the grid is clamped into [lo, hi]
+    row = "8,0.42038496622559851,4.0805577863871587,3.6601728201615602,true\n"
+    sink = io.StringIO()
+    rep = scan_bound("B1", 8, 8, "log_grid", points=3, row_sink=sink)
+    assert sink.getvalue() == "x,lhs,rhs,margin,pass\n" + row * 3
+    assert rep.argmin_x == 8.0
+
+
+@pytest.mark.parametrize("bound_id", ["B1", "B3", "B4"])
+@pytest.mark.parametrize(
+    "lo, ulps, points",
+    [
+        (100.0, 4, 5),
+        (math.nextafter(2.0**20, 0), 2, 7),
+        (6.813270239200272, 1, 5),
+        (11.935072423787767, 1, 5),
+    ],
+)
+def test_a_log_grid_a_few_ulps_wide_reads_its_points_in_order(bound_id, lo, ulps, points):
+    # np.geomspace puts inner points of these grids out of order, some past
+    # hi or below lo; the second crosses the segment boundary at 2**20
+    hi = lo
+    for _ in range(ulps):
+        hi = math.nextafter(hi, math.inf)
+    raw = np.geomspace(lo, hi, points)
+    assert np.any(np.diff(raw) < 0)
+    rep = scan_bound(bound_id, lo, hi, "log_grid", points=points, keep_rows=True)
+    xs = rep.rows[:, 0]
+    assert rep.n_rows == len(rep.rows) == points
+    assert np.all(np.diff(xs) >= 0) and xs[0] == lo and xs[-1] == hi and xs.max() <= hi
+    # each row reads the step at its own floor, as a one-point grid there does
+    for x, row in zip(xs.tolist(), rep.rows.tolist()):
+        alone = scan_bound(bound_id, x, x, "log_grid", points=1, keep_rows=True).rows
+        assert alone.tolist() == [row], x
+
+
+def test_a_summary_only_log_grid_keeps_no_rows():
+    # rows are kept by default for ranges up to 50000 wide, whatever the mode
+    assert scan_bound("B2", 100, 50_100, "log_grid", points=50).rows.shape == (100, 5)
+    rep = scan_bound("B2", 100, 50_101, "log_grid", points=50)
+    assert rep.rows is None and rep.n_rows == 100
+
+
 def test_summary_b4_scan_evaluates_li_at_under_one_percent_of_abscissae(monkeypatch):
     points = _counting_li(monkeypatch)
     rep = scan_bound("B4", 2, 2e6, keep_rows=False)
@@ -650,9 +695,9 @@ def test_kept_rows_are_complete_past_one_segment():
 def test_scan_streaming_to_sink_matches_retained_rows(monkeypatch):
     # a scan that streams its rows to a sink and keeps them: the kept rows
     # render, byte for byte, as the sink got them
-    def scan(bound_id, lo, hi, mode):
+    def scan(bound_id, lo, hi, mode, points=3):
         sink = io.StringIO()
-        rep = scan_bound(bound_id, lo, hi, mode, points=3, row_sink=sink, keep_rows=True)
+        rep = scan_bound(bound_id, lo, hi, mode, points=points, row_sink=sink, keep_rows=True)
         assert rep.rows.dtype == np.float64 and rep.rows.shape == (rep.n_rows, 5), (bound_id, mode)
         assert render_csv([rep]) == sink.getvalue(), (bound_id, mode)
         return sink.getvalue(), rep.rows.tobytes(), _summary(rep)
@@ -673,12 +718,20 @@ def test_scan_streaming_to_sink_matches_retained_rows(monkeypatch):
     # rows are read, formed and written one block of abscissae at a time: any
     # block size gives the CSV, the kept rows and the summary of the default
     # one.  One range crosses the segment boundary at 2**20; the other starts
-    # at the first abscissa, where B4 fails at 19, 31, 113 and 199
+    # at the first abscissa, where B4 fails at 19, 31, 113 and 199.  Log grids
+    # cross 2**20 and 2**21: one with fewer points than a row block in each
+    # segment, so a block spans segments, and one with more points than
+    # integers, so floors repeat
     scans = [
         (bound_id, lo, hi, mode)
         for bound_id in ("B1", "B2", "B3", "B4")
         for mode in ("every_integer", "every_jump")
         for lo, hi in ((2**20 - 600, 2**20 + 600), (1, 400))
+    ]
+    scans += [
+        (bound_id, lo, hi, "log_grid", points)
+        for bound_id in ("B1", "B3", "B4")
+        for lo, hi, points in ((2**20 - 900, 2**21 + 900, 3000), (2**21 - 700.5, 2**21 + 700.5, 4000))
     ]
     want = {s: scan(*s) for s in scans}
     assert all(text.count("\n") > 1 for text, _, _ in want.values())
@@ -939,3 +992,18 @@ def test_csv_scans_run_in_flat_memory(bound_id):
         one = _traced_peak_mb(lambda: scan(2**20 - 1))
         four = _traced_peak_mb(lambda: scan(3.2e6))
     assert four < 7.0 and four < 1.1 * one, (one, four)
+
+
+def test_log_grid_csv_scans_hold_little_per_point():
+    # a log grid reads its points segment by segment and forms rows in blocks:
+    # past the grid itself (8 bytes a point) the peak grows little with the
+    # point count; a whole-grid read held about 60 bytes a point
+    with open(os.devnull, "w") as sink:
+        def scan(points):
+            scan_bound("B2", 1e5, 1e7, "log_grid", points=points, row_sink=sink, keep_rows=False)
+
+        scan(1000)  # the CSV writer's tables
+        few = _traced_peak_mb(lambda: scan(20_000))
+        many = _traced_peak_mb(lambda: scan(200_000))
+    per_point = (many - few) * 2**20 / 180_000
+    assert per_point <= 20.0, (few, many, per_point)
